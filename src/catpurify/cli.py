@@ -5,13 +5,17 @@ runs the state-vector oracle checks, ``simulate-hashing`` runs seeded
 Monte Carlo hashing trials.  Output is deterministic byte-for-byte for a
 fixed configuration; exit codes are 0 (ok), 2 (usage/config), 3
 (capacity), 4 (internal invariant violation).
+
+Every option is declared once, in ``build_parser``.  A ``--config`` file of
+``key=value`` lines is read as ``--key=value`` flags placed before the
+command line's own, so its values get the same checks as flags and
+explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .errors import CapacityError, InternalInvariantError
 from .ensemble import werner_single
@@ -29,57 +33,44 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved configuration of one CLI invocation (flags merged
-    over the optional key=value config file, defaults applied)."""
-
-    subcommand: str
-    n_parties: int = 2
-    f_min: float = 0.0
-    f_max: float = 0.0
-    f_step: float = 1.0
-    methods: tuple[MethodSpec, ...] = ()
-    max_rounds: int = DEFAULT_MAX_ROUNDS
-    workers: int = 1
-    block_size: int = 0
-    fidelity: float = 1.0
-    trials: int = 1
-    seed: int = 0
-    safety_bits: int | None = None
-    self_test: bool = False
-    party_list: tuple[int, ...] = ()
-    out: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.format not in ("csv", "tsv"):
-            raise ValueError(f"unknown output format {self.format!r}")
-        if self.subcommand == "yield-curve":
-            if not self.methods:
-                raise ValueError("no methods requested")
-            if self.workers < 1:
-                raise ValueError("workers must be positive")
-        elif self.subcommand == "simulate-hashing":
-            if self.n_parties < 2:
-                raise ValueError("need at least two parties")
-            if self.block_size < 1:
-                raise ValueError("block size must be positive")
-            if self.trials < 1:
-                raise ValueError("need at least one trial")
-
-    @property
-    def delimiter(self) -> str:
-        return "," if self.format == "csv" else "\t"
+# Values a config file may give a switch such as ``self-test``.
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _read_config(path: str) -> dict[str, str]:
-    values = {}
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
+_party_count = _int_at_least(2)
+
+
+def _party_list(text: str) -> tuple[int, ...]:
+    return tuple(_party_count(tok) for tok in text.split(",") if tok.strip())
+
+
+def _f_range(text: str) -> tuple[float, float, float]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected min:max:step, got {text!r}")
+    return tuple(float(p) for p in parts)
+
+
+def _read_config(path: str) -> list[tuple[str, str]]:
+    pairs = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
@@ -88,88 +79,57 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+            pairs.append((key.strip(), value.strip()))
+    return pairs
 
 
-def _merge_config(args: argparse.Namespace, schema: dict[str, tuple]) -> None:
-    """Fill arguments still at None from the --config file; explicit flags
-    win because they already overwrote the None sentinel."""
-    source = _read_config(args.config) if args.config else {}
-    for key, (attr, convert, default) in schema.items():
-        if getattr(args, attr) is None:
-            if key in source:
-                setattr(args, attr, convert(source[key]))
-            else:
-                setattr(args, attr, default)
-    unknown = set(source) - set(schema)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+def _config_flags(command: argparse.ArgumentParser, path: str) -> list[str]:
+    """The config file at ``path`` as ``--key=value`` flags of ``command``.
+
+    A key must spell a long flag out in full, although argparse accepts a
+    prefix of one on the command line; a switch takes a boolean value and
+    becomes the bare flag or nothing."""
+    flags = []
+    for key, value in _read_config(path):
+        action = command._option_string_actions.get(f"--{key}")
+        if action is None or action.dest in ("config", "help"):
+            command.error(f"unknown config key {key!r}")
+        if action.nargs != 0:
+            flags.append(f"--{key}={value}")
+        elif value.lower() not in _BOOLEANS:
+            command.error(f"config key {key!r} expects a boolean, got {value!r}")
+        elif _BOOLEANS[value.lower()]:
+            flags.append(f"--{key}")
+    return flags
 
 
-def _parse_f_range(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected min:max:step, got {text!r}")
-    f_min, f_max, step = (float(p) for p in parts)
-    return f_min, f_max, step
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + _config_flags(args.parser, args.config) + argv[at:])
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes"):
-        return True
-    if text.lower() in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _write_lines(lines: list[str], config: RunConfig) -> None:
-    text = "\n".join(config.delimiter.join(row) for row in lines) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
+def _write_lines(lines: list[list[str]], args: argparse.Namespace) -> None:
+    delimiter = "," if args.format == "csv" else "\t"
+    text = "\n".join(delimiter.join(row) for row in lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def cmd_yield_curve(args: argparse.Namespace) -> int:
-    _merge_config(
-        args,
-        {
-            "parties": ("parties", int, 2),
-            "methods": ("methods", str, "rec-hash"),
-            "f": ("f_range", str, "0.5:1.0:0.01"),
-            "max-rounds": ("max_rounds", int, DEFAULT_MAX_ROUNDS),
-            "workers": ("workers", int, 1),
-            "format": ("format", str, "csv"),
-            "out": ("out", str, None),
-        },
-    )
-    f_min, f_max, step = _parse_f_range(args.f_range)
-    config = RunConfig(
-        subcommand="yield-curve",
-        n_parties=args.parties,
-        f_min=f_min,
-        f_max=f_max,
-        f_step=step,
-        methods=tuple(
-            MethodSpec.from_id(token.strip(), max_rounds=args.max_rounds)
-            for token in args.methods.split(",")
-            if token.strip()
-        ),
-        max_rounds=args.max_rounds,
-        workers=args.workers,
-        out=args.out,
-        format=args.format,
-    )
-    curve = yield_curve(
-        config.n_parties,
-        config.f_min,
-        config.f_max,
-        config.f_step,
-        list(config.methods),
-        workers=config.workers,
-    )
+    methods = [
+        MethodSpec.from_id(token.strip(), max_rounds=args.max_rounds)
+        for token in args.methods.split(",")
+        if token.strip()
+    ]
+    if not methods:
+        raise ValueError("no methods requested")
+    curve = yield_curve(args.parties, *args.f_range, methods)
     header = ["fidelity"]
     for mid in curve.method_ids:
         header += [f"{mid}_raw", f"{mid}_clamped"]
@@ -179,32 +139,18 @@ def cmd_yield_curve(args: argparse.Namespace) -> int:
         for mid in curve.method_ids:
             row += [_fmt(float(curve.raw[mid][k])), _fmt(float(curve.clamped[mid][k]))]
         lines.append(row)
-    _write_lines(lines, config)
+    _write_lines(lines, args)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _merge_config(
-        args,
-        {
-            "parties": ("parties", str, "2,3"),
-            "self-test": ("self_test", _parse_bool, False),
-        },
-    )
-    config = RunConfig(
-        subcommand="verify",
-        party_list=tuple(
-            int(tok) for tok in str(args.parties).split(",") if tok.strip()
-        ),
-        self_test=bool(args.self_test),
-    )
-    for n in config.party_list:
+    for n in args.parties:
         if 2 * n > ORACLE_QUBIT_LIMIT:
             raise CapacityError(
                 f"verification at N={n} needs {2 * n} qubits, "
                 f"limit is {ORACLE_QUBIT_LIMIT}"
             )
-    if config.self_test:
+    if args.self_test:
         report = verify_mxor(2, rule=corrupted_mxor_rule)
         print(f"self-test (corrupted rule): {report.n_fail} pair failures detected")
         if report.n_fail == 0:
@@ -214,7 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     conj = verify_conjugation_rules()
     print(conj)
     all_ok &= conj.ok
-    for n in config.party_list:
+    for n in args.parties:
         report = verify_mxor(n)
         print(report)
         all_ok &= report.ok
@@ -222,42 +168,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate_hashing(args: argparse.Namespace) -> int:
-    _merge_config(
-        args,
-        {
-            "parties": ("parties", int, 3),
-            "block-size": ("block_size", int, 1000),
-            "fidelity": ("fidelity", float, 0.9),
-            "trials": ("trials", int, 1),
-            "seed": ("seed", int, 0),
-            "safety-bits": ("safety_bits", int, -1),
-            "format": ("format", str, "csv"),
-            "out": ("out", str, None),
-        },
-    )
-    config = RunConfig(
-        subcommand="simulate-hashing",
-        n_parties=args.parties,
-        block_size=args.block_size,
-        fidelity=args.fidelity,
-        trials=args.trials,
-        seed=args.seed,
-        safety_bits=None if args.safety_bits < 0 else args.safety_bits,
-        out=args.out,
-        format=args.format,
-    )
-    single = werner_single(config.n_parties, config.fidelity)
+    single = werner_single(args.parties, args.fidelity)
     lines = [["seed", "success", "empirical_yield", "rounds_a", "rounds_b", "consumed"]]
     successes = 0
     yields = []
-    for k in range(config.trials):
-        seed = config.seed + k
+    for k in range(args.trials):
+        seed = args.seed + k
         success, empirical_yield, run = simulate_hashing(
-            config.n_parties,
-            config.block_size,
+            args.parties,
+            args.block_size,
             single,
             seed,
-            safety_bits=config.safety_bits,
+            safety_bits=args.safety_bits,
         )
         successes += int(success)
         yields.append(empirical_yield)
@@ -273,9 +195,9 @@ def cmd_simulate_hashing(args: argparse.Namespace) -> int:
         )
     mean_yield = sum(yields) / len(yields)
     lines.append(
-        ["summary", _fmt(successes / config.trials), _fmt(mean_yield), "", "", ""]
+        ["summary", _fmt(successes / args.trials), _fmt(mean_yield), "", "", ""]
     )
-    _write_lines(lines, config)
+    _write_lines(lines, args)
     return EXIT_OK
 
 
@@ -287,50 +209,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     curve = sub.add_parser("yield-curve", help="fidelity sweep to CSV")
-    curve.add_argument("-N", "--parties", type=int, default=None)
-    curve.add_argument("--methods", type=str, default=None,
+    curve.add_argument("-N", "--parties", type=_party_count, default=2)
+    curve.add_argument("--methods", default="rec-hash",
                        help="comma list: rec-hash, block<m>, mp-hash, 2p-hash")
-    curve.add_argument("--f", dest="f_range", type=str, default=None,
+    curve.add_argument("--f", dest="f_range", type=_f_range, default="0.5:1.0:0.01",
                        help="fidelity grid as min:max:step")
-    curve.add_argument("--max-rounds", type=int, default=None)
-    curve.add_argument("--workers", type=int, default=None)
-    curve.add_argument("--out", type=str, default=None)
-    curve.add_argument("--format", type=str, default=None, choices=(None, "csv", "tsv"))
-    curve.add_argument("--config", type=str, default=None)
-    curve.set_defaults(func=cmd_yield_curve)
+    curve.add_argument("--max-rounds", type=_non_negative, default=DEFAULT_MAX_ROUNDS)
+    curve.add_argument("--workers", type=_positive, default=1,
+                       help="accepted for compatibility; evaluation is single-threaded")
 
     verify = sub.add_parser("verify", help="state-vector oracle checks")
-    verify.add_argument("-N", "--parties", type=str, default=None,
+    verify.add_argument("-N", "--parties", type=_party_list, default="2,3",
                         help="comma list of party counts")
-    verify.add_argument("--self-test", dest="self_test", action="store_const",
-                        const=True, default=None,
+    verify.add_argument("--self-test", action="store_true",
                         help="run the corrupted-rule harness sanity check")
-    verify.add_argument("--config", type=str, default=None)
-    verify.set_defaults(func=cmd_verify)
 
     sim = sub.add_parser("simulate-hashing", help="Monte Carlo hashing trials")
-    sim.add_argument("-N", "--parties", type=int, default=None)
-    sim.add_argument("-m", "--block-size", dest="block_size", type=int, default=None)
-    sim.add_argument("-f", "--fidelity", type=float, default=None)
-    sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--safety-bits", dest="safety_bits", type=int, default=None,
+    sim.add_argument("-N", "--parties", type=_party_count, default=3)
+    sim.add_argument("-m", "--block-size", type=_positive, default=1000)
+    sim.add_argument("-f", "--fidelity", type=float, default=0.9)
+    sim.add_argument("--trials", type=_positive, default=1)
+    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--safety-bits", type=_non_negative, default=None,
                      help="extra hash rounds per phase (default: 2*log2(m) rounded up)")
-    sim.add_argument("--out", type=str, default=None)
-    sim.add_argument("--format", type=str, default=None, choices=(None, "csv", "tsv"))
-    sim.add_argument("--config", type=str, default=None)
-    sim.set_defaults(func=cmd_simulate_hashing)
+
+    for command in (curve, sim):
+        command.add_argument("--out", help="output file (default: stdout)")
+        command.add_argument("--format", choices=("csv", "tsv"), default="csv")
+    for command, func in (
+        (curve, cmd_yield_curve),
+        (verify, cmd_verify),
+        (sim, cmd_simulate_hashing),
+    ):
+        command.add_argument("--config",
+                             help="file of key=value lines, keys being long flag names; flags win")
+        command.set_defaults(func=func, parser=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

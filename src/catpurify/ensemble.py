@@ -93,6 +93,8 @@ def werner_single(n_parties: int, fidelity: float) -> SingleDistribution:
     the fidelity, every other label (1-F)/(2^N - 1)."""
     WernerParams.from_fidelity(n_parties, fidelity)  # validates the range
     dim = 1 << n_parties
+    if dim > ENSEMBLE_ENTRY_CAP:
+        raise CapacityError(f"{dim} labels exceeds the ensemble cap {ENSEMBLE_ENTRY_CAP}")
     # Fidelities within validation tolerance of the endpoints may leave
     # negative dust in the off-target entries; snap it to zero.
     probs = np.full(dim, max((1.0 - fidelity) / (dim - 1), 0.0))

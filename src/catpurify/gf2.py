@@ -46,10 +46,6 @@ def row_weight(row: np.ndarray) -> int:
     return int(np.bitwise_count(row).sum())
 
 
-def get_bit(row: np.ndarray, i: int) -> int:
-    return int((row[i >> 6] >> np.uint64(i & 63)) & np.uint64(1))
-
-
 def dot_bit(a: np.ndarray, b: np.ndarray) -> int:
     """Parity of the AND of two packed rows."""
     return int(np.bitwise_count(a & b).sum()) & 1

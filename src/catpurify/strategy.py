@@ -39,8 +39,8 @@ class MethodSpec:
         if self.kind not in METHOD_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
         if self.kind == "block_then_hashing":
-            if self.m is None or self.m < 2:
-                raise ValueError("block methods need m >= 2")
+            if self.m is None or not 2 <= self.m <= 8:
+                raise ValueError(f"block size {self.m} outside the supported range 2..8")
         elif self.m is not None:
             raise ValueError(f"{self.kind} takes no block size")
 
@@ -131,17 +131,13 @@ def recurrence_then_hashing(
 
 def block_then_hashing(fidelity: float, m: int) -> float:
     """Two-party block step of size m continued by hashing, clamped at 0."""
-    if not 2 <= m <= 8:
-        raise ValueError(f"block size {m} outside the supported range 2..8")
-    return max(0.0, block_yield(werner_single(2, fidelity), m))
+    return max(0.0, _raw_yield(MethodSpec("block_then_hashing", m=m), 2, fidelity))
 
 
 def _raw_yield(spec: MethodSpec, n_parties: int, fidelity: float) -> float:
     if spec.kind == "recurrence_hashing":
         return _recurrence_raw(fidelity, spec.max_rounds)[0]
     if spec.kind == "block_then_hashing":
-        if not 2 <= spec.m <= 8:
-            raise ValueError(f"block size {spec.m} outside the supported range 2..8")
         return block_yield(werner_single(2, fidelity), spec.m)
     if spec.kind == "multiparty_hashing":
         return werner_hashing_yield(n_parties, fidelity)
@@ -203,25 +199,13 @@ def yield_curve(
     f_max: float,
     step: float,
     methods: list[MethodSpec],
-    workers: int = 1,
 ) -> YieldCurve:
     """Evaluate every method on the grid; deterministic, with both raw and
-    clamped-at-zero vectors.  Grid points are independent, so they may be
-    evaluated by a thread pool; results are stored in grid order."""
+    clamped-at-zero vectors."""
     validate_methods(methods, n_parties)
     grid = fidelity_grid(f_min, f_max, step)
     curve = YieldCurve(n_parties, grid)
-
-    def evaluate(f: float) -> list[float]:
-        return [_raw_yield(spec, n_parties, float(f)) for spec in methods]
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, grid))
-    else:
-        rows = [evaluate(f) for f in grid]
+    rows = [[_raw_yield(spec, n_parties, float(f)) for spec in methods] for f in grid]
     table = np.array(rows, dtype=float).reshape(grid.size, len(methods))
     for k, spec in enumerate(methods):
         curve.raw[spec.method_id] = table[:, k]

@@ -1,3 +1,5 @@
+import pytest
+
 from catpurify.cli import main
 
 
@@ -185,3 +187,81 @@ def test_stdout_output(capsys):
     out = capsys.readouterr().out
     assert out.endswith("\n")
     assert out.splitlines()[1] == "1,1,1"
+
+
+@pytest.mark.parametrize(
+    "argv, config, code",
+    [
+        (["simulate-hashing", "-N", "2", "-m", "32", "--safety-bits", "-5"], None, 2),
+        (["simulate-hashing", "-N", "2", "-m", "32"], "safety-bits=-5", 2),
+        (["yield-curve", "--methods", "rec-hash", "--max-rounds", "-3"], None, 2),
+        (["yield-curve", "--methods", "rec-hash"], "max-rounds=-3", 2),
+        (["simulate-hashing", "-N", "2", "-m", "8", "--trials", "0"], None, 2),
+        (["simulate-hashing", "-N", "2", "-m", "8"], "trials=0", 2),
+        (["yield-curve", "--methods", "2p-hash", "--format", "xml"], None, 2),
+        (["yield-curve", "--methods", "2p-hash"], "format=xml", 2),
+        (["yield-curve"], "meth=mp-hash", 2),
+        (["yield-curve"], "config=x", 2),
+        (["verify"], "self-test=maybe", 2),
+        (["verify", "-N", "0"], None, 2),
+        (["verify", "-N", "1"], None, 2),
+        (["verify"], "parties=2,1", 2),
+        (["yield-curve", "-N", "1", "--methods", "mp-hash"], None, 2),
+        (["yield-curve", "--methods", "mp-hash"], "parties=1", 2),
+        (["simulate-hashing", "-N", "40", "-m", "4"], None, 3),
+        (["simulate-hashing", "-m", "4"], "parties=40", 3),
+    ],
+)
+def test_rejected_input_exits_before_output(tmp_path, capsys, argv, config, code):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv = argv + ["--config", str(cfg)]
+    assert run_cli(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err
+
+
+def test_yield_curve_mp_hash_beyond_ensemble_cap(capsys):
+    assert run_cli(["yield-curve", "-N", "40", "--methods", "mp-hash", "--f", "1:1:1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1,1,1"
+
+
+def test_config_file_round_trip_simulate_hashing(tmp_path):
+    flags = ["-N", "2", "-m", "32", "-f", "0.9", "--trials", "3", "--safety-bits", "4"]
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        "parties=2\nblock-size=32\nfidelity=0.9\ntrials=3\nseed=11\nsafety-bits=4\n"
+    )
+    blobs = []
+    for k, argv in enumerate((
+        flags + ["--seed", "11"],
+        ["--config", str(cfg)],
+        flags + ["--seed", "12"],
+        ["--config", str(cfg), "--seed", "12"],
+    )):
+        out = tmp_path / f"s{k}.csv"
+        assert run_cli(["simulate-hashing", *argv, "--out", str(out)]) == 0
+        blobs.append(read(out))
+    assert blobs[0] == blobs[1]
+    assert blobs[2] == blobs[3] != blobs[0]
+
+
+def test_config_file_round_trip_verify(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    outs = []
+    for argv, config in (
+        (["-N", "2"], None),
+        ([], "parties=2\nself-test=no\n"),
+        (["--self-test"], None),
+        ([], "self-test=yes\n"),
+        (["--self-test"], "self-test=0\n"),
+    ):
+        if config is not None:
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        assert run_cli(["verify", *argv]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "mxor N=2" in outs[0]
+    assert outs[2] == outs[3] == outs[4] and "self-test" in outs[2]

@@ -129,14 +129,6 @@ def test_yield_curve_rejects_two_party_methods_at_higher_n():
         yield_curve(3, 0.8, 0.9, 0.01, [MethodSpec.from_id("rec-hash")])
 
 
-def test_yield_curve_workers_agree():
-    methods = method_list()
-    seq = yield_curve(2, 0.6, 0.9, 0.05, methods, workers=1)
-    par = yield_curve(2, 0.6, 0.9, 0.05, methods, workers=3)
-    for mid in seq.raw:
-        np.testing.assert_array_equal(seq.raw[mid], par.raw[mid])
-
-
 @pytest.mark.parametrize(
     "method_id", ["rec-hash", "2p-hash", "mp-hash", "block3", "block4"]
 )
