@@ -1,14 +1,22 @@
 """Exact probability bookkeeping for cat-diagonal mixtures.
 
-A block of m states is a dense joint distribution over (2^N)^m encoded
-labels.  The multilateral XOR permutes that index space, the amplitude
-measurement conditions it, and entropies/yields fall out of the conditioned
-distribution.  Everything is exact double-precision arithmetic; there is no
-sampling in this module.
+Block yields are sums over type classes: the block's states are i.i.d., so
+the passed distribution depends on the source labels only through their
+multiset, and ``block_yield`` needs one term per multiset.
+
+The dense joint distribution over (2^N)^m encoded labels is kept as the
+reference engine behind ``block_step`` (the two-state recurrence round and
+the enumeration checks).  The multilateral XOR permutes its index space,
+the amplitude measurement conditions it, and entropies fall out of the
+conditioned distribution.  Everything is exact double-precision arithmetic;
+there is no sampling in this module.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,16 +221,80 @@ def block_step(
     return p_pass, passed
 
 
+# Sixteen tables cover every block size a sweep uses; each is bounded by the
+# cap that block_yield checks before asking for it.
+@functools.lru_cache(maxsize=16)
+def _type_classes(n_parties: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every multiset of m-1 source labels as a count vector over the 2^N
+    labels, with its amplitude XOR and its multinomial multiplicity
+    (m-1)!/prod(c_l!), the number of label tuples in the class.
+
+    Multisets are enumerated by stars and bars: the 2^N - 1 bar positions
+    among m - 1 + 2^N - 1 slots fix the counts.  All three arrays are
+    read-only because the cache shares them between calls.
+    """
+    dim, size = 1 << n_parties, m - 1
+    n_classes = math.comb(dim + size - 1, size)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(dim + size - 1), dim - 1)
+        ),
+        dtype=np.intp,
+        count=n_classes * (dim - 1),
+    ).reshape(n_classes, dim - 1)
+    edges = np.column_stack(
+        [np.full(n_classes, -1), bars, np.full(n_classes, dim + size - 1)]
+    )
+    counts = np.diff(edges, axis=1) - 1
+    amps = np.arange(dim) & ((1 << (n_parties - 1)) - 1)
+    amp_xor = np.bitwise_xor.reduce(np.where(counts & 1, amps, 0), axis=1)
+    factorials = np.array([math.factorial(c) for c in range(size + 1)], dtype=object)
+    mult = (math.factorial(size) // factorials[counts].prod(axis=1)).astype(float)
+    for table in (counts, amp_xor, mult):
+        table.flags.writeable = False
+    return counts, amp_xor, mult
+
+
 def block_yield(
     single: SingleDistribution, m: int, cap: int = ENSEMBLE_ENTRY_CAP
 ) -> float:
     """Per-input yield of the block step followed by hashing the survivors:
     p_pass * (m-1)/m * (1 - H(passed)/(m-1)).  May be negative; clamping is
-    left to presentation layers."""
-    p_pass, passed = block_step(single, m, cap=cap)
-    if passed is None:
+    left to presentation layers.
+
+    The i.i.d. sources make the passed distribution exchangeable, so it is
+    summed over type classes (multisets S of passed source labels) rather
+    than built densely.  A class with amplitude XOR A passes with
+    P(S) = sum_b q(b, A) prod_{s in S} q(s xor b*2^(N-1)) for each of its
+    mult(S) label tuples, b being the measured target's phase bit.
+    ``cap`` bounds the class table's entries.
+    """
+    if m < 2:
+        raise ValueError("block size must be at least 2")
+    n = single.n_parties
+    dim, size = 1 << n, m - 1
+    # comb(a + b, a) >= 2^min(a, b), so a table that is certainly too large
+    # is refused before its exact size, a huge integer, is computed.
+    if (
+        min(dim - 1, size) >= cap.bit_length()
+        or dim * math.comb(dim + size - 1, size) > cap
+    ):
+        raise CapacityError(
+            f"the type-class table for N={n}, m={m} exceeds the cap of {cap} entries"
+        )
+    counts, amp_xor, mult = _type_classes(n, m)
+    q = single.probs
+    labels = np.arange(dim)
+    p_class = sum(
+        q[amp_xor | b] * np.prod(q[labels ^ b] ** counts, axis=1)
+        for b in (0, 1 << (n - 1))
+    )
+    p_pass = float(mult @ p_class)
+    if p_pass == 0.0:
         return 0.0
-    entropy = shannon_entropy(passed.probs)
+    live = p_class > 0.0
+    rel = p_class[live] / p_pass
+    entropy = float(-(mult[live] * rel * np.log2(rel)).sum())
     return p_pass * ((m - 1) / m) * (1.0 - entropy / (m - 1))
 
 

@@ -177,6 +177,10 @@ def fidelity_grid(
 ) -> np.ndarray:
     """Arithmetic progression from f_min by ``step``, not exceeding f_max.
     A step larger than the range yields the single point f_min."""
+    if not np.isfinite([f_min, f_max, step]).all():
+        raise ValueError(
+            f"fidelity grid bounds and step must be finite, got {f_min}:{f_max}:{step}"
+        )
     if f_min > f_max:
         raise ValueError("f_min must not exceed f_max")
     if step <= 0:

@@ -78,6 +78,30 @@ def test_yield_curve_bad_range_is_config_error():
     assert run_cli(["yield-curve", "--methods", "2p-hash", "--f", "0.9-1.0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "f_range", ["0.5:inf:0.1", "-inf:1:0.1", "0.5:1:inf", "nan:1:0.1", "0.5:1:nan"]
+)
+def test_yield_curve_non_finite_grid_is_config_error(capsys, f_range):
+    assert run_cli(["yield-curve", "--methods", "mp-hash", f"--f={f_range}"]) == 2
+    assert "config error: fidelity grid bounds and step must be finite" in (
+        capsys.readouterr().err
+    )
+
+
+def test_yield_curve_block_cells_correctly_rounded(capsys):
+    # Both yields lie within 1e-16 of a 12-digit rounding boundary; 50-digit
+    # evaluations at the grid's doubles give -0.0170534125291500609 (block4,
+    # f=0.756) and 0.000425199601713294187 (block5, f=0.775).
+    assert run_cli(["yield-curve", "--methods", "block4,block5", "--f", "0.5:1.0:0.001"]) == 0
+    rows = {
+        row[0]: row[1:]
+        for row in (line.split(",") for line in capsys.readouterr().out.splitlines())
+    }
+    assert rows["fidelity"] == ["block4_raw", "block4_clamped", "block5_raw", "block5_clamped"]
+    assert rows["0.756"][0] == "-0.0170534125292"
+    assert rows["0.775"][2:] == ["0.000425199601713", "0.000425199601713"]
+
+
 def test_yield_curve_capacity_error():
     code = run_cli(["yield-curve", "--methods", "2p-hash", "--f", "0:1:1e-9"])
     assert code == 3
@@ -210,6 +234,14 @@ def test_stdout_output(capsys):
         (["yield-curve", "--methods", "mp-hash"], "parties=1", 2),
         (["simulate-hashing", "-N", "40", "-m", "4"], None, 3),
         (["simulate-hashing", "-m", "4"], "parties=40", 3),
+        (["yield-curve", "-N", "3", "--methods", "mp-hash", "--f", "0.5:inf:0.1"], None, 2),
+        (["yield-curve", "-N", "3", "--methods", "mp-hash", "--f=-inf:1:0.1"], None, 2),
+        (["yield-curve", "-N", "3", "--methods", "mp-hash", "--f", "0.5:1:inf"], None, 2),
+        (["yield-curve", "-N", "3", "--methods", "mp-hash", "--f", "nan:1:0.1"], None, 2),
+        (["yield-curve", "-N", "3", "--methods", "mp-hash", "--f", "0.5:nan:0.1"], None, 2),
+        (["yield-curve", "-N", "3", "--methods", "mp-hash", "--f", "0.5:1:nan"], None, 2),
+        (["yield-curve", "-N", "3", "--methods", "mp-hash"], "f=0.5:inf:0.1", 2),
+        (["yield-curve", "-N", "3", "--methods", "mp-hash"], "f=0.5:1:nan", 2),
     ],
 )
 def test_rejected_input_exits_before_output(tmp_path, capsys, argv, config, code):

@@ -1,8 +1,12 @@
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catpurify.ensemble import (
     DiagonalEnsemble,
@@ -157,6 +161,115 @@ def test_block_step_normalization_and_bounds(f, m):
 def test_block_yield_pure_input_exact():
     for m in range(2, 7):
         assert block_yield(werner_single(2, 1.0), m) == (m - 1) / m
+    for n_parties, m in ((2, 24), (3, 8), (3, 12), (4, 5)):
+        assert block_yield(werner_single(n_parties, 1.0), m) == (m - 1) / m
+
+
+def dense_block_yield(single, m):
+    """The block yield through the dense joint distribution."""
+    p_pass, passed = block_step(single, m)
+    if passed is None:
+        return 0.0
+    return p_pass * ((m - 1) / m) * (1.0 - shannon_entropy(passed.probs) / (m - 1))
+
+
+def tilted_single(n_parties, fidelity):
+    """A non-isotropic distribution: off-target weights rise with the label
+    and the phase-flipped target label carries none."""
+    dim = 1 << n_parties
+    rest = np.arange(1, dim, dtype=float)
+    rest[dim // 2 - 1] = 0.0
+    probs = np.concatenate([[fidelity], (1.0 - fidelity) * rest / rest.sum()])
+    return SingleDistribution(n_parties, probs)
+
+
+@pytest.mark.parametrize(
+    "n_parties,m",
+    [(2, m) for m in range(2, 9)] + [(3, m) for m in range(2, 8)] + [(4, m) for m in range(2, 6)],
+)
+def test_block_yield_matches_dense_engine(n_parties, m):
+    for single in (werner_single(n_parties, 0.9), tilted_single(n_parties, 0.7)):
+        assert abs(block_yield(single, m) - dense_block_yield(single, m)) < 1e-12
+
+
+@pytest.mark.parametrize("n_parties,m", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)])
+def test_block_yield_matches_enumeration_oracle(n_parties, m):
+    single = tilted_single(n_parties, 0.8)
+    p_pass, passed = brute_force_block_step(single.probs.tolist(), n_parties, m)
+    entropy = -sum(p * math.log2(p) for p in passed.values() if p > 0.0)
+    expected = p_pass * ((m - 1) / m) * (1.0 - entropy / (m - 1))
+    assert abs(block_yield(single, m) - expected) < 1e-12
+
+
+@st.composite
+def single_and_block_size(draw):
+    n_parties = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(2, 6 if n_parties == 2 else 4))
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+            min_size=1 << n_parties,
+            max_size=1 << n_parties,
+        ).filter(lambda w: sum(w) > 0.0)
+    )
+    probs = np.array(weights) / sum(weights)
+    return SingleDistribution(n_parties, probs), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(single_and_block_size())
+def test_block_yield_matches_dense_engine_on_any_iid_input(case):
+    single, m = case
+    assert abs(block_yield(single, m) - dense_block_yield(single, m)) < 1e-12
+
+
+@pytest.mark.parametrize("n_parties", [2, 3])
+def test_block_yield_zero_pass(n_parties):
+    # A point mass on an amplitude-one label never passes an odd block.
+    probs = np.zeros(1 << n_parties)
+    probs[1] = 1.0
+    for m in (3, 5, 11):
+        assert block_yield(SingleDistribution(n_parties, probs), m) == 0.0
+
+
+@pytest.mark.parametrize("n_parties,m", [(2, 24), (3, 12)])
+def test_block_yield_large_m(n_parties, m):
+    start = time.monotonic()
+    for f in (0.6, 0.8, 0.95, 0.99):
+        y = block_yield(werner_single(n_parties, f), m)
+        assert math.isfinite(y) and -1.0 <= y < 1.0
+    # Uniform input: a share 2^-(N-1) of the blocks passes, the survivors stay
+    # uniform, and the yield is 2^-(N-1) * (m-1)/m * (1 - N).
+    uniform = werner_single(n_parties, 1.0 / (1 << n_parties))
+    expected = (m - 1) / m * (1 - n_parties) / (1 << (n_parties - 1))
+    assert abs(block_yield(uniform, m) - expected) < 1e-12
+    assert time.monotonic() - start < 5.0
+
+
+def test_block_yield_capacity_is_the_class_table():
+    single = werner_single(2, 0.9)
+    entries = 4 * math.comb(4 + 5 - 2, 5 - 1)  # N=2, m=5
+    assert block_yield(single, 5, cap=entries) == block_yield(single, 5)
+    with pytest.raises(CapacityError):
+        block_yield(single, 5, cap=entries - 1)
+    # The dense engine's cap is unchanged: 8^9 entries is out of its reach,
+    # while the N=3, m=9 class table is small.
+    with pytest.raises(CapacityError):
+        block_step(werner_single(3, 0.9), 9)
+    assert math.isfinite(block_yield(werner_single(3, 0.9), 9))
+
+
+@pytest.mark.parametrize("n_parties,m", [(8, 8), (2, 10**9), (16, 10**6)])
+def test_block_yield_capacity_error_before_allocation(n_parties, m):
+    single = SingleDistribution(n_parties, np.full(1 << n_parties, 2.0**-n_parties))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            block_yield(single, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_block_yield_boundary_nonpositive():
