@@ -116,9 +116,11 @@ def iid_block(
     """Product distribution of ``n_states`` independent copies."""
     if n_states < 1:
         raise ValueError("need at least one state")
-    size = (1 << single.n_parties) ** n_states
-    if size > cap:
-        raise CapacityError(f"{size} ensemble entries exceeds the cap {cap}")
+    # 2^bits entries; bits at or past cap's bit length is certainly over the
+    # cap, which is decided before any large integer is built.
+    bits = single.n_parties * n_states
+    if bits >= cap.bit_length() or 1 << bits > cap:
+        raise CapacityError(f"2^{bits} ensemble entries exceeds the cap {cap}")
     probs = np.array([1.0])
     for _ in range(n_states):
         probs = np.kron(probs, single.probs)

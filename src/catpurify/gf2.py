@@ -20,26 +20,35 @@ def n_words(n_bits: int) -> int:
     return (n_bits + 63) >> 6
 
 
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """0/1 values along the last axis -> packed rows of explicit
+    little-endian ``uint64`` words."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out = np.zeros(bits.shape[:-1] + (n_words(bits.shape[-1]) * 8,), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Bit array (0/1 per unknown) -> packed uint64 row."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    out = np.zeros(n_words(bits.size), dtype=np.uint64)
-    idx = np.nonzero(bits)[0]
-    np.bitwise_or.at(out, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
-    return out
+    return _pack_rows(np.asarray(bits, dtype=np.uint8))
 
 
 def pack_indices(indices: np.ndarray, n_bits: int) -> np.ndarray:
     """Index list -> packed uint64 row with those bits set."""
-    out = np.zeros(n_words(n_bits), dtype=np.uint64)
-    idx = np.asarray(indices, dtype=np.int64)
-    np.bitwise_or.at(out, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
-    return out
+    bits = np.zeros(n_words(n_bits) << 6, dtype=np.uint8)
+    bits[np.asarray(indices, dtype=np.int64)] = 1
+    return _pack_rows(bits)
+
+
+def _unpack_rows(rows: np.ndarray, n_bits: int) -> np.ndarray:
+    """Packed rows -> their first ``n_bits`` bits as 0/1 ``uint8``."""
+    as_bytes = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, bitorder="little")[..., :n_bits]
 
 
 def unpack_bits(row: np.ndarray, n_bits: int) -> np.ndarray:
-    bits = np.unpackbits(row.view(np.uint8), bitorder="little")
-    return bits[:n_bits].astype(np.uint8)
+    return _unpack_rows(row, n_bits).copy()
 
 
 def row_weight(row: np.ndarray) -> int:
@@ -55,25 +64,28 @@ def dot_bit(a: np.ndarray, b: np.ndarray) -> int:
 class AffineCoset:
     """Solution set ``particular + span(basis)`` of a consistent system.
 
-    Basis vector k is the unique one carrying free column ``free_cols[k]``;
-    its remaining support lies on pivot columns.
+    ``basis`` is a read-only packed ``(dim, n_words)`` matrix.  Row k is the
+    unique basis vector carrying free column ``free_cols[k]``; its remaining
+    support lies on pivot columns.
     """
 
     n_unknowns: int
     particular: np.ndarray
-    basis: list[np.ndarray]
-    free_cols: list[int]
+    basis: np.ndarray
+    free_cols: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, packed: np.ndarray) -> bool:
-        """Coset membership via reduction on the free columns."""
+        """Coset membership: no basis row but k touches free column k, so
+        the free bits of ``packed ^ particular`` select the only
+        combination that can cancel it."""
         v = packed ^ self.particular
-        for col, vec in zip(self.free_cols, self.basis):
-            if _test_bit(v, col):
-                v = v ^ vec
+        cols = self.free_cols
+        picked = ((v[cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)).astype(bool)
+        v ^= np.bitwise_xor.reduce(self.basis, axis=0, where=picked[:, None])
         return not v.any()
 
 
@@ -109,52 +121,73 @@ class GF2System:
         inconsistent side, which cannot happen for parities measured from a
         real assignment)."""
         n = self.n_unknowns
-        n_sides = self.n_sides
-        if not self._rows:
-            return [
-                AffineCoset(
-                    n,
-                    np.zeros(n_words(n), dtype=np.uint64),
-                    [pack_indices(np.array([i]), n) for i in range(n)],
-                    list(range(n)),
-                )
-                for _ in range(n_sides)
-            ]
-        rows = np.array(self._rows, dtype=np.uint64)
-        rhs = np.array(self._rhs, dtype=np.uint8)
+        words = n_words(n)
+        # The right-hand sides ride along as extra words of each row.
+        rows = np.concatenate(
+            [
+                np.array(self._rows, dtype=np.uint64).reshape(len(self._rows), words),
+                _pack_rows(np.array(self._rhs, dtype=np.uint8).reshape(len(self._rhs), self.n_sides)),
+            ],
+            axis=1,
+        )
         n_rows = rows.shape[0]
         # Gauss-Jordan by rows: each nonzero row pivots on its lowest set
-        # bit, which is then cleared from every other row.
+        # bit, which is then cleared from every other row.  The pivot row
+        # is zero below its pivot word, so only the words from there on
+        # change.
         pivot_of_row = np.full(n_rows, -1, dtype=np.int64)
         for i in range(n_rows):
-            col = _lowest_bit(rows[i])
+            col = _lowest_bit(rows[i, :words])
             if col < 0:
                 continue
-            word, bit = col >> 6, np.uint64(col & 63)
-            hits = ((rows[:, word] >> bit) & np.uint64(1)).astype(bool)
-            hits[i] = False
-            if hits.any():
-                rows[hits] ^= rows[i]
-                rhs[hits] ^= rhs[i]
+            word = col >> 6
+            hits = rows[:, word] & (np.uint64(1) << np.uint64(col & 63))
+            hits[i] = 0
+            hits = hits.nonzero()[0]
+            if hits.size:
+                rows[hits, word:] ^= rows[i, word:]
             pivot_of_row[i] = col
-        pivot_rows = np.nonzero(pivot_of_row >= 0)[0]
-        zero_rows = np.nonzero(pivot_of_row < 0)[0]
-        free_cols = sorted(set(range(n)) - set(pivot_of_row[pivot_rows].tolist()))
-        basis = []
-        for col in free_cols:
-            word, bit = col >> 6, np.uint64(col & 63)
-            carriers = pivot_rows[((rows[pivot_rows, word] >> bit) & np.uint64(1)) == 1]
-            support = np.concatenate([[col], pivot_of_row[carriers]]).astype(np.int64)
-            basis.append(pack_indices(support, n))
+        rhs = _unpack_rows(rows[:, words:], self.n_sides)
+        pivot_rows = np.flatnonzero(pivot_of_row >= 0)
+        zero_rows = np.flatnonzero(pivot_of_row < 0)
+        pivot_cols = pivot_of_row[pivot_rows]
+        is_free = np.ones(n, dtype=bool)
+        is_free[pivot_cols] = False
+        free_cols = np.flatnonzero(is_free)
+        free_cols.flags.writeable = False
+        basis = _coset_basis(rows[pivot_rows, :words], pivot_cols, free_cols, n)
         cosets: list[AffineCoset | None] = []
-        for side in range(n_sides):
+        for side in range(self.n_sides):
             if zero_rows.size and np.any(rhs[zero_rows, side]):
                 cosets.append(None)
                 continue
-            ones = pivot_rows[rhs[pivot_rows, side] == 1]
-            particular = pack_indices(pivot_of_row[ones], n)
-            cosets.append(AffineCoset(n, particular, list(basis), list(free_cols)))
+            particular = pack_indices(pivot_cols[rhs[pivot_rows, side] == 1], n)
+            cosets.append(AffineCoset(n, particular, basis, free_cols))
         return cosets
+
+
+# Free columns per chunk of the basis build.  Its temporaries are then a
+# (pivots x 32) word matrix and a (32 x n) byte matrix; a dense
+# (free x n) build costs several MB at m = 2000.
+_BASIS_CHUNK = 32
+
+
+def _coset_basis(
+    reduced: np.ndarray, pivot_cols: np.ndarray, free_cols: np.ndarray, n: int
+) -> np.ndarray:
+    """Read-only packed basis of the null space of the reduced rows: row k
+    sets free column ``free_cols[k]`` and the pivot column of every reduced
+    row that carries it."""
+    basis = np.empty((free_cols.size, n_words(n)), dtype=np.uint64)
+    for start in range(0, free_cols.size, _BASIS_CHUNK):
+        cols = free_cols[start : start + _BASIS_CHUNK]
+        carried = (reduced[:, cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
+        bits = np.zeros((cols.size, n), dtype=np.uint8)
+        bits[np.arange(cols.size), cols] = 1
+        bits[:, pivot_cols] = carried.T
+        basis[start : start + cols.size] = _pack_rows(bits)
+    basis.flags.writeable = False
+    return basis
 
 
 @dataclass
@@ -230,6 +263,3 @@ def _lowest_bit(row: np.ndarray) -> int:
             return (w << 6) + (word & -word).bit_length() - 1
     return -1
 
-
-def _test_bit(row: np.ndarray, i: int) -> bool:
-    return bool((row[i >> 6] >> np.uint64(i & 63)) & np.uint64(1))

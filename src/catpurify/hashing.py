@@ -157,13 +157,68 @@ def _round_count(m: int, entropy_per_bit: float, safety_bits: int) -> int:
     return max(0, math.ceil(m * entropy_per_bit - 1e-9)) + safety_bits
 
 
-def _sample_subset(rng: np.random.Generator, live_idx: np.ndarray) -> np.ndarray:
-    """Each live state joins with probability 1/2; resample until the
-    subset has at least two members."""
-    while True:
-        sel = rng.random(live_idx.size) < 0.5
-        if int(sel.sum()) >= 2:
-            return live_idx[sel]
+# Largest bulk read of subset selectors, in doubles.
+SELECTOR_CHUNK = 1 << 15
+
+
+class _SubsetSampler:
+    """Subsets for one phase: each live state joins with probability 1/2,
+    resampled until the subset has at least two members.
+
+    The Bernoulli selectors come from ``rng.random`` in bulk, exactly the
+    values one ``rng.random(live)`` call per draw would give.  A round with
+    k live states draws k doubles and leaves k - 1 live, so reading ahead
+    stops at the draws the phase's remaining planned rounds must make:
+    ``rng`` is shared with the next phase.
+    """
+
+    def __init__(self, rng: np.random.Generator, n_rounds: int):
+        self._rng = rng
+        self._rounds_left = n_rounds
+        self._selectors = np.empty(0, dtype=bool)
+
+    def sample(self, live_idx: np.ndarray) -> np.ndarray:
+        k = live_idx.size
+        while True:
+            if self._selectors.size < k:
+                self._read_ahead(k)
+            sel, self._selectors = self._selectors[:k], self._selectors[k:]
+            if np.count_nonzero(sel) >= 2:
+                self._rounds_left -= 1
+                return live_idx.compress(sel)
+
+    def _read_ahead(self, k: int) -> None:
+        # The rounds still to run (at most k - 1, as a round needs two live
+        # states) draw at least k + (k - 1) + ... doubles.
+        rounds = min(self._rounds_left, k - 1)
+        floor = rounds * (2 * k - rounds + 1) // 2
+        fresh = self._rng.random(max(k, min(floor, SELECTOR_CHUNK)) - self._selectors.size)
+        self._selectors = np.concatenate([self._selectors, fresh < 0.5])
+
+
+def _probe_pairs(rng: np.random.Generator, d: int, n_pairs: int) -> np.ndarray:
+    """``(n_pairs, 2)`` array equal to ``n_pairs`` calls of
+    ``rng.integers(0, d, size=2)``, leaving ``rng`` where they would.
+
+    For d < 2^32 numpy maps 32-bit draws by Lemire's multiply, and PCG64
+    serves them as the low then the high half of one raw 64-bit output, so
+    one ``random_raw`` read reproduces the calls unless a half would have
+    been rejected (and redrawn), which has probability about d/2^32.  Then,
+    or with any other generator state, the calls are made one by one.
+    """
+    bitgen = rng.bit_generator
+    if isinstance(bitgen, np.random.PCG64) and d < 1 << 32:
+        saved = bitgen.state
+        if not saved["has_uint32"]:
+            raw = bitgen.random_raw(n_pairs)
+            scaled = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1) * np.uint64(d)
+            if not np.any((scaled & 0xFFFFFFFF) < (1 << 32) % d):
+                return (scaled >> 32).astype(np.int64)
+            bitgen.state = saved
+    pairs = np.empty((n_pairs, 2), dtype=np.int64)
+    for k in range(n_pairs):
+        pairs[k] = rng.integers(0, d, size=2)
+    return pairs
 
 
 def _certified_map_decode(
@@ -188,33 +243,26 @@ def _certified_map_decode(
         raise InternalInvariantError("hidden truth fell outside the solution coset")
     n = coset.n_unknowns
     w_truth = gf2.row_weight(t_packed)
-    better_low = prior_one < 0.5
     basis = coset.basis
     d = len(basis)
 
-    def verdict(candidate: np.ndarray) -> str | None:
-        w = gf2.row_weight(candidate)
-        if w == w_truth:
-            return "tie"
-        if (w < w_truth) == better_low:
-            return "beaten"
-        return None
-
-    probes = [t_packed ^ vec for vec in basis]
+    # Probe order: every single free-direction flip, then the random pairs
+    # (a pair that draws one index twice is skipped).  The first probe of
+    # no larger weight (no smaller for prior_one >= 1/2) decides.
+    probes = t_packed ^ basis
     if d >= 2:
-        n_pairs = min(PROBE_PAIRS, d * (d - 1) // 2)
-        for _ in range(n_pairs):
-            i, j = rng.integers(0, d, size=2)
-            if i != j:
-                probes.append(t_packed ^ basis[int(i)] ^ basis[int(j)])
-    for candidate in probes:
-        found = verdict(candidate)
-        if found == "tie":
+        pairs = _probe_pairs(rng, d, min(PROBE_PAIRS, d * (d - 1) // 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        probes = np.concatenate([probes, probes[pairs[:, 0]] ^ basis[pairs[:, 1]]])
+    weights = np.bitwise_count(probes).sum(axis=1)
+    rivals = weights <= w_truth if prior_one < 0.5 else weights >= w_truth
+    if rivals.any():
+        k = int(rivals.argmax())
+        if weights[k] == w_truth:
             return DecodeResult("ambiguous", None, d)
-        if found == "beaten":
-            # The posterior maximum is elsewhere; return that rival so the
-            # caller records a mismatched (failed) decode.
-            return DecodeResult("map", gf2.unpack_bits(candidate, n), d)
+        # The posterior maximum is elsewhere; return that rival so the
+        # caller records a mismatched (failed) decode.
+        return DecodeResult("map", gf2.unpack_bits(probes[k], n), d)
     return DecodeResult("map", truth_bits.copy(), d)
 
 
@@ -281,24 +329,26 @@ def simulate_hashing(
     words = gf2.n_words(m)
     lineage = np.zeros((m, words), dtype=np.uint64)
     idx = np.arange(m)
-    np.bitwise_or.at(
-        lineage, (idx, idx >> 6), np.uint64(1) << (idx & 63).astype(np.uint64)
-    )
+    lineage[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
     live = np.ones(m, dtype=bool)
     feasible = True
 
     amp_system = GF2System(m, n_sides=n_parties - 1, cap=solver_cap)
+    sampler = _SubsetSampler(rng, planned_a)
     for r in range(planned_a):
         live_idx = np.nonzero(live)[0]
         if live_idx.size < 2:
             feasible = False
             break
-        members = _sample_subset(rng, live_idx)
-        target = int(members.min())
-        sources = members[members != target]
+        members = sampler.sample(live_idx)
+        # Members ascend with live_idx, so the first is the minimum.
+        target, sources = int(members[0]), members[1:]
         parity = int(np.bitwise_xor.reduce(true_amps[members]))
         true_phases[sources] ^= true_phases[target]
-        lineage[sources] ^= lineage[target]
+        # Every lineage bit of a state sits at or below its own index
+        # (targets are subset minima), so words past the target's are zero.
+        span = (target >> 6) + 1
+        lineage[sources, :span] ^= lineage[target, :span]
         true_amps[target] = parity
         # Live amplitudes never change during this phase, so the measured
         # value must equal the parity of the initial bits.
@@ -352,16 +402,16 @@ def simulate_hashing(
     # into the other members (corrected later from the decoded amplitudes).
     phase_system = GF2System(m, n_sides=1, cap=solver_cap)
     packed_init_phases = pack_bits(init_phases)
+    sampler = _SubsetSampler(rng, planned_b)
     for r in range(planned_b if feasible else 0):
         live_idx = np.nonzero(live)[0]
         if live_idx.size < 2:
             feasible = False
             break
-        members = _sample_subset(rng, live_idx)
-        measured = int(members.min())
-        others = members[members != measured]
+        members = sampler.sample(live_idx)
+        measured, others = int(members[0]), members[1:]
         parity = int(np.bitwise_xor.reduce(true_phases[members]))
-        row = np.bitwise_xor.reduce(lineage[members], axis=0)
+        row = np.bitwise_xor.reduce(lineage.take(members, axis=0), axis=0)
         if gf2.dot_bit(row, packed_init_phases) != parity:
             raise InternalInvariantError("phase parity bookkeeping drifted")
         true_phases[measured] = parity
@@ -391,10 +441,9 @@ def simulate_hashing(
         run.phase_decode_status = result.status
         if result.ok and result.bits is not None:
             packed_decoded = pack_bits(result.bits)
-            survivor_phase_belief = np.array(
-                [gf2.dot_bit(lineage[s], packed_decoded) for s in survivors],
-                dtype=np.uint8,
-            )
+            survivor_phase_belief = (
+                np.bitwise_count(lineage[survivors] & packed_decoded).sum(axis=1) & 1
+            ).astype(np.uint8)
             run.decoded_survivor_phases = survivor_phase_belief
     run.decode_mode = "/".join(sorted(modes)) if modes else "none"
 

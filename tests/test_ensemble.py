@@ -72,6 +72,24 @@ def test_iid_block_capacity():
         iid_block(werner_single(4, 0.9), 7)
 
 
+@pytest.mark.parametrize("m", [10**5, 10**8])
+def test_dense_capacity_error_without_big_integers(m):
+    # 4^m entries: the check must refuse by exponent, not by building and
+    # formatting a 2m-bit integer.
+    single = werner_single(2, 0.9)
+    for fn in (iid_block, block_step):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CapacityError):
+                fn(single, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.5
+        assert peak < 100_000
+
+
 def test_shannon_entropy_examples():
     assert shannon_entropy(np.full(4, 0.25)) == 2.0
     assert shannon_entropy(np.array([1.0, 0.0, 0.0])) == 0.0

@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catpurify.errors import CapacityError
 from catpurify.gf2 import (
     GF2System,
+    _enumerate_coset,
     decode_map,
+    n_words,
     pack_bits,
     pack_indices,
     row_weight,
@@ -135,3 +139,72 @@ def test_inconsistent_side_reports_none():
 def test_solver_cap():
     with pytest.raises(CapacityError):
         GF2System(1 << 15)
+
+
+def row_to_int(row):
+    return int.from_bytes(np.asarray(row, dtype="<u8").tobytes(), "little")
+
+
+def int_to_bits(x, n):
+    return np.array([(x >> i) & 1 for i in range(n)], dtype=np.uint8)
+
+
+@st.composite
+def parity_systems(draw):
+    """(n, rows as bitmask ints, rhs per row per side); rhs bits are free,
+    so inconsistent sides occur."""
+    n = draw(st.integers(1, 12))
+    n_sides = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(0, n + 3))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n_rows, max_size=n_rows))
+    rhs = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n_sides, max_size=n_sides),
+        min_size=n_rows, max_size=n_rows,
+    ))
+    return n, n_sides, rows, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(parity_systems(), st.lists(st.integers(0, (1 << 12) - 1), max_size=32))
+def test_solve_matches_brute_force(system_spec, probes):
+    n, n_sides, rows, rhs = system_spec
+    system = GF2System(n, n_sides=n_sides)
+    for mask, bits in zip(rows, rhs):
+        idxs = [i for i in range(n) if (mask >> i) & 1]
+        system.add_row(pack_indices(np.array(idxs, dtype=np.int64), n), np.array(bits))
+    cosets = system.solve()
+    assert len(cosets) == n_sides
+    for side, coset in enumerate(cosets):
+        solutions = {
+            x for x in range(1 << n)
+            if all(bin(mask & x).count("1") % 2 == bits[side] for mask, bits in zip(rows, rhs))
+        }
+        if not solutions:
+            assert coset is None
+            continue
+        assert coset is not None
+        elements = [row_to_int(r) for r in _enumerate_coset(coset)]
+        assert len(elements) == 1 << coset.dim
+        assert set(elements) == solutions
+        # Basis row k carries free column k and no other free column.
+        free = set(coset.free_cols.tolist())
+        for col, vec in zip(coset.free_cols.tolist(), coset.basis):
+            support = set(np.flatnonzero(unpack_bits(vec, n)).tolist())
+            assert support & free == {col}
+        for x in list(solutions)[:8] + [p & ((1 << n) - 1) for p in probes]:
+            assert coset.contains(pack_bits(int_to_bits(x, n))) == (x in solutions)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pack_round_trip_property(n, data):
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
+    packed = pack_bits(bits)
+    assert packed.dtype == np.uint64 and packed.shape == (n_words(n),)
+    # Unknown i is bit i & 63 of word i >> 6; bits past n stay clear.
+    assert row_to_int(packed) == sum(int(b) << i for i, b in enumerate(bits))
+    np.testing.assert_array_equal(unpack_bits(packed, n), bits)
+    np.testing.assert_array_equal(pack_indices(np.flatnonzero(bits), n), packed)
+    assert row_weight(packed) == int(bits.sum())
+

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,8 +6,14 @@ import pytest
 
 from catpurify.ensemble import werner_single
 from catpurify.errors import CapacityError, DimensionError
+from catpurify.gf2 import GF2System, pack_bits, pack_indices, row_weight, unpack_bits
 from catpurify.hashing import (
+    SELECTOR_CHUNK,
+    PROBE_PAIRS,
     HashingRun,
+    _certified_map_decode,
+    _probe_pairs,
+    _SubsetSampler,
     binary_entropy,
     multiparty_hashing_yield,
     simulate_hashing,
@@ -275,3 +282,192 @@ def test_large_block_monte_carlo_quick():
     for _, empirical_yield, run in results:
         assert run.decode_mode == "certified"
         assert abs(empirical_yield - 696 / 2000) < 1e-12
+
+
+# (N, m, f, safety_bits, seeds, SHA-256 of every run).  Recorded with a
+# per-round subset sampler, per-pair probe draws and per-probe scoring, so
+# any change to either random stream, the transcript or a decode shows
+# here.
+GOLDEN_RUNS = [
+    # m=1: no round can run
+    (2, 1, 0.8, 0, range(0, 4), "176794c26c47b52929e08701164c9b23f2414a11790b49d52f9303e742ebb3a3"),
+    # m=1, pure: degenerate decode of an empty system
+    (2, 1, 1.0, 0, range(0, 2), "51a8be724830d60ff266a82cf0d6ba5473ea9c00883a80e42b9a8cb902206a05"),
+    # m=3..6: frequent resamples
+    (2, 3, 0.85, 0, range(0, 20), "0a60f2364f0c1927ef50a761ae93b2d9ad2a9e76e819fb37c325e9b4cd5c5677"),
+    (2, 4, 0.85, 1, range(0, 20), "b9e8f807e0da1292f47d540ecde2492b16d8f82febca68d2dd01f7db80042cec"),
+    (2, 5, 0.9, 1, range(0, 20), "f87afebd5179b607628da0c7e94b79e6cb2d4a73d1cea68d2e2c563fe156698d"),
+    (2, 6, 0.9, 2, range(0, 20), "b677c18580fc3e775f04cf961ef76118827a6294c01b0aedd7b3519bf23b78e7"),
+    # exact decodes (map, degenerate), successes and failures
+    (3, 5, 0.9, 0, range(0, 20), "77bc6ac4391a04d49158071e3c5ea8bbc8d02be24080a74b418e8fba9e29cda7"),
+    (3, 32, 1.0, 0, range(0, 2), "b32b070fe4361a452a0cf0eb4eb1794f5726fc322360b36aa51f32b00b713964"),
+    (2, 10, 0.85, 1, range(0, 20), "5fc18fda7772621ed15d5c63cd28b018ec8b109917e591c4a90ef5193235aedf"),
+    # N=4, certified
+    (4, 24, 0.95, 2, range(0, 10), "bb15cb61fcb4200ee1b513781d5264129ff896f5e682bec8e4d3dbfda8a28b81"),
+    (4, 64, 0.9, None, range(0, 5), "540398d43114056f434fafee2666aa13b0cb928d856799207fa204971a3475d5"),
+    # certified rivals: ties and wrong decodes
+    (2, 30, 0.95, 0, range(0, 30), "e66c0277fff49ed53fdfb01a45f788a8ad014ab79fa6478938715256e0eb567c"),
+    (2, 40, 0.85, 0, range(0, 30), "ab7dbc04fc56cdb302fd9252e808df472cb34e664a27f93cd320cf20f57faa6e"),
+    (2, 256, 0.92, 0, range(0, 10), "18ca956def0a4d1776a1c4524a743a55ac5fbbde11404c401c41c3d62b2f702e"),
+    (2, 256, 0.92, None, range(0, 10), "6a8a6174da61af52da1c1dc716d8aabea9d6fac8d50120f51682dd179a3101e8"),
+    # three certified decodes share probe_rng
+    (3, 200, 0.9, 4, range(0, 10), "a2e38f3afd9df574ad653ea458d872fc20bf17c24710ca84df44ace659d03cfc"),
+    # phases draw more than SELECTOR_CHUNK selectors
+    (3, 2000, 0.9, 20, range(1000, 1001), "b10089a0daa4ebebd331af746d975ba9e3c01ba29d3d6dfb89fb9041ba1a5912"),
+]
+
+
+def run_digest(n, m, f, safety_bits, seeds):
+    h = hashlib.sha256()
+    single = werner_single(n, f)
+    for seed in seeds:
+        ok, empirical_yield, run = simulate_hashing(n, m, single, seed=seed, safety_bits=safety_bits)
+        h.update(run.to_text().encode())
+        h.update(repr((ok, empirical_yield, run.failure_reason, run.amp_decode_status,
+                       run.phase_decode_status, run.decode_mode)).encode())
+        for arr in (run.decoded_amps, run.decoded_survivor_phases):
+            h.update(b"-" if arr is None else arr.dtype.str.encode() + arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n,m,f,safety_bits,seeds,expected", GOLDEN_RUNS)
+def test_golden_transcripts(n, m, f, safety_bits, seeds, expected):
+    assert run_digest(n, m, f, safety_bits, seeds) == expected
+
+
+def reference_subsets(rng, live_count, n_rounds):
+    """The per-round sampler: one rng.random(live) call per draw."""
+    subsets = []
+    live = np.arange(live_count)
+    for _ in range(n_rounds):
+        if live.size < 2:
+            break
+        while True:
+            sel = rng.random(live.size) < 0.5
+            if int(sel.sum()) >= 2:
+                break
+        subsets.append(live[sel])
+        live = live[live != live[sel].min()]
+    return subsets
+
+
+@pytest.mark.parametrize("live_count,n_rounds", [
+    (2, 1), (3, 5), (5, 2), (6, 6), (40, 10), (40, 39), (300, 250),
+])
+def test_subset_sampler_matches_per_round_draws(live_count, n_rounds):
+    # Each phase must leave rng exactly where the per-round calls do, since
+    # the next phase reads on from there.  Rounds stop once fewer than two
+    # states are live, as in simulate_hashing.
+    for seed in range(20):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference_subsets(ref_rng, live_count, n_rounds)
+        sampler = _SubsetSampler(rng, n_rounds)
+        live = np.arange(live_count)
+        for want in expected:
+            got = sampler.sample(live)
+            np.testing.assert_array_equal(got, want)
+            live = live[live != got.min()]
+        assert rng.random() == ref_rng.random()
+
+
+def test_subset_sampler_reads_in_bounded_chunks():
+    class CountingRng:
+        def __init__(self):
+            self.rng, self.sizes = np.random.default_rng(0), []
+
+        def random(self, size):
+            self.sizes.append(size)
+            return self.rng.random(size)
+
+    counting = CountingRng()
+    sampler = _SubsetSampler(counting, 400)
+    live = np.arange(2000)
+    for _ in range(400):
+        live = live[live != sampler.sample(live).min()]
+    assert max(counting.sizes) <= SELECTOR_CHUNK
+    # 2000 + 1999 + ... + 1601 doubles at least; chunks keep the calls few.
+    assert sum(counting.sizes) >= sum(range(1601, 2001))
+    assert len(counting.sizes) < 40
+
+
+@pytest.mark.parametrize("d", [2, 3, 163, 1348])
+def test_probe_pairs_match_per_pair_draws(d):
+    for seed in range(60):
+        ref_rng = np.random.default_rng([seed, 0x5AFE])
+        rng = np.random.default_rng([seed, 0x5AFE])
+        n_pairs = min(512, d * (d - 1) // 2)
+        expected = np.array([ref_rng.integers(0, d, size=2) for _ in range(n_pairs)])
+        np.testing.assert_array_equal(_probe_pairs(rng, d, n_pairs), expected)
+        np.testing.assert_array_equal(rng.integers(0, d, size=3), ref_rng.integers(0, d, size=3))
+        assert rng.random() == ref_rng.random()
+
+
+def test_probe_pairs_rejection_and_odd_state_fall_back():
+    # At d = 2^31 + 1 about half of all 32-bit draws are rejected by
+    # Lemire's method, so nearly every bulk read has to be undone.
+    d = (1 << 31) + 1
+    for seed in range(20):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = np.array([ref_rng.integers(0, d, size=2) for _ in range(16)])
+        np.testing.assert_array_equal(_probe_pairs(rng, d, 16), expected)
+        assert rng.integers(0, 1000) == ref_rng.integers(0, 1000)
+    # A generator holding half of a 64-bit output must not use the bulk read.
+    for seed in range(20):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref_rng.integers(0, 7)
+        rng.integers(0, 7)
+        assert rng.bit_generator.state["has_uint32"]
+        expected = np.array([ref_rng.integers(0, 163, size=2) for _ in range(40)])
+        np.testing.assert_array_equal(_probe_pairs(rng, 163, 40), expected)
+        assert rng.random() == ref_rng.random()
+
+
+def reference_certified_decode(coset, prior_one, truth_bits, rng):
+    """Probe by probe: every single flip, then one rng.integers call per
+    pair; the first probe that ties or beats the truth decides."""
+    t = pack_bits(truth_bits)
+    w_truth = row_weight(t)
+    basis = list(coset.basis)
+    d = len(basis)
+    probes = [t ^ vec for vec in basis]
+    if d >= 2:
+        for _ in range(min(PROBE_PAIRS, d * (d - 1) // 2)):
+            i, j = rng.integers(0, d, size=2)
+            if i != j:
+                probes.append(t ^ basis[int(i)] ^ basis[int(j)])
+    for candidate in probes:
+        w = row_weight(candidate)
+        if w == w_truth:
+            return "ambiguous", None
+        if (w < w_truth) == (prior_one < 0.5):
+            return "map", unpack_bits(candidate, coset.n_unknowns)
+    return "map", truth_bits
+
+
+@pytest.mark.parametrize("prior_one", [0.1, 0.3, 0.5, 0.7])
+def test_certified_decode_matches_probe_loop(prior_one):
+    outcomes = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 150))
+        truth = (rng.random(n) < prior_one).astype(np.uint8)
+        system = GF2System(n, n_sides=1)
+        for _ in range(int(rng.integers(0, n))):
+            sel = rng.random(n) < 0.5
+            system.add_row(pack_indices(np.flatnonzero(sel), n), [int(truth[sel].sum() & 1)])
+        coset = system.solve()[0]
+        probe_rng, ref_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        result = _certified_map_decode(coset, prior_one, truth, probe_rng)
+        status, bits = reference_certified_decode(coset, prior_one, truth, ref_rng)
+        assert result.status == status and result.coset_dim == coset.dim
+        if bits is None:
+            assert result.bits is None
+        else:
+            np.testing.assert_array_equal(result.bits, bits)
+            outcomes.add("truth" if np.array_equal(bits, truth) else "rival")
+        outcomes.add(status)
+        assert probe_rng.random() == ref_rng.random()
+    # Every exit is exercised; at prior 1/2 some probe always weighs at
+    # least as much as the truth, so the truth itself is never returned.
+    assert outcomes >= {"ambiguous", "rival"} | ({"truth"} if prior_one != 0.5 else set())
+
