@@ -116,10 +116,9 @@ def iid_block(
     """Product distribution of ``n_states`` independent copies."""
     if n_states < 1:
         raise ValueError("need at least one state")
-    # 2^bits entries; bits at or past cap's bit length is certainly over the
-    # cap, which is decided before any large integer is built.
+    # 2^bits entries; 2^bits > cap exactly when bits >= cap.bit_length().
     bits = single.n_parties * n_states
-    if bits >= cap.bit_length() or 1 << bits > cap:
+    if bits >= cap.bit_length():
         raise CapacityError(f"2^{bits} ensemble entries exceeds the cap {cap}")
     probs = np.array([1.0])
     for _ in range(n_states):

@@ -196,31 +196,6 @@ class _SubsetSampler:
         self._selectors = np.concatenate([self._selectors, fresh < 0.5])
 
 
-def _probe_pairs(rng: np.random.Generator, d: int, n_pairs: int) -> np.ndarray:
-    """``(n_pairs, 2)`` array equal to ``n_pairs`` calls of
-    ``rng.integers(0, d, size=2)``, leaving ``rng`` where they would.
-
-    For d < 2^32 numpy maps 32-bit draws by Lemire's multiply, and PCG64
-    serves them as the low then the high half of one raw 64-bit output, so
-    one ``random_raw`` read reproduces the calls unless a half would have
-    been rejected (and redrawn), which has probability about d/2^32.  Then,
-    or with any other generator state, the calls are made one by one.
-    """
-    bitgen = rng.bit_generator
-    if isinstance(bitgen, np.random.PCG64) and d < 1 << 32:
-        saved = bitgen.state
-        if not saved["has_uint32"]:
-            raw = bitgen.random_raw(n_pairs)
-            scaled = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1) * np.uint64(d)
-            if not np.any((scaled & 0xFFFFFFFF) < (1 << 32) % d):
-                return (scaled >> 32).astype(np.int64)
-            bitgen.state = saved
-    pairs = np.empty((n_pairs, 2), dtype=np.int64)
-    for k in range(n_pairs):
-        pairs[k] = rng.integers(0, d, size=2)
-    return pairs
-
-
 def _certified_map_decode(
     coset: gf2.AffineCoset, prior_one: float, truth_bits: np.ndarray, rng: np.random.Generator
 ) -> DecodeResult:
@@ -251,7 +226,10 @@ def _certified_map_decode(
     # no larger weight (no smaller for prior_one >= 1/2) decides.
     probes = t_packed ^ basis
     if d >= 2:
-        pairs = _probe_pairs(rng, d, min(PROBE_PAIRS, d * (d - 1) // 2))
+        # For d < 2^32 numpy fills a bounded int64 array with buffered 32-bit
+        # draws, Lemire redraws included, so one call consumes ``rng`` draw
+        # for draw like one ``rng.integers(0, d, size=2)`` call per pair.
+        pairs = rng.integers(0, d, size=(min(PROBE_PAIRS, d * (d - 1) // 2), 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         probes = np.concatenate([probes, probes[pairs[:, 0]] ^ basis[pairs[:, 1]]])
     weights = np.bitwise_count(probes).sum(axis=1)

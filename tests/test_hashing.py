@@ -12,7 +12,6 @@ from catpurify.hashing import (
     PROBE_PAIRS,
     HashingRun,
     _certified_map_decode,
-    _probe_pairs,
     _SubsetSampler,
     binary_entropy,
     multiparty_hashing_yield,
@@ -390,35 +389,41 @@ def test_subset_sampler_reads_in_bounded_chunks():
     assert len(counting.sizes) < 40
 
 
+def bulk_probe_pairs(rng, d, n_pairs):
+    """The probe-pair draw of ``_certified_map_decode``."""
+    return rng.integers(0, d, size=(n_pairs, 2))
+
+
 @pytest.mark.parametrize("d", [2, 3, 163, 1348])
 def test_probe_pairs_match_per_pair_draws(d):
     for seed in range(60):
         ref_rng = np.random.default_rng([seed, 0x5AFE])
         rng = np.random.default_rng([seed, 0x5AFE])
-        n_pairs = min(512, d * (d - 1) // 2)
+        n_pairs = min(PROBE_PAIRS, d * (d - 1) // 2)
         expected = np.array([ref_rng.integers(0, d, size=2) for _ in range(n_pairs)])
-        np.testing.assert_array_equal(_probe_pairs(rng, d, n_pairs), expected)
+        np.testing.assert_array_equal(bulk_probe_pairs(rng, d, n_pairs), expected)
         np.testing.assert_array_equal(rng.integers(0, d, size=3), ref_rng.integers(0, d, size=3))
         assert rng.random() == ref_rng.random()
 
 
-def test_probe_pairs_rejection_and_odd_state_fall_back():
+def test_probe_pairs_match_through_rejections_and_buffered_half():
     # At d = 2^31 + 1 about half of all 32-bit draws are rejected by
-    # Lemire's method, so nearly every bulk read has to be undone.
+    # Lemire's method and redrawn.
     d = (1 << 31) + 1
     for seed in range(20):
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = np.array([ref_rng.integers(0, d, size=2) for _ in range(16)])
-        np.testing.assert_array_equal(_probe_pairs(rng, d, 16), expected)
+        np.testing.assert_array_equal(bulk_probe_pairs(rng, d, 16), expected)
         assert rng.integers(0, 1000) == ref_rng.integers(0, 1000)
-    # A generator holding half of a 64-bit output must not use the bulk read.
+    # A generator holding the spare 32-bit half of a 64-bit output carries it
+    # into the next call either way.
     for seed in range(20):
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ref_rng.integers(0, 7)
         rng.integers(0, 7)
         assert rng.bit_generator.state["has_uint32"]
         expected = np.array([ref_rng.integers(0, 163, size=2) for _ in range(40)])
-        np.testing.assert_array_equal(_probe_pairs(rng, 163, 40), expected)
+        np.testing.assert_array_equal(bulk_probe_pairs(rng, 163, 40), expected)
         assert rng.random() == ref_rng.random()
 
 
