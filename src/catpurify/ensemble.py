@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionError
+from .labels import amp_bit, amp_mask, phase_bit
 
 ENSEMBLE_ENTRY_CAP = 1 << 24
 NORMALIZATION_TOL = 1e-9
@@ -143,13 +144,12 @@ def apply_mxor(
     if source_slot == target_slot:
         raise ValueError("source and target slot collide")
     n = ensemble.n_parties
-    amp_mask = (1 << (n - 1)) - 1
     src = ensemble.slot_digits(source_slot)
     tgt = ensemble.slot_digits(target_slot)
     # Phase of the target XORs into the source; amplitudes of the source
     # XOR into the target.
-    src_delta = (tgt >> (n - 1)) << (n - 1)
-    tgt_delta = src & amp_mask
+    src_delta = tgt & phase_bit(n)
+    tgt_delta = src & amp_mask(n)
     idx = np.arange(ensemble.probs.size)
     new_idx = (
         idx
@@ -169,8 +169,7 @@ def condition_amps_zero(
     Returns the pass probability and the (unnormalized) projected ensemble.
     """
     n = ensemble.n_parties
-    amp_mask = (1 << (n - 1)) - 1
-    keep = (ensemble.slot_digits(slot) & amp_mask) == 0
+    keep = (ensemble.slot_digits(slot) & amp_mask(n)) == 0
     probs = np.where(keep, ensemble.probs, 0.0)
     return float(probs.sum()), DiagonalEnsemble(n, ensemble.n_states, probs)
 
@@ -247,7 +246,7 @@ def _type_classes(n_parties: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
         [np.full(n_classes, -1), bars, np.full(n_classes, dim + size - 1)]
     )
     counts = np.diff(edges, axis=1) - 1
-    amps = np.arange(dim) & ((1 << (n_parties - 1)) - 1)
+    amps = np.arange(dim) & amp_mask(n_parties)
     amp_xor = np.bitwise_xor.reduce(np.where(counts & 1, amps, 0), axis=1)
     factorials = np.array([math.factorial(c) for c in range(size + 1)], dtype=object)
     mult = (math.factorial(size) // factorials[counts].prod(axis=1)).astype(float)
@@ -288,7 +287,7 @@ def block_yield(
     labels = np.arange(dim)
     p_class = sum(
         q[amp_xor | b] * np.prod(q[labels ^ b] ** counts, axis=1)
-        for b in (0, 1 << (n - 1))
+        for b in (0, phase_bit(n))
     )
     p_pass = float(mult @ p_class)
     if p_pass == 0.0:
@@ -304,11 +303,8 @@ def bit_marginals(single: SingleDistribution) -> tuple[float, np.ndarray]:
     amplitude bit is 1."""
     n = single.n_parties
     codes = np.arange(1 << n)
-    p_phase = float(single.probs[(codes >> (n - 1)) & 1 == 1].sum())
+    p_phase = float(single.probs[(codes & phase_bit(n)) != 0].sum())
     p_amps = np.array(
-        [
-            float(single.probs[(codes >> (n - 2 - j)) & 1 == 1].sum())
-            for j in range(n - 1)
-        ]
+        [float(single.probs[(codes & amp_bit(j, n)) != 0].sum()) for j in range(n - 1)]
     )
     return p_phase, p_amps

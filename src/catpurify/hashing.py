@@ -19,6 +19,7 @@ from .ensemble import SingleDistribution, bit_marginals, shannon_entropy
 from .errors import CapacityError, DimensionError, InternalInvariantError
 from . import gf2
 from .gf2 import GF2System, DecodeResult, decode_map, pack_bits, pack_indices
+from .labels import amp_bit, amp_mask, phase_bit
 
 PROBE_PAIRS = 512
 
@@ -77,10 +78,8 @@ class HashingRound:
     measured: int
 
     def subset_mask(self) -> int:
-        mask = 0
-        for i in self.members.tolist():
-            mask |= 1 << i
-        return mask
+        row = pack_indices(self.members, int(self.members.max(initial=-1)) + 1)
+        return int.from_bytes(row.astype("<u8").tobytes(), "little")
 
 
 @dataclass
@@ -141,9 +140,9 @@ class HashingRun:
             if not parts or parts[0] not in ("A", "B"):
                 continue
             mask = int(parts[2], 16)
-            members = np.array(
-                [i for i in range(mask.bit_length()) if (mask >> i) & 1]
-            )
+            n_bits = mask.bit_length()
+            row = np.frombuffer(mask.to_bytes(8 * gf2.n_words(n_bits), "little"), "<u8")
+            members = np.flatnonzero(gf2.unpack_bits(row, n_bits))
             rnd = HashingRound(int(parts[1]), members, int(parts[3]), int(parts[4], 16))
             (amp if parts[0] == "A" else phase).append(rnd)
         return amp, phase
@@ -281,10 +280,11 @@ def simulate_hashing(
 
     rng = np.random.default_rng(seed)
     dim = 1 << n_parties
-    amp_mask = (1 << (n_parties - 1)) - 1
     codes = rng.choice(dim, size=m, p=single.probs)
-    init_phases = ((codes >> (n_parties - 1)) & 1).astype(np.uint8)
-    init_amps = (codes & amp_mask).astype(np.int64)
+    init_phases = ((codes & phase_bit(n_parties)) != 0).astype(np.uint8)
+    init_amps = (codes & amp_mask(n_parties)).astype(np.int64)
+    # Amplitude side j decodes the string of party j+2's amplitude bits.
+    side_bits = [amp_bit(j, n_parties) for j in range(n_parties - 1)]
     true_phases = init_phases.copy()
     true_amps = init_amps.copy()
 
@@ -332,10 +332,7 @@ def simulate_hashing(
         # value must equal the parity of the initial bits.
         if parity != int(np.bitwise_xor.reduce(init_amps[members])):
             raise InternalInvariantError("amplitude parity bookkeeping drifted")
-        rhs = np.array(
-            [(parity >> (n_parties - 2 - j)) & 1 for j in range(n_parties - 1)],
-            dtype=np.uint8,
-        )
+        rhs = np.array([(parity & bit) != 0 for bit in side_bits], dtype=np.uint8)
         amp_system.add_row(pack_indices(members, m), rhs)
         run.amp_rounds.append(HashingRound(r, members, target, parity))
         run.consumed.append(target)
@@ -345,35 +342,30 @@ def simulate_hashing(
     probe_rng = np.random.default_rng([seed, 0x5AFE])
     modes = set()
 
+    def decode(coset, prior_one: float, truth_bits: np.ndarray) -> DecodeResult:
+        result = decode_map(coset, prior_one, exact_dim_cap)
+        if result.status == "intractable":
+            result = _certified_map_decode(coset, prior_one, truth_bits, probe_rng)
+            modes.add("certified")
+        else:
+            modes.add("exact")
+        return result
+
     # Decode the amplitude strings before the phase rounds need them (one
     # shared matrix, one right-hand side per amplitude bit position).
     amp_cosets = amp_system.solve()
     decoded_amps = None
     if feasible:
-        decoded_amp_bits = np.zeros((n_parties - 1, m), dtype=np.uint8)
-        amp_ok_decode = True
-        for j in range(n_parties - 1):
-            truth_j = ((init_amps >> (n_parties - 2 - j)) & 1).astype(np.uint8)
-            result = decode_map(amp_cosets[j], float(p_amps[j]), exact_dim_cap)
-            if result.status == "intractable":
-                result = _certified_map_decode(
-                    amp_cosets[j], float(p_amps[j]), truth_j, probe_rng
-                )
-                modes.add("certified")
-            else:
-                modes.add("exact")
+        decoded_amps = np.zeros(m, dtype=np.int64)
+        for j, bit in enumerate(side_bits):
+            truth_j = ((init_amps & bit) != 0).astype(np.uint8)
+            result = decode(amp_cosets[j], float(p_amps[j]), truth_j)
             run.amp_decode_status = result.status
             if not result.ok or result.bits is None:
-                amp_ok_decode = False
+                decoded_amps = None
                 break
-            decoded_amp_bits[j] = result.bits
-        if amp_ok_decode:
-            decoded_amps = np.zeros(m, dtype=np.int64)
-            for j in range(n_parties - 1):
-                decoded_amps |= decoded_amp_bits[j].astype(np.int64) << (
-                    n_parties - 2 - j
-                )
-            run.decoded_amps = decoded_amps
+            decoded_amps |= result.bits.astype(np.int64) * bit
+        run.decoded_amps = decoded_amps
 
     # Phase rounds: the measured state acts as the XOR source, so the
     # subset's phase bits accumulate in it while its amplitude bits leak
@@ -407,15 +399,7 @@ def simulate_hashing(
     # current phase through its recorded lineage.
     survivor_phase_belief = None
     if feasible:
-        phase_cosets = phase_system.solve()
-        result = decode_map(phase_cosets[0], float(p_phase), exact_dim_cap)
-        if result.status == "intractable":
-            result = _certified_map_decode(
-                phase_cosets[0], float(p_phase), init_phases, probe_rng
-            )
-            modes.add("certified")
-        else:
-            modes.add("exact")
+        result = decode(phase_system.solve()[0], float(p_phase), init_phases)
         run.phase_decode_status = result.status
         if result.ok and result.bits is not None:
             packed_decoded = pack_bits(result.bits)
@@ -425,10 +409,7 @@ def simulate_hashing(
             run.decoded_survivor_phases = survivor_phase_belief
     run.decode_mode = "/".join(sorted(modes)) if modes else "none"
 
-    if not feasible:
-        run.failure_reason = "ambiguous"
-        return False, run.empirical_yield, run
-    if decoded_amps is None or survivor_phase_belief is None:
+    if not feasible or decoded_amps is None or survivor_phase_belief is None:
         run.failure_reason = "ambiguous"
         return False, run.empirical_yield, run
 

@@ -14,6 +14,23 @@ from dataclasses import dataclass
 from .errors import DimensionError
 
 
+def phase_bit(n_parties: int) -> int:
+    """Code value of the phase bit, the most significant one: the encoded
+    label of a phase flip."""
+    return 1 << (n_parties - 1)
+
+
+def amp_mask(n_parties: int) -> int:
+    """Code bits holding the N-1 amplitude bits."""
+    return phase_bit(n_parties) - 1
+
+
+def amp_bit(j: int, n_parties: int) -> int:
+    """Code value of amplitude bit ``j`` (party j+2's); the amplitude bits
+    follow the phase bit in party order.  Masks ints and arrays alike."""
+    return 1 << (n_parties - 2 - j)
+
+
 @dataclass(frozen=True)
 class CatLabel:
     """Label (p, i_1..i_{N-1}) of one N-party cat-basis state.
@@ -40,21 +57,21 @@ class CatLabel:
             raise ValueError(f"amplitude bits must be 0/1, got {self.amplitudes!r}")
 
     def encode(self) -> int:
-        """Pack into an integer in [0, 2^N): phase is the most significant
-        bit, amplitude bits follow in index order.  The all-zero label (the
+        """Pack into an integer in [0, 2^N) with the layout of
+        :func:`phase_bit` and :func:`amp_bit`.  The all-zero label (the
         purification target state) encodes to 0."""
-        value = self.phase
-        for bit in self.amplitudes:
-            value = (value << 1) | bit
-        return value
+        n = self.n_parties
+        return self.phase * phase_bit(n) + sum(
+            bit * amp_bit(j, n) for j, bit in enumerate(self.amplitudes)
+        )
 
     @staticmethod
     def decode(value: int, n_parties: int) -> "CatLabel":
         """Inverse of :meth:`encode`."""
         if not 0 <= value < (1 << n_parties):
             raise ValueError(f"encoded label {value} out of range for N={n_parties}")
-        bits = [(value >> k) & 1 for k in range(n_parties - 1, -1, -1)]
-        return CatLabel(n_parties, bits[0], tuple(bits[1:]))
+        amps = [int((value & amp_bit(j, n_parties)) != 0) for j in range(n_parties - 1)]
+        return CatLabel(n_parties, int((value & phase_bit(n_parties)) != 0), tuple(amps))
 
     @property
     def is_target(self) -> bool:

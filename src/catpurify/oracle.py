@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DimensionError
-from .labels import CatLabel, mxor
+from .labels import CatLabel, amp_mask, mxor
 from . import labels as _labels
 
 ORACLE_QUBIT_LIMIT = 12
@@ -94,7 +94,7 @@ def build_cat_state(label: CatLabel) -> np.ndarray:
     n = label.n_parties
     if n > ORACLE_QUBIT_LIMIT:
         raise CapacityError(f"{n} qubits exceeds the oracle limit {ORACLE_QUBIT_LIMIT}")
-    amp_bits = label.encode() & ((1 << (n - 1)) - 1)
+    amp_bits = label.encode() & amp_mask(n)
     state = np.zeros(1 << n, dtype=complex)
     state[amp_bits] = _SQRT2_INV
     state[amp_bits ^ ((1 << n) - 1)] = (-1) ** label.phase * _SQRT2_INV

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from catpurify.cli import main
@@ -297,3 +299,26 @@ def test_config_file_round_trip_verify(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and "mxor N=2" in outs[0]
     assert outs[2] == outs[3] == outs[4] and "self-test" in outs[2]
+
+
+# SHA-256 of stdout for the README's examples and a short Monte Carlo run,
+# recorded before the label layout moved behind the ``labels`` helpers:
+# any change to an output byte shows here.
+STDOUT_DIGESTS = [
+    (["yield-curve", "-N", "2", "--methods", "rec-hash,block3,block4,block5",
+      "--f", "0.5:1.0:0.005"],
+     "bd6f4894bc15b3bb9bd938dd6ce945842c47a7d38d07be79f33844769ebc5b39"),
+    (["yield-curve", "-N", "4", "--methods", "mp-hash", "--f", "0.8:1.0:0.001"],
+     "8a3873e12d38c7d88aeda265f595854f12fa61609a705b2c478a56b43dada4ac"),
+    (["verify", "-N", "2,3"],
+     "da5eb99077913155b5645f3a0120fcdadbc6c4842f2ae033e7cea943fe613bc5"),
+    (["simulate-hashing", "-N", "3", "-m", "2000", "-f", "0.9", "--trials", "3",
+      "--seed", "7", "--safety-bits", "20"],
+     "f97e8f56dd4afa5319d025db8a6a1ec1973520a692707f3f7279a7d4e4305f71"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", STDOUT_DIGESTS)
+def test_stdout_bytes_unchanged(capsys, argv, expected):
+    assert run_cli(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from catpurify.ensemble import werner_single
+from catpurify.ensemble import SingleDistribution, bit_marginals, werner_single
 from catpurify.errors import CapacityError, DimensionError
 from catpurify.gf2 import GF2System, pack_bits, pack_indices, row_weight, unpack_bits
 from catpurify.hashing import (
@@ -269,6 +269,24 @@ def test_three_party_run_decodes_both_amplitude_strings():
         np.testing.assert_array_equal(
             run.decoded_survivor_phases, phases[survivors] & 1
         )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_amplitude_sides_follow_party_order(seed):
+    # Non-isotropic input: party 2's amplitude bit is never set, party 3's
+    # is set with probability 0.1, so a prior, right-hand side or truth
+    # string taken from the wrong party fails the decode.
+    probs = np.zeros(8)
+    probs[[0b000, 0b001, 0b100]] = 0.85, 0.10, 0.05
+    single = SingleDistribution(3, probs)
+    p_phase, p_amps = bit_marginals(single)
+    assert p_phase == pytest.approx(0.05)
+    np.testing.assert_allclose(p_amps, [0.0, 0.10])
+    success, _, run = simulate_hashing(3, 256, single, seed=seed, safety_bits=12)
+    assert success, run.failure_reason
+    assert not (run.decoded_amps & 0b10).any()
+    survivors = run.survivors
+    np.testing.assert_array_equal(run.decoded_amps[survivors], run.initial_codes[survivors] & 0b11)
 
 
 def test_large_block_monte_carlo_quick():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from catpurify.errors import DimensionError
@@ -5,10 +6,13 @@ from catpurify.labels import (
     CatLabel,
     LocalCorrection,
     all_labels,
+    amp_bit,
+    amp_mask,
     correction_for,
     measure_amplitudes,
     measure_phase,
     mxor,
+    phase_bit,
 )
 
 
@@ -67,6 +71,26 @@ def test_encode_decode_round_trip(n):
 def test_encode_places_phase_most_significant():
     assert CatLabel(3, 1, (0, 1)).encode() == 0b101
     assert CatLabel(3, 0, (1, 0)).encode() == 0b010
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_layout_helpers_match_decode(n):
+    codes = range(1 << n)
+    labels = [CatLabel.decode(code, n) for code in codes]
+    for code, label in zip(codes, labels):
+        # Written in binary, a code reads the phase bit, then the amplitude
+        # bits of parties 2..N.
+        assert format(code, f"0{n}b") == "".join(map(str, (label.phase, *label.amplitudes)))
+        assert int((code & phase_bit(n)) != 0) == label.phase
+        assert [int((code & amp_bit(j, n)) != 0) for j in range(n - 1)] == list(label.amplitudes)
+        assert code & amp_mask(n) == CatLabel(n, 0, label.amplitudes).encode()
+    # The helpers mask numpy arrays as they mask ints.
+    array = np.arange(1 << n)
+    np.testing.assert_array_equal((array & phase_bit(n)) != 0, [lb.phase for lb in labels])
+    for j in range(n - 1):
+        np.testing.assert_array_equal(
+            (array & amp_bit(j, n)) != 0, [lb.amplitudes[j] for lb in labels]
+        )
 
 
 def test_measurements_project():
