@@ -2,11 +2,13 @@
 
 Block yields are sums over type classes: the block's states are i.i.d., so
 the passed distribution depends on the source labels only through their
-multiset, and ``block_yield`` needs one term per multiset.
+multiset, and ``block_yield_rows`` needs one term per multiset, for a whole
+stack of single-state distributions (one per fidelity) at once.
 
-The dense joint distribution over (2^N)^m encoded labels is kept as the
-reference engine behind ``block_step`` (the two-state recurrence round and
-the enumeration checks).  The multilateral XOR permutes its index space,
+The dense joint distribution over (2^N)^m encoded labels is kept only as
+the reference engine behind ``block_step``, which the enumeration checks
+and the closed-form recurrence round are tested against; no yield path
+builds it.  The multilateral XOR permutes its index space,
 the amplitude measurement conditions it, and entropies fall out of the
 conditioned distribution.  Everything is exact double-precision arithmetic;
 there is no sampling in this module.
@@ -40,13 +42,22 @@ class WernerParams:
 
     @classmethod
     def from_fidelity(cls, n_parties: int, fidelity: float) -> "WernerParams":
-        dim = 1 << n_parties
-        alpha = (fidelity - 1.0 / dim) / (1.0 - 1.0 / dim)
-        if not -1e-12 <= alpha <= 1.0 + 1e-12:
-            raise ValueError(
-                f"fidelity {fidelity} outside [{1.0 / dim}, 1] for N={n_parties}"
-            )
+        alpha = float(cls.alphas(n_parties, np.array([fidelity]))[0])
         return cls(n_parties, fidelity, min(max(alpha, 0.0), 1.0))
+
+    @staticmethod
+    def alphas(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
+        """Unclipped alpha of each fidelity.  The first fidelity whose alpha
+        is outside [0, 1] by more than 1e-12 raises."""
+        dim = 1 << n_parties
+        f = np.asarray(fidelities, dtype=float)
+        alpha = (f - 1.0 / dim) / (1.0 - 1.0 / dim)
+        ok = (-1e-12 <= alpha) & (alpha <= 1.0 + 1e-12)
+        if not ok.all():
+            raise ValueError(
+                f"fidelity {float(f[~ok][0])} outside [{1.0 / dim}, 1] for N={n_parties}"
+            )
+        return alpha
 
 
 @dataclass
@@ -99,16 +110,26 @@ class DiagonalEnsemble:
 
 def werner_single(n_parties: int, fidelity: float) -> SingleDistribution:
     """Cat-diagonal form of the isotropic state: the target label carries
-    the fidelity, every other label (1-F)/(2^N - 1)."""
-    WernerParams.from_fidelity(n_parties, fidelity)  # validates the range
+    the fidelity, every other label (1-F)/(2^N - 1).  The one-row call of
+    ``werner_rows``."""
+    return SingleDistribution(n_parties, werner_rows(n_parties, np.array([fidelity]))[0])
+
+
+def werner_rows(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
+    """``werner_single``'s probability vector for each fidelity, as the
+    rows of a (G, 2^N) array.  The first fidelity outside [2^-N, 1] raises
+    ``WernerParams``'s error."""
+    f = np.asarray(fidelities, dtype=float)
+    WernerParams.alphas(n_parties, f)  # validates the range
     dim = 1 << n_parties
     if dim > ENSEMBLE_ENTRY_CAP:
         raise CapacityError(f"{dim} labels exceeds the ensemble cap {ENSEMBLE_ENTRY_CAP}")
     # Fidelities within validation tolerance of the endpoints may leave
     # negative dust in the off-target entries; snap it to zero.
-    probs = np.full(dim, max((1.0 - fidelity) / (dim - 1), 0.0))
-    probs[0] = min(fidelity, 1.0)
-    return SingleDistribution(n_parties, probs)
+    probs = np.empty((f.size, dim))
+    probs[:, 1:] = np.maximum((1.0 - f) / (dim - 1), 0.0)[:, None]
+    probs[:, 0] = np.minimum(f, 1.0)
+    return probs
 
 
 def iid_block(
@@ -132,8 +153,15 @@ def shannon_entropy(probs: np.ndarray) -> float:
     p = np.asarray(probs, dtype=float).ravel()
     if abs(p.sum() - 1.0) > NORMALIZATION_TOL:
         raise ValueError("entropy input must sum to 1")
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(entropy_rows(p))
+
+
+def entropy_rows(probs: np.ndarray) -> np.ndarray:
+    """-sum p log2 p in bits along the last axis, with 0 log 0 = 0; no
+    normalization check."""
+    p = np.asarray(probs, dtype=float)
+    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -(p * log_p).sum(axis=-1)
 
 
 def apply_mxor(
@@ -260,18 +288,28 @@ def block_yield(
 ) -> float:
     """Per-input yield of the block step followed by hashing the survivors:
     p_pass * (m-1)/m * (1 - H(passed)/(m-1)).  May be negative; clamping is
-    left to presentation layers.
+    left to presentation layers.  The one-row call of ``block_yield_rows``.
+    """
+    return float(block_yield_rows(single.n_parties, single.probs[None, :], m, cap)[0])
+
+
+def block_yield_rows(
+    n_parties: int, probs: np.ndarray, m: int, cap: int = ENSEMBLE_ENTRY_CAP
+) -> np.ndarray:
+    """``block_yield`` for each row of a (G, 2^N) array of single-state
+    distributions; rows with p_pass = 0 yield 0.
 
     The i.i.d. sources make the passed distribution exchangeable, so it is
     summed over type classes (multisets S of passed source labels) rather
     than built densely.  A class with amplitude XOR A passes with
     P(S) = sum_b q(b, A) prod_{s in S} q(s xor b*2^(N-1)) for each of its
     mult(S) label tuples, b being the measured target's phase bit.
-    ``cap`` bounds the class table's entries.
+    ``cap`` bounds the class table's entries; the work per row is one
+    table's worth, so callers bound G.
     """
     if m < 2:
         raise ValueError("block size must be at least 2")
-    n = single.n_parties
+    n = n_parties
     dim, size = 1 << n, m - 1
     # comb(a + b, a) >= 2^min(a, b), so a table that is certainly too large
     # is refused before its exact size, a huge integer, is computed.
@@ -283,18 +321,22 @@ def block_yield(
             f"the type-class table for N={n}, m={m} exceeds the cap of {cap} entries"
         )
     counts, amp_xor, mult = _type_classes(n, m)
-    q = single.probs
+    q = np.asarray(probs, dtype=float)
     labels = np.arange(dim)
-    p_class = sum(
-        q[amp_xor | b] * np.prod(q[labels ^ b] ** counts, axis=1)
+    # (G, class), one phase branch at a time, kept in C order: every row
+    # sum below is then a pairwise sum over that row alone, so a row's value
+    # does not depend on how many rows share the call.
+    p_class = np.ascontiguousarray(sum(
+        q.take(amp_xor | b, axis=1)
+        * np.multiply.reduce(q[:, labels ^ b][:, None, :] ** counts, axis=2)
         for b in (0, phase_bit(n))
-    )
-    p_pass = float(mult @ p_class)
-    if p_pass == 0.0:
-        return 0.0
-    live = p_class > 0.0
-    rel = p_class[live] / p_pass
-    entropy = float(-(mult[live] * rel * np.log2(rel)).sum())
+    ))
+    p_pass = np.add.reduce(p_class * mult, axis=1)
+    # A row with p_pass = 0 has every p_class = 0, so it gets entropy 0
+    # and yield 0.
+    rel = p_class / np.where(p_pass > 0.0, p_pass, 1.0)[:, None]
+    log_rel = np.log2(rel, out=np.zeros_like(rel), where=rel > 0.0)
+    entropy = -np.add.reduce(mult * rel * log_rel, axis=1)
     return p_pass * ((m - 1) / m) * (1.0 - entropy / (m - 1))
 
 

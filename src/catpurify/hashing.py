@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import SingleDistribution, bit_marginals, shannon_entropy
+from .ensemble import SingleDistribution, bit_marginals, entropy_rows, shannon_entropy
 from .errors import CapacityError, DimensionError, InternalInvariantError
 from . import gf2
 from .gf2 import GF2System, DecodeResult, decode_map, pack_bits, pack_indices
@@ -24,10 +24,14 @@ from .labels import amp_bit, amp_mask, phase_bit
 PROBE_PAIRS = 512
 
 
+def _entropy_domain_error(x: float) -> ValueError:
+    return ValueError(f"binary entropy argument {x} outside [0, 1]")
+
+
 def binary_entropy(x: float) -> float:
     """H2(x) in bits, with H2(0) = H2(1) = 0."""
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy argument {x} outside [0, 1]")
+        raise _entropy_domain_error(x)
     if x in (0.0, 1.0):
         return 0.0
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
@@ -46,11 +50,25 @@ def multiparty_hashing_yield(single: SingleDistribution) -> float:
 def werner_hashing_yield(n_parties: int, fidelity: float) -> float:
     """Closed form for isotropic input: every bit marginal equals
     (1-f) 2^(N-1)/(2^N - 1), so the yield is 1 - 2 H2 of that."""
+    return float(werner_hashing_yields(n_parties, np.array([fidelity]))[0])
+
+
+def werner_hashing_yields(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
+    """``werner_hashing_yield`` at each fidelity; the first fidelity out of
+    range raises."""
     dim_inv = 2.0 ** (1 - n_parties)
-    if not 1.0 / (1 << n_parties) - 1e-12 <= fidelity <= 1.0 + 1e-12:
-        raise ValueError(f"fidelity {fidelity} outside [2^-N, 1] for N={n_parties}")
-    x = (1.0 - fidelity) / (2.0 - dim_inv)
-    return 1.0 - 2.0 * binary_entropy(x)
+    f = np.asarray(fidelities, dtype=float)
+    x = (1.0 - f) / (2.0 - dim_inv)
+    outside = ~((1.0 / (1 << n_parties) - 1e-12 <= f) & (f <= 1.0 + 1e-12))
+    # A fidelity within the tolerance above 1 gives x < 0, outside H2's
+    # domain; the first point failing either test names the error.
+    bad = outside | (x < 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if outside[i]:
+            raise ValueError(f"fidelity {float(f[i])} outside [2^-N, 1] for N={n_parties}")
+        raise _entropy_domain_error(float(x[i]))
+    return 1.0 - 2.0 * entropy_rows(np.stack([x, 1.0 - x], axis=-1))
 
 
 def werner_hashing_yield_limit(fidelity: float) -> float:
@@ -66,6 +84,11 @@ def two_party_hashing_yield(single: SingleDistribution) -> float:
     if single.n_parties != 2:
         raise DimensionError("two-party hashing needs a two-party distribution")
     return 1.0 - shannon_entropy(single.probs)
+
+
+def two_party_hashing_yields(probs: np.ndarray) -> np.ndarray:
+    """``two_party_hashing_yield`` for each row of a (G, 4) array."""
+    return 1.0 - entropy_rows(probs)
 
 
 @dataclass
@@ -115,13 +138,14 @@ class HashingRun:
         return len(self.phase_rounds)
 
     def to_text(self) -> str:
-        """Line-oriented transcript: one line per round with the subset
-        bitmask in hex and the measured bits."""
+        """Line-oriented transcript: the hidden initial codes in hex,
+        comma-separated, then one line per round with the subset bitmask in
+        hex and the measured bits."""
         lines = [
-            "catpurify-hashing-run v1",
+            "catpurify-hashing-run v2",
             f"n_parties={self.n_parties} block_size={self.block_size} "
             f"seed={self.seed} safety_bits={self.safety_bits}",
-            "truth=" + "".join(f"{c:x}" for c in self.initial_codes.tolist()),
+            "truth=" + ",".join(f"{c:x}" for c in self.initial_codes.tolist()),
         ]
         for tag, rounds in (("A", self.amp_rounds), ("B", self.phase_rounds)):
             for rnd in rounds:
@@ -130,6 +154,15 @@ class HashingRun:
                     f"{rnd.target} {rnd.measured:x}"
                 )
         return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def parse_truth(text: str) -> np.ndarray:
+        """Recover the hidden initial codes from a serialized transcript."""
+        for line in text.splitlines():
+            if line.startswith("truth="):
+                codes = line[len("truth="):].split(",")
+                return np.array([int(c, 16) for c in codes if c], dtype=np.int64)
+        raise ValueError("transcript has no truth= line")
 
     @staticmethod
     def parse_rounds(text: str) -> tuple[list[HashingRound], list[HashingRound]]:

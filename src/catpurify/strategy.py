@@ -1,9 +1,11 @@
 """Composite purification strategies and figure-level sweeps.
 
-Ties together the exact block-step engine and the hashing yields:
-recurrence rounds continued by hashing, single block steps of size m
-continued by hashing, best-method selection on a fidelity grid, and the
-knee fidelity above which recurrence stops paying.
+Ties together the block yields and the hashing yields: recurrence rounds
+continued by hashing, single block steps of size m continued by hashing,
+best-method selection on a fidelity grid, and the knee fidelity above which
+recurrence stops paying.  Each method has one array kernel over a stretch
+of fidelities; single-point functions are its one-point calls, and
+``yield_curve`` calls it once per ``GRID_CHUNK`` points.
 """
 
 from __future__ import annotations
@@ -12,12 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import SingleDistribution, block_yield, block_step, werner_single
+from .ensemble import SingleDistribution, block_yield_rows, werner_rows
 from .errors import CapacityError
-from .hashing import two_party_hashing_yield, werner_hashing_yield
+from .hashing import two_party_hashing_yields, werner_hashing_yields
+from .labels import amp_mask, phase_bit
 
 DEFAULT_MAX_ROUNDS = 20
 GRID_POINT_CAP = 10**6
+# Grid points per kernel call.  A block kernel holds points x classes x
+# labels doubles (128 x 480 at block8, under 0.5 MB), so peak memory does
+# not grow with the grid.
+GRID_CHUNK = 128
 
 METHOD_KINDS = (
     "recurrence_hashing",
@@ -72,11 +79,29 @@ class MethodSpec:
 
 def recurrence_round(single: SingleDistribution) -> tuple[float, SingleDistribution | None]:
     """One two-state purification round; the passed state's exact
-    Bell-diagonal distribution is kept (no re-twirl)."""
-    p_pass, passed = block_step(single, 2)
-    if passed is None:
+    Bell-diagonal distribution is kept (no re-twirl).  Equals
+    ``block_step(single, 2)``, in closed form."""
+    p_pass, passed = recurrence_rows(single.n_parties, single.probs[None, :])
+    if p_pass[0] == 0.0:
         return 0.0, None
-    return p_pass, SingleDistribution(single.n_parties, passed.probs)
+    return float(p_pass[0]), SingleDistribution(single.n_parties, passed[0])
+
+
+def recurrence_rows(n_parties: int, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The m=2 block step for each row q of a (G, 2^N) array: pass
+    probabilities p_pass = sum_a P(a)^2, P the amplitude marginal, and the
+    passed rows q'(p, a) = sum_t q(p xor t, a) q(t, a) / p_pass, t running
+    over the target's phase.  Rows with p_pass = 0 come back as zeros."""
+    q = np.asarray(probs, dtype=float)
+    codes = np.arange(1 << n_parties)
+    flip = phase_bit(n_parties)
+    amps = codes & amp_mask(n_parties)
+    joint = q * q[:, amps] + q[:, codes ^ flip] * q[:, amps | flip]
+    amp_codes = codes[codes == amps]
+    marginal = q[:, amp_codes] + q[:, amp_codes | flip]
+    p_pass = np.ascontiguousarray(marginal * marginal).sum(axis=1)
+    # p_pass = 0 leaves every joint entry 0 as well.
+    return p_pass, joint / np.where(p_pass > 0.0, p_pass, 1.0)[:, None]
 
 
 RECURRENCE_VARIANTS = ("twirl", "exact")
@@ -85,23 +110,40 @@ RECURRENCE_VARIANTS = ("twirl", "exact")
 def _recurrence_raw(
     fidelity: float, max_rounds: int, variant: str = "twirl"
 ) -> tuple[float, int]:
+    raw, rounds = recurrence_grid(np.array([fidelity]), max_rounds, variant)
+    return float(raw[0]), int(rounds[0])
+
+
+def recurrence_grid(
+    fidelities: np.ndarray, max_rounds: int, variant: str = "twirl"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw best yield and its round count at each fidelity (see
+    ``recurrence_then_hashing``), all points advancing one round at a time.
+    A point whose round passes nothing stops there, as a lone point would."""
     if variant not in RECURRENCE_VARIANTS:
         raise ValueError(f"unknown recurrence variant {variant!r}")
-    dist = werner_single(2, fidelity)
-    factor = 1.0
-    best_yield = two_party_hashing_yield(dist)
-    best_round = 0
+    dist = werner_rows(2, fidelities)
+    factor = np.ones(len(dist))
+    best_yield = two_party_hashing_yields(dist)
+    best_round = np.zeros(len(dist), dtype=int)
+    running = np.ones(len(dist), dtype=bool)
     for r in range(1, max_rounds + 1):
-        p_pass, nxt = recurrence_round(dist)
-        if nxt is None:
+        p_pass, nxt = recurrence_rows(2, dist)
+        running &= p_pass != 0.0
+        if not running.any():
             break
         factor *= p_pass / 2.0
         # Hashing always consumes the exact passed distribution of the
         # final round; the variants differ in what the next round sees.
-        y = factor * two_party_hashing_yield(nxt)
-        if y > best_yield:
-            best_yield, best_round = y, r
-        dist = nxt if variant == "exact" else werner_single(2, nxt.fidelity)
+        y = factor * two_party_hashing_yields(nxt)
+        better = running & (y > best_yield)
+        best_yield[better] = y[better]
+        best_round[better] = r
+        if variant == "exact":
+            dist = nxt
+        else:
+            # A stopped point keeps its last fidelity, so every row twirls.
+            dist = werner_rows(2, np.where(running, nxt[:, 0], dist[:, 0]))
     return best_yield, best_round
 
 
@@ -134,14 +176,19 @@ def block_then_hashing(fidelity: float, m: int) -> float:
     return max(0.0, _raw_yield(MethodSpec("block_then_hashing", m=m), 2, fidelity))
 
 
-def _raw_yield(spec: MethodSpec, n_parties: int, fidelity: float) -> float:
+def _raw_yields(spec: MethodSpec, n_parties: int, fidelities: np.ndarray) -> np.ndarray:
+    """One method's raw yields on a stretch of the grid, as one array call."""
     if spec.kind == "recurrence_hashing":
-        return _recurrence_raw(fidelity, spec.max_rounds)[0]
+        return recurrence_grid(fidelities, spec.max_rounds)[0]
     if spec.kind == "block_then_hashing":
-        return block_yield(werner_single(2, fidelity), spec.m)
+        return block_yield_rows(2, werner_rows(2, fidelities), spec.m)
     if spec.kind == "multiparty_hashing":
-        return werner_hashing_yield(n_parties, fidelity)
-    return two_party_hashing_yield(werner_single(2, fidelity))
+        return werner_hashing_yields(n_parties, fidelities)
+    return two_party_hashing_yields(werner_rows(2, fidelities))
+
+
+def _raw_yield(spec: MethodSpec, n_parties: int, fidelity: float) -> float:
+    return float(_raw_yields(spec, n_parties, np.array([fidelity]))[0])
 
 
 def best_method(
@@ -209,11 +256,22 @@ def yield_curve(
     validate_methods(methods, n_parties)
     grid = fidelity_grid(f_min, f_max, step)
     curve = YieldCurve(n_parties, grid)
-    rows = [[_raw_yield(spec, n_parties, float(f)) for spec in methods] for f in grid]
-    table = np.array(rows, dtype=float).reshape(grid.size, len(methods))
+    table = np.empty((len(methods), grid.size))
+    for start in range(0, grid.size, GRID_CHUNK):
+        chunk = grid[start:start + GRID_CHUNK]
+        try:
+            for k, spec in enumerate(methods):
+                table[k, start:start + chunk.size] = _raw_yields(spec, n_parties, chunk)
+        except ValueError:
+            # Name the first bad (point, method) in row-major order, as a
+            # point-by-point sweep would.
+            for f in chunk:
+                for spec in methods:
+                    _raw_yield(spec, n_parties, float(f))
+            raise
     for k, spec in enumerate(methods):
-        curve.raw[spec.method_id] = table[:, k]
-        curve.clamped[spec.method_id] = np.maximum(table[:, k], 0.0)
+        curve.raw[spec.method_id] = table[k]
+        curve.clamped[spec.method_id] = np.maximum(table[k], 0.0)
     return curve
 
 

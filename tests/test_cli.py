@@ -315,6 +315,14 @@ STDOUT_DIGESTS = [
     (["simulate-hashing", "-N", "3", "-m", "2000", "-f", "0.9", "--trials", "3",
       "--seed", "7", "--safety-bits", "20"],
      "f97e8f56dd4afa5319d025db8a6a1ec1973520a692707f3f7279a7d4e4305f71"),
+    # The benchmark's bipartite figure and N=3 multiparty sweep, recorded
+    # while every yield was still evaluated one point and one method at a
+    # time.
+    (["yield-curve", "-N", "2", "--methods", "rec-hash,block3,block4,block5,block7,2p-hash",
+      "--f", "0.5:1.0:0.001"],
+     "2b96b725b99213ae4fc5819d3287afb33b5e041ee2bbbcacfe5561838e89bebf"),
+    (["yield-curve", "-N", "3", "--methods", "mp-hash", "--f", "0.5:1.0:0.0001"],
+     "23e7e10afa9a21b1f0f61d14bedcdc009ce46d4f6966acd516c7f4cec944e58c"),
 ]
 
 
@@ -322,3 +330,35 @@ STDOUT_DIGESTS = [
 def test_stdout_bytes_unchanged(capsys, argv, expected):
     assert run_cli(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
+# Grids leaving [2^-N, 1]: the error names the first offending point in
+# row-major (point, then method) order, even when it lies past the first
+# chunk of grid points or only one of the listed methods rejects it.
+OUT_OF_RANGE = [
+    ("2", "rec-hash", "0.2:0.5:0.1", "fidelity 0.2 outside [0.25, 1] for N=2"),
+    ("2", "block3", "0.2:0.5:0.1", "fidelity 0.2 outside [0.25, 1] for N=2"),
+    ("2", "2p-hash", "0.2:0.5:0.1", "fidelity 0.2 outside [0.25, 1] for N=2"),
+    ("3", "mp-hash", "0.1:0.5:0.1", "fidelity 0.1 outside [2^-N, 1] for N=3"),
+    ("2", "rec-hash", "0.9:1.2:0.1", "fidelity 1.1 outside [0.25, 1] for N=2"),
+    ("2", "block3", "0.9:1.2:0.1", "fidelity 1.1 outside [0.25, 1] for N=2"),
+    ("2", "2p-hash", "0.9:1.2:0.1", "fidelity 1.1 outside [0.25, 1] for N=2"),
+    ("3", "mp-hash", "0.9:1.2:0.1", "fidelity 1.1 outside [2^-N, 1] for N=3"),
+    ("2", "mp-hash,2p-hash", "0.24:0.5:0.01", "fidelity 0.24 outside [2^-N, 1] for N=2"),
+    ("2", "2p-hash,mp-hash", "0.24:0.5:0.01", "fidelity 0.24 outside [0.25, 1] for N=2"),
+    ("2", "block3,rec-hash,2p-hash", "0.5:1.2:0.001",
+     "fidelity 1.001 outside [0.25, 1] for N=2"),
+    ("2", "rec-hash,mp-hash", "1.0000000000004:1.0000000000004:1",
+     "binary entropy argument -2.6660155564665427e-13 outside [0, 1]"),
+    # 2p-hash first rejects the second point, mp-hash already the first.
+    ("2", "2p-hash,mp-hash", "1.0000000000004:1.00000000001:0.0000000000096",
+     "binary entropy argument -2.6660155564665427e-13 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("n, methods, grid, message", OUT_OF_RANGE)
+def test_out_of_range_grid_names_first_point(capsys, n, methods, grid, message):
+    assert run_cli(["yield-curve", "-N", n, "--methods", methods, f"--f={grid}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"

@@ -18,6 +18,7 @@ from catpurify.ensemble import (
     block_yield,
     iid_block,
     shannon_entropy,
+    werner_rows,
     werner_single,
 )
 from catpurify.errors import CapacityError
@@ -40,6 +41,28 @@ def test_werner_single_examples():
     np.testing.assert_allclose(
         werner_single(2, 0.7).probs, [0.7, 0.1, 0.1, 0.1], atol=1e-15
     )
+
+
+def test_werner_rows_match_scalar_formula():
+    # Interior points, both endpoints and fidelities within the validation
+    # tolerance outside them (their dust is snapped to zero), against the
+    # formula in Python floats.
+    for n in (2, 3, 5):
+        dim = 1 << n
+        fids = np.concatenate([np.linspace(1.0 / dim, 1.0, 37), [1.0 / dim - 5e-13, 1.0 + 5e-13]])
+        rows = werner_rows(n, fids)
+        for f, row in zip(fids.tolist(), rows):
+            assert row.tolist() == [min(f, 1.0)] + [max((1.0 - f) / (dim - 1), 0.0)] * (dim - 1)
+            assert row.tolist() == werner_single(n, f).probs.tolist()
+    for bad in ([0.9, 1.1, 0.1], [0.2, 0.5]):
+        with pytest.raises(ValueError) as grid_error:
+            werner_rows(2, np.array(bad))
+        first = next(f for f in bad if not 0.25 <= f <= 1.0)
+        with pytest.raises(ValueError) as point_error:
+            WernerParams.from_fidelity(2, first)
+        assert str(grid_error.value) == str(point_error.value) == (
+            f"fidelity {first} outside [0.25, 1] for N=2"
+        )
 
 
 def test_werner_single_domain_error():

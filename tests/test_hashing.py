@@ -19,6 +19,7 @@ from catpurify.hashing import (
     two_party_hashing_yield,
     werner_hashing_yield,
     werner_hashing_yield_limit,
+    werner_hashing_yields,
 )
 
 # Frozen by independent extended-precision evaluation.
@@ -37,6 +38,25 @@ def bisect_zero(fn, lo, hi, tol=1e-9):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("fidelities", [
+    [0.9, 1.0 + 5e-13, 1.5],  # a binary-entropy error comes first
+    [0.9, 1.5, 1.0 + 5e-13],  # a range error comes first
+    [0.2, 0.5],
+    [0.24, 0.3],
+])
+def test_werner_hashing_yields_raise_first_point_error(fidelities):
+    with pytest.raises(ValueError) as grid_error:
+        werner_hashing_yields(2, np.array(fidelities))
+    for f in fidelities:
+        try:
+            werner_hashing_yield(2, f)
+        except ValueError as point_error:
+            assert str(grid_error.value) == str(point_error)
+            break
+    else:
+        pytest.fail("no point raised")
 
 
 def test_binary_entropy_examples():
@@ -178,6 +198,21 @@ def test_reproducible_transcripts():
     assert other.to_text() != runs[0].to_text()
 
 
+@pytest.mark.parametrize("n_parties", [5, 8])
+def test_transcript_truth_round_trip(n_parties):
+    # Codes above 0xf need the separator: at N=5, seed 3 draws 0x13.
+    for seed in range(3, 6):
+        _, _, run = simulate_hashing(
+            n_parties, 8, werner_single(n_parties, 0.5), seed=seed, safety_bits=0
+        )
+        text = run.to_text()
+        assert text.startswith("catpurify-hashing-run v2\n")
+        np.testing.assert_array_equal(HashingRun.parse_truth(text), run.initial_codes)
+        if n_parties == 5 and seed == 3:
+            assert run.initial_codes.max() > 0xF
+            assert text.splitlines()[2] == "truth=0,0,13,6,0,0,0,0"
+
+
 def test_transcript_round_trip():
     _, _, run = simulate_hashing(3, 24, werner_single(3, 0.9), seed=2, safety_bits=2)
     amp, phase = HashingRun.parse_rounds(run.to_text())
@@ -304,7 +339,8 @@ def test_large_block_monte_carlo_quick():
 # (N, m, f, safety_bits, seeds, SHA-256 of every run).  Recorded with a
 # per-round subset sampler, per-pair probe draws and per-probe scoring, so
 # any change to either random stream, the transcript or a decode shows
-# here.
+# here.  The transcripts were v1 then and are hashed in that layout (see
+# ``v1_text``); ``test_transcript_truth_round_trip`` pins the v2 layout.
 GOLDEN_RUNS = [
     # m=1: no round can run
     (2, 1, 0.8, 0, range(0, 4), "176794c26c47b52929e08701164c9b23f2414a11790b49d52f9303e742ebb3a3"),
@@ -334,12 +370,21 @@ GOLDEN_RUNS = [
 ]
 
 
+def v1_text(run):
+    """The transcript in the v1 layout, whose truth line ran the hex codes
+    together; v2 only adds commas between them and bumps the header."""
+    header, params, truth, *rounds = run.to_text().split("\n")
+    assert header == "catpurify-hashing-run v2" and truth.startswith("truth=")
+    return "\n".join(["catpurify-hashing-run v1", params, truth.replace(",", ""), *rounds])
+
+
 def run_digest(n, m, f, safety_bits, seeds):
     h = hashlib.sha256()
     single = werner_single(n, f)
     for seed in seeds:
         ok, empirical_yield, run = simulate_hashing(n, m, single, seed=seed, safety_bits=safety_bits)
-        h.update(run.to_text().encode())
+        np.testing.assert_array_equal(HashingRun.parse_truth(run.to_text()), run.initial_codes)
+        h.update(v1_text(run).encode())
         h.update(repr((ok, empirical_yield, run.failure_reason, run.amp_decode_status,
                        run.phase_decode_status, run.decode_mode)).encode())
         for arr in (run.decoded_amps, run.decoded_survivor_phases):

@@ -1,18 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catpurify.errors import CapacityError
 from catpurify.hashing import two_party_hashing_yield, werner_hashing_yield
-from catpurify.ensemble import werner_single
+from catpurify.ensemble import SingleDistribution, block_step, werner_single
 from catpurify.strategy import (
+    GRID_CHUNK,
     MethodSpec,
+    _raw_yield,
+    _recurrence_raw,
     best_method,
     block_then_hashing,
     fidelity_grid,
     find_knee,
+    recurrence_round,
     recurrence_then_hashing,
     yield_curve,
 )
+from oracles import brute_force_block_step, flatten_joint
 
 
 def test_recurrence_pure_input():
@@ -162,3 +171,102 @@ def test_find_knee_location_and_meaning():
         if f <= 1.0:
             assert recurrence_then_hashing(f)[1] == 0
     assert recurrence_then_hashing(knee - 0.01)[1] >= 1
+
+
+@st.composite
+def any_single(draw):
+    """A non-isotropic distribution at N=2 or 3, often with zero entries."""
+    n_parties = draw(st.sampled_from([2, 3]))
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+            min_size=1 << n_parties,
+            max_size=1 << n_parties,
+        ).filter(lambda w: sum(w) > 0.0)
+    )
+    return SingleDistribution(n_parties, np.array(weights) / sum(weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_single())
+def test_recurrence_round_matches_dense_step_and_enumeration(single):
+    p_pass, passed = recurrence_round(single)
+    dense_p, dense = block_step(single, 2)
+    oracle_p, oracle = brute_force_block_step(single.probs.tolist(), single.n_parties, 2)
+    assert abs(p_pass - dense_p) <= 1e-15 and abs(p_pass - oracle_p) <= 1e-15
+    assert np.max(np.abs(passed.probs - dense.probs)) <= 1e-15
+    assert np.max(np.abs(passed.probs - flatten_joint(oracle, single.n_parties, 1))) <= 1e-15
+
+
+@pytest.mark.parametrize("n_parties", [2, 3])
+def test_recurrence_round_zero_pass(n_parties):
+    # No normalized input fails every pair (sum_a P(a)^2 >= 2^-(N-1)), so
+    # zero the vector after validation to reach the p_pass = 0 branch.
+    single = werner_single(n_parties, 0.9)
+    single.probs[:] = 0.0
+    assert block_step(single, 2) == (0.0, None)
+    assert recurrence_round(single) == (0.0, None)
+
+
+def dense_recurrence(fidelity, max_rounds, variant):
+    """Per-round yields of the recurrence chain on the dense engine: entry r
+    is the yield of r rounds then hashing (entry 0 hashes at once)."""
+    dist = werner_single(2, fidelity)
+    factor = 1.0
+    yields = [two_party_hashing_yield(dist)]
+    for _ in range(max_rounds):
+        p_pass, passed = block_step(dist, 2)
+        if passed is None:
+            break
+        nxt = SingleDistribution(2, passed.probs)
+        factor *= p_pass / 2.0
+        yields.append(factor * two_party_hashing_yield(nxt))
+        dist = nxt if variant == "exact" else werner_single(2, nxt.fidelity)
+    return yields
+
+
+@pytest.mark.parametrize("variant", ["twirl", "exact"])
+def test_recurrence_matches_dense_chain(variant):
+    for f in fidelity_grid(0.5, 1.0, 0.01):
+        y, rounds = _recurrence_raw(float(f), 20, variant)
+        yields = dense_recurrence(float(f), 20, variant)
+        best = int(np.argmax(yields))  # first maximum: ties go to fewer rounds
+        assert abs(y - yields[best]) <= 1e-15
+        if variant == "twirl":
+            assert rounds == best
+        else:
+            # Deep exact-variant rounds drift to yields near 0 from both
+            # sides, so the strict tie rule may pick another round with the
+            # same yield up to rounding.
+            assert rounds == best or abs(yields[rounds] - yields[best]) <= 1e-15
+
+
+@pytest.mark.parametrize("n_parties, methods", [
+    (2, ["rec-hash", "block3", "block8", "2p-hash", "mp-hash"]),
+    (3, ["mp-hash"]),
+])
+def test_yield_curve_equals_one_point_calls(n_parties, methods):
+    # 0.0025 steps make 301 points on [0.25, 1]: two full chunks and a
+    # partial one.  Each cell must not depend on its chunk's other points.
+    specs = [MethodSpec.from_id(mid) for mid in methods]
+    curve = yield_curve(n_parties, 0.25, 1.0, 0.0025, specs)
+    assert curve.grid.size > 2 * GRID_CHUNK
+    for spec in specs:
+        expected = [_raw_yield(spec, n_parties, float(f)) for f in curve.grid]
+        assert curve.raw[spec.method_id].tolist() == expected
+
+
+def test_yield_curve_memory_does_not_grow_with_grid():
+    methods = [MethodSpec.from_id("block7"), MethodSpec.from_id("rec-hash")]
+    tracemalloc.start()
+    try:
+        curve = yield_curve(2, 0.5, 1.0, 0.000025, methods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_points = curve.grid.size
+    assert n_points >= 20_001
+    # The grid, the method-by-point table and the clamped copies.
+    outputs = 8 * n_points * (1 + 2 * len(methods))
+    # Evaluating all 20,001 points at once peaks at about 94 MB (block7).
+    assert peak - outputs < 4_000_000
