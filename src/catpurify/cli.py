@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 
 from .errors import CapacityError, InternalInvariantError
 from .ensemble import werner_single
@@ -37,8 +38,7 @@ EXIT_INTERNAL = 4
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+_fmt = "{:.12g}".format
 
 
 def _int_at_least(low: int):
@@ -111,7 +111,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     return parser.parse_args(argv[:at] + _config_flags(args.parser, args.config) + argv[at:])
 
 
-def _write_lines(lines: list[list[str]], args: argparse.Namespace) -> None:
+def _write_lines(lines: list[Sequence[str]], args: argparse.Namespace) -> None:
     delimiter = "," if args.format == "csv" else "\t"
     text = "\n".join(delimiter.join(row) for row in lines) + "\n"
     if args.out:
@@ -130,16 +130,14 @@ def cmd_yield_curve(args: argparse.Namespace) -> int:
     if not methods:
         raise ValueError("no methods requested")
     curve = yield_curve(args.parties, *args.f_range, methods)
-    header = ["fidelity"]
+    header, columns = ["fidelity"], [curve.grid]
     for mid in curve.method_ids:
         header += [f"{mid}_raw", f"{mid}_clamped"]
-    lines = [header]
-    for k, f in enumerate(curve.grid):
-        row = [_fmt(float(f))]
-        for mid in curve.method_ids:
-            row += [_fmt(float(curve.raw[mid][k])), _fmt(float(curve.clamped[mid][k]))]
-        lines.append(row)
-    _write_lines(lines, args)
+        columns += [curve.raw[mid], curve.clamped[mid]]
+    # Each column's floats are freed once formatted, so peak memory holds
+    # one column of Python floats at a time.
+    cells = [list(map(_fmt, column.tolist())) for column in columns]
+    _write_lines([header, *zip(*cells)], args)
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ def binary_entropy(x: float) -> float:
         raise _entropy_domain_error(x)
     if x in (0.0, 1.0):
         return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
+    return float(entropy_rows(np.array([x, 1.0 - x])))
 
 
 def multiparty_hashing_yield(single: SingleDistribution) -> float:
@@ -402,7 +402,8 @@ def simulate_hashing(
 
     # Phase rounds: the measured state acts as the XOR source, so the
     # subset's phase bits accumulate in it while its amplitude bits leak
-    # into the other members (corrected later from the decoded amplitudes).
+    # into the other members, untracked: success checks the decoded
+    # amplitudes of every state live here against the initial ones.
     phase_system = GF2System(m, n_sides=1, cap=solver_cap)
     packed_init_phases = pack_bits(init_phases)
     sampler = _SubsetSampler(rng, planned_b)
@@ -412,13 +413,12 @@ def simulate_hashing(
             feasible = False
             break
         members = sampler.sample(live_idx)
-        measured, others = int(members[0]), members[1:]
+        measured = int(members[0])
         parity = int(np.bitwise_xor.reduce(true_phases[members]))
         row = np.bitwise_xor.reduce(lineage.take(members, axis=0), axis=0)
         if gf2.dot_bit(row, packed_init_phases) != parity:
             raise InternalInvariantError("phase parity bookkeeping drifted")
         true_phases[measured] = parity
-        true_amps[others] ^= true_amps[measured]
         phase_system.add_row(row, np.array([parity], dtype=np.uint8))
         run.phase_rounds.append(HashingRound(r, members, measured, parity))
         run.consumed.append(measured)

@@ -3,14 +3,15 @@
 Ties together the block yields and the hashing yields: recurrence rounds
 continued by hashing, single block steps of size m continued by hashing,
 best-method selection on a fidelity grid, and the knee fidelity above which
-recurrence stops paying.  Each method has one array kernel over a stretch
-of fidelities; single-point functions are its one-point calls, and
-``yield_curve`` calls it once per ``GRID_CHUNK`` points.
+recurrence stops paying.  Each method is one ``METHODS`` entry with an array
+kernel over a stretch of fidelities; single-point functions are its one-point
+calls, and ``yield_curve`` calls it once per ``GRID_CHUNK`` points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,12 +27,29 @@ GRID_POINT_CAP = 10**6
 # not grow with the grid.
 GRID_CHUNK = 128
 
-METHOD_KINDS = (
-    "recurrence_hashing",
-    "block_then_hashing",
-    "multiparty_hashing",
-    "two_party_hashing",
-)
+
+class Method(NamedTuple):
+    """A ``yield-curve`` method: its id (a block id ends in the size), whether
+    it needs N=2, and its kernel ``(spec, n_parties, fidelities) -> raw yields``."""
+
+    id: str
+    two_party: bool
+    kernel: Callable[[MethodSpec, int, np.ndarray], np.ndarray]
+
+
+# Keyed by ``MethodSpec.kind``; adding a method is adding an entry.
+METHODS = {
+    "recurrence_hashing": Method(
+        "rec-hash", True, lambda spec, n, f: recurrence_grid(f, spec.max_rounds)[0]
+    ),
+    "block_then_hashing": Method(
+        "block", True, lambda spec, n, f: block_yield_rows(2, werner_rows(2, f), spec.m)
+    ),
+    "multiparty_hashing": Method("mp-hash", False, lambda spec, n, f: werner_hashing_yields(n, f)),
+    "two_party_hashing": Method(
+        "2p-hash", True, lambda spec, n, f: two_party_hashing_yields(werner_rows(2, f))
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -43,7 +61,7 @@ class MethodSpec:
     max_rounds: int = DEFAULT_MAX_ROUNDS
 
     def __post_init__(self):
-        if self.kind not in METHOD_KINDS:
+        if self.kind not in METHODS:
             raise ValueError(f"unknown method kind {self.kind!r}")
         if self.kind == "block_then_hashing":
             if self.m is None or not 2 <= self.m <= 8:
@@ -53,28 +71,21 @@ class MethodSpec:
 
     @property
     def method_id(self) -> str:
-        return {
-            "recurrence_hashing": "rec-hash",
-            "multiparty_hashing": "mp-hash",
-            "two_party_hashing": "2p-hash",
-        }.get(self.kind, f"block{self.m}")
+        prefix = METHODS[self.kind].id
+        return prefix if self.m is None else f"{prefix}{self.m}"
 
     @staticmethod
     def from_id(method_id: str, max_rounds: int = DEFAULT_MAX_ROUNDS) -> "MethodSpec":
-        if method_id == "rec-hash":
-            return MethodSpec("recurrence_hashing", max_rounds=max_rounds)
-        if method_id == "mp-hash":
-            return MethodSpec("multiparty_hashing", max_rounds=max_rounds)
-        if method_id == "2p-hash":
-            return MethodSpec("two_party_hashing", max_rounds=max_rounds)
-        if method_id.startswith("block"):
-            return MethodSpec(
-                "block_then_hashing", m=int(method_id[5:]), max_rounds=max_rounds
-            )
+        block = METHODS["block_then_hashing"].id
+        if method_id.startswith(block):
+            return MethodSpec("block_then_hashing", int(method_id[len(block):]), max_rounds)
+        for kind, method in METHODS.items():
+            if method.id == method_id:
+                return MethodSpec(kind, max_rounds=max_rounds)
         raise ValueError(f"unknown method id {method_id!r}")
 
     def requires_two_parties(self) -> bool:
-        return self.kind != "multiparty_hashing"
+        return METHODS[self.kind].two_party
 
 
 def recurrence_round(single: SingleDistribution) -> tuple[float, SingleDistribution | None]:
@@ -176,19 +187,8 @@ def block_then_hashing(fidelity: float, m: int) -> float:
     return max(0.0, _raw_yield(MethodSpec("block_then_hashing", m=m), 2, fidelity))
 
 
-def _raw_yields(spec: MethodSpec, n_parties: int, fidelities: np.ndarray) -> np.ndarray:
-    """One method's raw yields on a stretch of the grid, as one array call."""
-    if spec.kind == "recurrence_hashing":
-        return recurrence_grid(fidelities, spec.max_rounds)[0]
-    if spec.kind == "block_then_hashing":
-        return block_yield_rows(2, werner_rows(2, fidelities), spec.m)
-    if spec.kind == "multiparty_hashing":
-        return werner_hashing_yields(n_parties, fidelities)
-    return two_party_hashing_yields(werner_rows(2, fidelities))
-
-
 def _raw_yield(spec: MethodSpec, n_parties: int, fidelity: float) -> float:
-    return float(_raw_yields(spec, n_parties, np.array([fidelity]))[0])
+    return float(METHODS[spec.kind].kernel(spec, n_parties, np.array([fidelity]))[0])
 
 
 def best_method(
@@ -238,12 +238,6 @@ def fidelity_grid(
     return f_min + step * np.arange(n_points)
 
 
-def validate_methods(methods: list[MethodSpec], n_parties: int) -> None:
-    for spec in methods:
-        if spec.requires_two_parties() and n_parties != 2:
-            raise ValueError(f"method {spec.method_id} only applies to N=2")
-
-
 def yield_curve(
     n_parties: int,
     f_min: float,
@@ -253,15 +247,18 @@ def yield_curve(
 ) -> YieldCurve:
     """Evaluate every method on the grid; deterministic, with both raw and
     clamped-at-zero vectors."""
-    validate_methods(methods, n_parties)
+    for spec in methods:
+        if spec.requires_two_parties() and n_parties != 2:
+            raise ValueError(f"method {spec.method_id} only applies to N=2")
     grid = fidelity_grid(f_min, f_max, step)
     curve = YieldCurve(n_parties, grid)
     table = np.empty((len(methods), grid.size))
     for start in range(0, grid.size, GRID_CHUNK):
-        chunk = grid[start:start + GRID_CHUNK]
+        cols = slice(start, start + GRID_CHUNK)
+        chunk = grid[cols]
         try:
             for k, spec in enumerate(methods):
-                table[k, start:start + chunk.size] = _raw_yields(spec, n_parties, chunk)
+                table[k, cols] = METHODS[spec.kind].kernel(spec, n_parties, chunk)
         except ValueError:
             # Name the first bad (point, method) in row-major order, as a
             # point-by-point sweep would.

@@ -355,8 +355,23 @@ OUT_OF_RANGE = [
      "binary entropy argument -2.6660155564665427e-13 outside [0, 1]"),
 ]
 
+# Method lists rejected before any yield is computed, with the messages
+# recorded while each method id was still parsed by its own branch.
+BAD_METHODS = [
+    ("2", "block-3", "0.8:0.9:0.1", "block size -3 outside the supported range 2..8"),
+    ("2", "block", "0.8:0.9:0.1", "invalid literal for int() with base 10: ''"),
+    ("2", "blockx", "0.8:0.9:0.1", "invalid literal for int() with base 10: 'x'"),
+    ("2", "block9", "0.8:0.9:0.1", "block size 9 outside the supported range 2..8"),
+    ("2", "foo", "0.8:0.9:0.1", "unknown method id 'foo'"),
+    ("2", "", "0.8:0.9:0.1", "no methods requested"),
+    ("2", ",", "0.8:0.9:0.1", "no methods requested"),
+    ("3", "rec-hash", "0.8:0.9:0.1", "method rec-hash only applies to N=2"),
+    ("3", "block3", "0.8:0.9:0.1", "method block3 only applies to N=2"),
+    ("3", "mp-hash,2p-hash", "0.1:0.5:0.1", "method 2p-hash only applies to N=2"),
+]
 
-@pytest.mark.parametrize("n, methods, grid, message", OUT_OF_RANGE)
+
+@pytest.mark.parametrize("n, methods, grid, message", OUT_OF_RANGE + BAD_METHODS)
 def test_out_of_range_grid_names_first_point(capsys, n, methods, grid, message):
     assert run_cli(["yield-curve", "-N", n, "--methods", methods, f"--f={grid}"]) == 2
     captured = capsys.readouterr()

@@ -539,3 +539,25 @@ def test_certified_decode_matches_probe_loop(prior_one):
     # least as much as the truth, so the truth itself is never returned.
     assert outcomes >= {"ambiguous", "rival"} | ({"truth"} if prior_one != 0.5 else set())
 
+
+@pytest.mark.parametrize("safety_bits", [2, 4])
+def test_certified_mislabel_rate_within_readme_bound(safety_bits):
+    # The same transcript decoded twice: certified (no coset is small
+    # enough for exhaustive search) and exhaustive (every coset at m=32 is).
+    # A certified success that exhaustive MAP fails is a mislabel; the
+    # README bounds their rate by about 2^-safety_bits per phase, so by
+    # 2 * 2^-safety_bits per trial.
+    single = werner_single(2, 0.9)
+    seeds = range(200)
+    mislabels = 0
+    for seed in seeds:
+        certified, _, run_c = simulate_hashing(
+            2, 32, single, seed, safety_bits=safety_bits, exact_dim_cap=0
+        )
+        exhaustive, _, run_e = simulate_hashing(
+            2, 32, single, seed, safety_bits=safety_bits, exact_dim_cap=24
+        )
+        assert run_c.to_text() == run_e.to_text()
+        assert (run_c.decode_mode, run_e.decode_mode) == ("certified", "exact")
+        mislabels += certified and not exhaustive
+    assert mislabels <= 2 * 2.0**-safety_bits * len(seeds)

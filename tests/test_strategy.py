@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from catpurify.hashing import two_party_hashing_yield, werner_hashing_yield
 from catpurify.ensemble import SingleDistribution, block_step, werner_single
 from catpurify.strategy import (
     GRID_CHUNK,
+    METHODS,
     MethodSpec,
     _raw_yield,
     _recurrence_raw,
@@ -92,6 +94,11 @@ def test_best_method_single_entry():
 def test_method_spec_ids_round_trip():
     for mid in ("rec-hash", "block3", "mp-hash", "2p-hash"):
         assert MethodSpec.from_id(mid).method_id == mid
+    specs = [MethodSpec(kind) for kind in METHODS if kind != "block_then_hashing"]
+    specs += [MethodSpec("block_then_hashing", m=m) for m in range(2, 9)]
+    for spec in specs:
+        assert MethodSpec.from_id(spec.method_id, max_rounds=7) == replace(spec, max_rounds=7)
+    assert len({spec.method_id for spec in specs}) == len(specs)
     with pytest.raises(ValueError):
         MethodSpec.from_id("block-3")
     with pytest.raises(ValueError):
