@@ -193,39 +193,39 @@ def _round_count(m: int, entropy_per_bit: float, safety_bits: int) -> int:
 SELECTOR_CHUNK = 1 << 15
 
 
-class _SubsetSampler:
-    """Subsets for one phase: each live state joins with probability 1/2,
-    resampled until the subset has at least two members.
+def _draw_subsets(
+    rng: np.random.Generator, m: int, round_counts: tuple[int, ...]
+) -> list[list[np.ndarray]]:
+    """The subsets of every phase, in order, for a block of m states.
 
-    The Bernoulli selectors come from ``rng.random`` in bulk, exactly the
-    values one ``rng.random(live)`` call per draw would give.  A round with
-    k live states draws k doubles and leaves k - 1 live, so reading ahead
-    stops at the draws the phase's remaining planned rounds must make:
-    ``rng`` is shared with the next phase.
+    Each live state joins with probability 1/2, redrawn until the subset
+    has at least two members; its minimum is measured and leaves the live
+    set.  A phase ends early once fewer than two states are live.  The
+    selectors come from ``rng.random`` in bulk and are used strictly in
+    order, exactly the values one ``rng.random(live)`` call per draw would
+    give.  The last read runs past the selectors used, so the caller must
+    read nothing more from ``rng``.
     """
-
-    def __init__(self, rng: np.random.Generator, n_rounds: int):
-        self._rng = rng
-        self._rounds_left = n_rounds
-        self._selectors = np.empty(0, dtype=bool)
-
-    def sample(self, live_idx: np.ndarray) -> np.ndarray:
-        k = live_idx.size
-        while True:
-            if self._selectors.size < k:
-                self._read_ahead(k)
-            sel, self._selectors = self._selectors[:k], self._selectors[k:]
+    live = np.arange(m)
+    selectors = np.empty(0, dtype=bool)
+    phases = []
+    for n_rounds in round_counts:
+        subsets = []
+        while len(subsets) < n_rounds and live.size >= 2:
+            k = live.size
+            if selectors.size < k:
+                fresh = rng.random(max(k, SELECTOR_CHUNK) - selectors.size)
+                selectors = np.concatenate([selectors, fresh < 0.5])
+            sel, selectors = selectors[:k], selectors[k:]
             if np.count_nonzero(sel) >= 2:
-                self._rounds_left -= 1
-                return live_idx.compress(sel)
-
-    def _read_ahead(self, k: int) -> None:
-        # The rounds still to run (at most k - 1, as a round needs two live
-        # states) draw at least k + (k - 1) + ... doubles.
-        rounds = min(self._rounds_left, k - 1)
-        floor = rounds * (2 * k - rounds + 1) // 2
-        fresh = self._rng.random(max(k, min(floor, SELECTOR_CHUNK)) - self._selectors.size)
-        self._selectors = np.concatenate([self._selectors, fresh < 0.5])
+                subsets.append(live.compress(sel))
+                # The minimum is the first member.  Shifting the rest down
+                # over it costs less than a compare and compress per round.
+                first = int(sel.argmax())
+                live[first:-1] = live[first + 1:]
+                live = live[:-1]
+        phases.append(subsets)
+    return phases
 
 
 def _certified_map_decode(
@@ -327,6 +327,11 @@ def simulate_hashing(
     planned_a = _round_count(m, h_amp, safety_bits)
     planned_b = _round_count(m, h_phase, safety_bits)
 
+    # Every subset depends only on rng and the live set, so both phases are
+    # drawn before any label is read.
+    subsets_a, subsets_b = _draw_subsets(rng, m, (planned_a, planned_b))
+    amp_feasible = len(subsets_a) == planned_a
+    feasible = amp_feasible and len(subsets_b) == planned_b
     run = HashingRun(
         n_parties=n_parties,
         block_size=m,
@@ -335,24 +340,17 @@ def simulate_hashing(
         initial_codes=codes.copy(),
         planned_rounds_a=planned_a,
         planned_rounds_b=planned_b,
+        consumed=[int(members[0]) for members in subsets_a + subsets_b],
     )
 
     words = gf2.n_words(m)
     lineage = np.zeros((m, words), dtype=np.uint64)
     idx = np.arange(m)
     lineage[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
-    live = np.ones(m, dtype=bool)
-    feasible = True
 
     amp_system = GF2System(m, n_sides=n_parties - 1, cap=solver_cap)
-    sampler = _SubsetSampler(rng, planned_a)
-    for r in range(planned_a):
-        live_idx = np.nonzero(live)[0]
-        if live_idx.size < 2:
-            feasible = False
-            break
-        members = sampler.sample(live_idx)
-        # Members ascend with live_idx, so the first is the minimum.
+    for r, members in enumerate(subsets_a):
+        # Members ascend, so the first is the minimum.
         target, sources = int(members[0]), members[1:]
         parity = int(np.bitwise_xor.reduce(true_amps[members]))
         true_phases[sources] ^= true_phases[target]
@@ -368,10 +366,8 @@ def simulate_hashing(
         rhs = np.array([(parity & bit) != 0 for bit in side_bits], dtype=np.uint8)
         amp_system.add_row(pack_indices(members, m), rhs)
         run.amp_rounds.append(HashingRound(r, members, target, parity))
-        run.consumed.append(target)
-        live[target] = False
 
-    live_at_b = np.nonzero(live)[0]
+    live_at_b = np.delete(idx, run.consumed[:len(subsets_a)])
     probe_rng = np.random.default_rng([seed, 0x5AFE])
     modes = set()
 
@@ -388,7 +384,7 @@ def simulate_hashing(
     # shared matrix, one right-hand side per amplitude bit position).
     amp_cosets = amp_system.solve()
     decoded_amps = None
-    if feasible:
+    if amp_feasible:
         decoded_amps = np.zeros(m, dtype=np.int64)
         for j, bit in enumerate(side_bits):
             truth_j = ((init_amps & bit) != 0).astype(np.uint8)
@@ -406,13 +402,7 @@ def simulate_hashing(
     # amplitudes of every state live here against the initial ones.
     phase_system = GF2System(m, n_sides=1, cap=solver_cap)
     packed_init_phases = pack_bits(init_phases)
-    sampler = _SubsetSampler(rng, planned_b)
-    for r in range(planned_b if feasible else 0):
-        live_idx = np.nonzero(live)[0]
-        if live_idx.size < 2:
-            feasible = False
-            break
-        members = sampler.sample(live_idx)
+    for r, members in enumerate(subsets_b):
         measured = int(members[0])
         parity = int(np.bitwise_xor.reduce(true_phases[members]))
         row = np.bitwise_xor.reduce(lineage.take(members, axis=0), axis=0)
@@ -421,10 +411,8 @@ def simulate_hashing(
         true_phases[measured] = parity
         phase_system.add_row(row, np.array([parity], dtype=np.uint8))
         run.phase_rounds.append(HashingRound(r, members, measured, parity))
-        run.consumed.append(measured)
-        live[measured] = False
 
-    survivors = np.nonzero(live)[0]
+    survivors = np.delete(idx, run.consumed)
     run.survivors = survivors
     run.empirical_yield = survivors.size / m
 

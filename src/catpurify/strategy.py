@@ -78,7 +78,11 @@ class MethodSpec:
     def from_id(method_id: str, max_rounds: int = DEFAULT_MAX_ROUNDS) -> "MethodSpec":
         block = METHODS["block_then_hashing"].id
         if method_id.startswith(block):
-            return MethodSpec("block_then_hashing", int(method_id[len(block):]), max_rounds)
+            spec = MethodSpec("block_then_hashing", int(method_id[len(block):]), max_rounds)
+            # int() also takes signs, spaces, leading zeros and non-ASCII
+            # digits; only the canonical id names the spec.
+            if spec.method_id == method_id:
+                return spec
         for kind, method in METHODS.items():
             if method.id == method_id:
                 return MethodSpec(kind, max_rounds=max_rounds)
@@ -232,10 +236,13 @@ def fidelity_grid(
         raise ValueError("f_min must not exceed f_max")
     if step <= 0:
         raise ValueError("step must be positive")
-    n_points = int(np.floor((f_max - f_min) / step + 1e-9)) + 1
-    if n_points > cap:
+    # A subnormal step makes the index of the last point infinite, so it
+    # is compared with the cap before int() sees it.
+    last = np.floor((f_max - f_min) / step + 1e-9)
+    if last >= cap:
+        n_points = int(last) + 1 if np.isfinite(last) else last
         raise CapacityError(f"{n_points} grid points exceeds the cap {cap}")
-    return f_min + step * np.arange(n_points)
+    return f_min + step * np.arange(int(last) + 1)
 
 
 def yield_curve(
@@ -247,7 +254,10 @@ def yield_curve(
 ) -> YieldCurve:
     """Evaluate every method on the grid; deterministic, with both raw and
     clamped-at-zero vectors."""
+    ids = [spec.method_id for spec in methods]
     for spec in methods:
+        if ids.count(spec.method_id) > 1:
+            raise ValueError(f"method {spec.method_id} requested more than once")
         if spec.requires_two_parties() and n_parties != 2:
             raise ValueError(f"method {spec.method_id} only applies to N=2")
     grid = fidelity_grid(f_min, f_max, step)

@@ -244,6 +244,10 @@ def test_stdout_output(capsys):
         (["yield-curve", "-N", "3", "--methods", "mp-hash", "--f", "0.5:1:nan"], None, 2),
         (["yield-curve", "-N", "3", "--methods", "mp-hash"], "f=0.5:inf:0.1", 2),
         (["yield-curve", "-N", "3", "--methods", "mp-hash"], "f=0.5:1:nan", 2),
+        # Subnormal steps: the point count overflows to infinity.
+        (["yield-curve", "--methods", "mp-hash", "--f", "0.5:1:1e-320"], None, 3),
+        (["yield-curve", "--methods", "mp-hash", "--f", "0.5:1:5e-324"], None, 3),
+        (["yield-curve", "--methods", "mp-hash"], "f=0.5:1:1e-320", 3),
     ],
 )
 def test_rejected_input_exits_before_output(tmp_path, capsys, argv, config, code):
@@ -255,6 +259,8 @@ def test_rejected_input_exits_before_output(tmp_path, capsys, argv, config, code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err
+    if code == 3:
+        assert captured.err.startswith("capacity error: ")
 
 
 def test_yield_curve_mp_hash_beyond_ensemble_cap(capsys):
@@ -368,6 +374,13 @@ BAD_METHODS = [
     ("3", "rec-hash", "0.8:0.9:0.1", "method rec-hash only applies to N=2"),
     ("3", "block3", "0.8:0.9:0.1", "method block3 only applies to N=2"),
     ("3", "mp-hash,2p-hash", "0.1:0.5:0.1", "method 2p-hash only applies to N=2"),
+    # int() accepts these block sizes, but the ids do not round-trip.
+    ("2", "block+3", "0.8:0.9:0.1", "unknown method id 'block+3'"),
+    ("2", "block03", "0.8:0.9:0.1", "unknown method id 'block03'"),
+    ("2", "block 5", "0.8:0.9:0.1", "unknown method id 'block 5'"),
+    ("2", "block\u0663", "0.8:0.9:0.1", "unknown method id 'block\u0663'"),
+    ("2", "block3,block3", "0.8:0.9:0.1", "method block3 requested more than once"),
+    ("2", "mp-hash,rec-hash,mp-hash", "0.8:0.9:0.1", "method mp-hash requested more than once"),
 ]
 
 

@@ -22,6 +22,7 @@ from catpurify.ensemble import (
     werner_single,
 )
 from catpurify.errors import CapacityError
+from catpurify.labels import CatLabel, mxor
 from oracles import brute_force_block_step, flatten_joint
 
 # Frozen by independent extended-precision summation.
@@ -354,6 +355,35 @@ def test_apply_mxor_permutation_preserves_mass():
     # Involution: applying the same gate twice restores the ensemble.
     back = apply_mxor(out, 0, 1)
     np.testing.assert_allclose(back.probs, ens.probs, atol=0)
+
+
+@st.composite
+def ensemble_and_slot_pair(draw):
+    n_parties = draw(st.sampled_from([2, 3]))
+    n_states = draw(st.integers(2, 3))
+    source, target = draw(st.permutations(range(n_states)))[:2]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random((1 << n_parties) ** n_states)
+    return DiagonalEnsemble(n_parties, n_states, weights / weights.sum()), source, target
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensemble_and_slot_pair())
+def test_apply_mxor_moves_every_entry_as_labels_mxor_does(case):
+    ens, source, target = case
+    n, n_states = ens.n_parties, ens.n_states
+    out = apply_mxor(ens, source, target)
+    # State 0 holds the most significant N bits of the flat index.
+    shifts = [n * (n_states - 1 - slot) for slot in range(n_states)]
+    for flat in range(ens.probs.size):
+        codes = [(flat >> shift) & ((1 << n) - 1) for shift in shifts]
+        new_source, new_target = mxor(
+            CatLabel.decode(codes[source], n), CatLabel.decode(codes[target], n)
+        )
+        codes[source], codes[target] = new_source.encode(), new_target.encode()
+        moved = sum(code << shift for code, shift in zip(codes, shifts))
+        assert out.probs[moved] == ens.probs[flat]
+    np.testing.assert_array_equal(apply_mxor(out, source, target).probs, ens.probs)
 
 
 def test_diagonal_ensemble_validation():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 
@@ -6,13 +7,14 @@ import pytest
 
 from catpurify.ensemble import SingleDistribution, bit_marginals, werner_single
 from catpurify.errors import CapacityError, DimensionError
-from catpurify.gf2 import GF2System, pack_bits, pack_indices, row_weight, unpack_bits
+from catpurify import hashing
+from catpurify.gf2 import GF2System, _enumerate_coset, pack_bits, pack_indices, row_weight, unpack_bits
 from catpurify.hashing import (
     SELECTOR_CHUNK,
     PROBE_PAIRS,
     HashingRun,
     _certified_map_decode,
-    _SubsetSampler,
+    _draw_subsets,
     binary_entropy,
     multiparty_hashing_yield,
     simulate_hashing,
@@ -417,19 +419,19 @@ def reference_subsets(rng, live_count, n_rounds):
     (2, 1), (3, 5), (5, 2), (6, 6), (40, 10), (40, 39), (300, 250),
 ])
 def test_subset_sampler_matches_per_round_draws(live_count, n_rounds):
-    # Each phase must leave rng exactly where the per-round calls do, since
-    # the next phase reads on from there.  Rounds stop once fewer than two
-    # states are live, as in simulate_hashing.
+    # Two phases drawn from one selector buffer must give the subsets the
+    # per-round calls give when phase B reads on from where phase A
+    # stopped.  Rounds stop once fewer than two states are live, as in
+    # simulate_hashing, and a phase that runs short leaves none for the next.
     for seed in range(20):
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        split = seed % (n_rounds + 1)
         expected = reference_subsets(ref_rng, live_count, n_rounds)
-        sampler = _SubsetSampler(rng, n_rounds)
-        live = np.arange(live_count)
-        for want in expected:
-            got = sampler.sample(live)
+        phase_a, phase_b = _draw_subsets(rng, live_count, (split, n_rounds - split))
+        assert len(phase_a) == min(split, len(expected))
+        assert len(phase_a) + len(phase_b) == len(expected)
+        for got, want in zip(phase_a + phase_b, expected):
             np.testing.assert_array_equal(got, want)
-            live = live[live != got.min()]
-        assert rng.random() == ref_rng.random()
 
 
 def test_subset_sampler_reads_in_bounded_chunks():
@@ -442,10 +444,8 @@ def test_subset_sampler_reads_in_bounded_chunks():
             return self.rng.random(size)
 
     counting = CountingRng()
-    sampler = _SubsetSampler(counting, 400)
-    live = np.arange(2000)
-    for _ in range(400):
-        live = live[live != sampler.sample(live).min()]
+    phase_a, phase_b = _draw_subsets(counting, 2000, (150, 250))
+    assert len(phase_a) + len(phase_b) == 400
     assert max(counting.sizes) <= SELECTOR_CHUNK
     # 2000 + 1999 + ... + 1601 doubles at least; chunks keep the calls few.
     assert sum(counting.sizes) >= sum(range(1601, 2001))
@@ -561,3 +561,45 @@ def test_certified_mislabel_rate_within_readme_bound(safety_bits):
         assert (run_c.decode_mode, run_e.decode_mode) == ("certified", "exact")
         mislabels += certified and not exhaustive
     assert mislabels <= 2 * 2.0**-safety_bits * len(seeds)
+
+
+def test_seed_1432_minimum_lies_beyond_probe_reach(monkeypatch):
+    # Certified and exhaustive decoding disagree on this seed because the
+    # coset's lightest element is four free-column flips from the truth:
+    # no single or pair flip reaches it, and the probes meet a tie first.
+    calls = []
+
+    def spy(coset, prior_one, truth_bits, rng):
+        calls.append((coset, truth_bits, copy.deepcopy(rng)))
+        return certified(coset, prior_one, truth_bits, rng)
+
+    certified = hashing._certified_map_decode
+    monkeypatch.setattr(hashing, "_certified_map_decode", spy)
+    single = werner_single(2, 0.9)
+    ok_c, _, run_c = simulate_hashing(2, 32, single, 1432, safety_bits=2, exact_dim_cap=0)
+    ok_e, _, run_e = simulate_hashing(2, 32, single, 1432, safety_bits=2, exact_dim_cap=24)
+    assert run_c.to_text() == run_e.to_text()
+    assert not ok_c and run_c.phase_decode_status == "ambiguous"
+    assert ok_e and run_e.phase_decode_status == "map"
+
+    assert len(calls) == 2  # the amplitude decode, then the phase decode
+    coset, truth_bits, rng = calls[-1]
+    truth = pack_bits(truth_bits)
+    assert coset.dim == 18 and row_weight(truth) == 5
+    elements = _enumerate_coset(coset)
+    weights = np.bitwise_count(elements).sum(axis=1)
+    assert weights.min() == 3 and np.count_nonzero(weights == 3) == 1
+    flips = unpack_bits(elements[weights.argmin()] ^ truth, coset.n_unknowns)
+    assert flips[coset.free_cols].sum() == 4
+
+    # No single or pair flip is lighter than the truth, and the probe set
+    # (the singles, then the drawn pairs) holds one tie.
+    basis = coset.basis
+    singles = truth ^ basis
+    pairs = np.array([singles[i] ^ basis[j] for i, j in itertools.combinations(range(coset.dim), 2)])
+    assert np.bitwise_count(np.concatenate([singles, pairs])).sum(axis=1).min() == 5
+    drawn = rng.integers(0, coset.dim, size=(min(PROBE_PAIRS, len(pairs)), 2))
+    drawn = drawn[drawn[:, 0] != drawn[:, 1]]
+    probes = np.concatenate([singles, singles[drawn[:, 0]] ^ basis[drawn[:, 1]]])
+    probe_weights = np.bitwise_count(probes).sum(axis=1)
+    assert probe_weights.min() == 5 and np.count_nonzero(probe_weights == 5) == 1

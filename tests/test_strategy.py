@@ -110,8 +110,15 @@ def test_fidelity_grid_shapes():
     np.testing.assert_allclose(grid, [0.5, 0.6, 0.7, 0.8, 0.9, 1.0], atol=1e-12)
     assert fidelity_grid(0.7, 0.8, 0.5).tolist() == [0.7]
     assert fidelity_grid(0.7, 0.7, 0.1).tolist() == [0.7]
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"^1000000000 grid points exceeds the cap 1000000$"):
         fidelity_grid(0.0, 1.0, 1e-9)
+    with pytest.raises(CapacityError, match=r"^1000001 grid points exceeds the cap 1000000$"):
+        fidelity_grid(0.0, 1.0, 1e-6)
+    assert fidelity_grid(0.0, 0.999999, 1e-6).size == 1000000
+    # Subnormal steps overflow the point count to infinity.
+    for step in (1e-320, 5e-324):
+        with pytest.raises(CapacityError, match=r"^inf grid points exceeds the cap 1000000$"):
+            fidelity_grid(0.5, 1.0, step)
     with pytest.raises(ValueError):
         fidelity_grid(0.9, 0.8, 0.1)
 
