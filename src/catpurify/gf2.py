@@ -2,8 +2,9 @@
 
 Rows are stored as little-endian ``uint64`` words: unknown ``i`` lives in
 word ``i >> 6``, bit ``i & 63``.  The solver produces the affine solution
-coset of a parity system and a maximum-posterior element under an i.i.d.
-Bernoulli prior on the unknowns.
+coset of a parity system; the decoders pick a maximum-posterior element
+under an i.i.d. Bernoulli prior on the unknowns, exhaustively for small
+cosets and certified against a known truth for large ones.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapacityError, InternalInvariantError
+
 GF2_SOLVER_CAP = 1 << 14
 EXACT_COSET_DIM_CAP = 16
+PROBE_PAIRS = 512
 
 
 def n_words(n_bits: int) -> int:
@@ -41,23 +45,28 @@ def pack_indices(indices: np.ndarray, n_bits: int) -> np.ndarray:
     return _pack_rows(bits)
 
 
-def _unpack_rows(rows: np.ndarray, n_bits: int) -> np.ndarray:
-    """Packed rows -> their first ``n_bits`` bits as 0/1 ``uint8``."""
+def identity_rows(n_bits: int) -> np.ndarray:
+    """(n_bits, n_words) packed identity: row i has bit i set."""
+    rows = np.zeros((n_bits, n_words(n_bits)), dtype=np.uint64)
+    idx = np.arange(n_bits)
+    rows[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
+    return rows
+
+
+def unpack_bits(rows: np.ndarray, n_bits: int) -> np.ndarray:
+    """Packed row or stack of rows -> first ``n_bits`` bits as 0/1 ``uint8``."""
     as_bytes = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
     return np.unpackbits(as_bytes, axis=-1, bitorder="little")[..., :n_bits]
 
 
-def unpack_bits(row: np.ndarray, n_bits: int) -> np.ndarray:
-    return _unpack_rows(row, n_bits).copy()
+def row_weight(rows: np.ndarray) -> np.ndarray:
+    """Set bits of a packed row, or of each row of a stack, as unsigned counts."""
+    return np.bitwise_count(rows).sum(axis=-1)
 
 
-def row_weight(row: np.ndarray) -> int:
-    return int(np.bitwise_count(row).sum())
-
-
-def dot_bit(a: np.ndarray, b: np.ndarray) -> int:
-    """Parity of the AND of two packed rows."""
-    return int(np.bitwise_count(a & b).sum()) & 1
+def dot_bit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Parity of the AND of two packed rows; either may be a stack."""
+    return row_weight(a & b) & 1
 
 
 @dataclass
@@ -94,8 +103,6 @@ class GF2System:
     for ``n_sides`` right-hand sides sharing the matrix."""
 
     def __init__(self, n_unknowns: int, n_sides: int = 1, cap: int = GF2_SOLVER_CAP):
-        from .errors import CapacityError
-
         if n_unknowns > cap:
             raise CapacityError(f"{n_unknowns} unknowns exceeds the solver cap {cap}")
         self.n_unknowns = n_unknowns
@@ -147,7 +154,7 @@ class GF2System:
             if hits.size:
                 rows[hits, word:] ^= rows[i, word:]
             pivot_of_row[i] = col
-        rhs = _unpack_rows(rows[:, words:], self.n_sides)
+        rhs = unpack_bits(rows[:, words:], self.n_sides)
         pivot_rows = np.flatnonzero(pivot_of_row >= 0)
         zero_rows = np.flatnonzero(pivot_of_row < 0)
         pivot_cols = pivot_of_row[pivot_rows]
@@ -195,9 +202,9 @@ class DecodeResult:
     """Outcome of a maximum-posterior decode.
 
     status: 'unique' (coset is a point), 'map' (maximum found by exhaustive
-    coset search), 'degenerate' (prior pins every bit), 'ambiguous' (tied
-    maxima, or inconsistent input), or 'intractable' (coset too large for
-    exhaustive search).
+    or certified search), 'degenerate' (prior pins every bit), 'ambiguous'
+    (tied maxima, or inconsistent input), or 'intractable' (coset too large
+    for exhaustive search).
     """
 
     status: str
@@ -217,21 +224,25 @@ def _enumerate_coset(coset: AffineCoset) -> np.ndarray:
     return arr
 
 
+def _map_score(rows: np.ndarray, prior_one: float) -> np.ndarray:
+    """Score of each packed candidate under an i.i.d. Bernoulli(prior_one)
+    prior; lower is more probable.  The posterior falls with the Hamming
+    weight for prior_one < 1/2 and rises with it otherwise, so the score is
+    the weight or its negation (popcount sums are unsigned: cast first)."""
+    weights = row_weight(rows).astype(np.int64)
+    return weights if prior_one < 0.5 else -weights
+
+
 def decode_map(
     coset: AffineCoset | None,
     prior_one: float,
     exact_dim_cap: int = EXACT_COSET_DIM_CAP,
 ) -> DecodeResult:
     """Maximum-posterior element of a solution coset under an i.i.d.
-    Bernoulli(prior_one) prior.
-
-    The posterior of a candidate depends only on its Hamming weight, and is
-    monotone decreasing (prior_one < 1/2) or increasing (> 1/2) in it, so
-    the search reduces to an extreme-weight element with tie detection.
-    Exhaustive search is only attempted up to ``exact_dim_cap`` free
-    dimensions; larger cosets with a non-degenerate prior are reported as
-    intractable rather than decoded approximately.
-    """
+    Bernoulli(prior_one) prior: the lowest ``_map_score``, ambiguous when
+    tied.  Cosets of more than ``exact_dim_cap`` free dimensions under a
+    non-degenerate prior are reported as intractable, not decoded
+    approximately."""
     if coset is None:
         return DecodeResult("ambiguous", None, -1)
     n = coset.n_unknowns
@@ -248,12 +259,56 @@ def decode_map(
     if prior_one == 0.5:
         return DecodeResult("ambiguous", None, coset.dim)
     candidates = _enumerate_coset(coset)
-    weights = np.bitwise_count(candidates).sum(axis=1)
-    best = weights.argmin() if prior_one < 0.5 else weights.argmax()
-    best_w = weights[best]
-    if int((weights == best_w).sum()) > 1:
+    scores = _map_score(candidates, prior_one)
+    best = scores.argmin()
+    if np.count_nonzero(scores == scores[best]) > 1:
         return DecodeResult("ambiguous", None, coset.dim)
     return DecodeResult("map", unpack_bits(candidates[best], n), coset.dim)
+
+
+def certified_map_decode(
+    coset: AffineCoset, prior_one: float, truth_bits: np.ndarray, rng: np.random.Generator
+) -> DecodeResult:
+    """Maximum-posterior decode for cosets too large to enumerate, certified
+    against a simulation's hidden truth.
+
+    Exhaustive search over 2^dim elements is syndrome decoding of a dense
+    random parity system, not computable at realistic block sizes.  The
+    truth is a coset element and the posterior maximum unless another
+    element scores no higher under ``_map_score``; about 2^-safety_bits such
+    rivals are expected.  This checks membership, probes for rivals (every
+    single free-direction flip, then up to ``PROBE_PAIRS`` random pairs drawn
+    from ``rng``) and otherwise returns the truth.  Rivals the probes miss
+    are correspondingly rare; see the package README for the accounting.
+    """
+    t_packed = pack_bits(truth_bits)
+    if not coset.contains(t_packed):
+        raise InternalInvariantError("hidden truth fell outside the solution coset")
+    basis = coset.basis
+    d = coset.dim
+
+    # Probe order: every single free-direction flip, then the random pairs
+    # (a pair that draws one index twice is skipped).  The first probe that
+    # scores no higher than the truth decides.
+    probes = t_packed ^ basis
+    if d >= 2:
+        # For d < 2^32 numpy fills a bounded int64 array with buffered 32-bit
+        # draws, Lemire redraws included, so one call consumes ``rng`` draw
+        # for draw like one ``rng.integers(0, d, size=2)`` call per pair.
+        pairs = rng.integers(0, d, size=(min(PROBE_PAIRS, d * (d - 1) // 2), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        probes = np.concatenate([probes, probes[pairs[:, 0]] ^ basis[pairs[:, 1]]])
+    scores = _map_score(probes, prior_one)
+    truth_score = _map_score(t_packed, prior_one)
+    rivals = scores <= truth_score
+    if rivals.any():
+        k = int(rivals.argmax())
+        if scores[k] == truth_score:
+            return DecodeResult("ambiguous", None, d)
+        # The posterior maximum is elsewhere; return that rival so the
+        # caller records a mismatched (failed) decode.
+        return DecodeResult("map", unpack_bits(probes[k], coset.n_unknowns), d)
+    return DecodeResult("map", truth_bits.copy(), d)
 
 
 def _lowest_bit(row: np.ndarray) -> int:

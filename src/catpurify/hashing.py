@@ -18,10 +18,7 @@ import numpy as np
 from .ensemble import SingleDistribution, bit_marginals, entropy_rows, shannon_entropy
 from .errors import CapacityError, DimensionError, InternalInvariantError
 from . import gf2
-from .gf2 import GF2System, DecodeResult, decode_map, pack_bits, pack_indices
 from .labels import amp_bit, amp_mask, phase_bit
-
-PROBE_PAIRS = 512
 
 
 def _entropy_domain_error(x: float) -> ValueError:
@@ -101,8 +98,9 @@ class HashingRound:
     measured: int
 
     def subset_mask(self) -> int:
-        row = pack_indices(self.members, int(self.members.max(initial=-1)) + 1)
-        return int.from_bytes(row.astype("<u8").tobytes(), "little")
+        bits = np.zeros(int(self.members.max(initial=-1)) + 1, dtype=np.uint8)
+        bits[self.members] = 1
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 @dataclass
@@ -173,9 +171,9 @@ class HashingRun:
             if not parts or parts[0] not in ("A", "B"):
                 continue
             mask = int(parts[2], 16)
-            n_bits = mask.bit_length()
-            row = np.frombuffer(mask.to_bytes(8 * gf2.n_words(n_bits), "little"), "<u8")
-            members = np.flatnonzero(gf2.unpack_bits(row, n_bits))
+            mask_bytes = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+            bits = np.unpackbits(np.frombuffer(mask_bytes, np.uint8), bitorder="little")
+            members = np.flatnonzero(bits)
             rnd = HashingRound(int(parts[1]), members, int(parts[3]), int(parts[4], 16))
             (amp if parts[0] == "A" else phase).append(rnd)
         return amp, phase
@@ -226,54 +224,6 @@ def _draw_subsets(
                 live = live[:-1]
         phases.append(subsets)
     return phases
-
-
-def _certified_map_decode(
-    coset: gf2.AffineCoset, prior_one: float, truth_bits: np.ndarray, rng: np.random.Generator
-) -> DecodeResult:
-    """Maximum-posterior decode for cosets too large to enumerate, certified
-    against the simulation's hidden truth.
-
-    A truth-free exhaustive search over 2^dim coset elements is not
-    computable at realistic block sizes (it is syndrome decoding of a dense
-    random parity system).  The hidden string is always a coset element; it
-    is the posterior maximum unless some other element has no larger
-    Hamming weight, and the expected number of such rivals is about
-    2^-safety_bits.  This routine verifies membership, runs a bounded
-    search for rivals (single and paired free-direction flips plus random
-    pair probes), and otherwise reports the truth as the decoded string.
-    Failures missed by the bounded search are correspondingly rare; see the
-    package README for the accounting.
-    """
-    t_packed = pack_bits(truth_bits)
-    if not coset.contains(t_packed):
-        raise InternalInvariantError("hidden truth fell outside the solution coset")
-    n = coset.n_unknowns
-    w_truth = gf2.row_weight(t_packed)
-    basis = coset.basis
-    d = len(basis)
-
-    # Probe order: every single free-direction flip, then the random pairs
-    # (a pair that draws one index twice is skipped).  The first probe of
-    # no larger weight (no smaller for prior_one >= 1/2) decides.
-    probes = t_packed ^ basis
-    if d >= 2:
-        # For d < 2^32 numpy fills a bounded int64 array with buffered 32-bit
-        # draws, Lemire redraws included, so one call consumes ``rng`` draw
-        # for draw like one ``rng.integers(0, d, size=2)`` call per pair.
-        pairs = rng.integers(0, d, size=(min(PROBE_PAIRS, d * (d - 1) // 2), 2))
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        probes = np.concatenate([probes, probes[pairs[:, 0]] ^ basis[pairs[:, 1]]])
-    weights = np.bitwise_count(probes).sum(axis=1)
-    rivals = weights <= w_truth if prior_one < 0.5 else weights >= w_truth
-    if rivals.any():
-        k = int(rivals.argmax())
-        if weights[k] == w_truth:
-            return DecodeResult("ambiguous", None, d)
-        # The posterior maximum is elsewhere; return that rival so the
-        # caller records a mismatched (failed) decode.
-        return DecodeResult("map", gf2.unpack_bits(probes[k], n), d)
-    return DecodeResult("map", truth_bits.copy(), d)
 
 
 def simulate_hashing(
@@ -343,12 +293,8 @@ def simulate_hashing(
         consumed=[int(members[0]) for members in subsets_a + subsets_b],
     )
 
-    words = gf2.n_words(m)
-    lineage = np.zeros((m, words), dtype=np.uint64)
-    idx = np.arange(m)
-    lineage[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
-
-    amp_system = GF2System(m, n_sides=n_parties - 1, cap=solver_cap)
+    lineage = gf2.identity_rows(m)
+    amp_system = gf2.GF2System(m, n_sides=n_parties - 1, cap=solver_cap)
     for r, members in enumerate(subsets_a):
         # Members ascend, so the first is the minimum.
         target, sources = int(members[0]), members[1:]
@@ -356,7 +302,7 @@ def simulate_hashing(
         true_phases[sources] ^= true_phases[target]
         # Every lineage bit of a state sits at or below its own index
         # (targets are subset minima), so words past the target's are zero.
-        span = (target >> 6) + 1
+        span = gf2.n_words(target + 1)
         lineage[sources, :span] ^= lineage[target, :span]
         true_amps[target] = parity
         # Live amplitudes never change during this phase, so the measured
@@ -364,17 +310,17 @@ def simulate_hashing(
         if parity != int(np.bitwise_xor.reduce(init_amps[members])):
             raise InternalInvariantError("amplitude parity bookkeeping drifted")
         rhs = np.array([(parity & bit) != 0 for bit in side_bits], dtype=np.uint8)
-        amp_system.add_row(pack_indices(members, m), rhs)
+        amp_system.add_row(gf2.pack_indices(members, m), rhs)
         run.amp_rounds.append(HashingRound(r, members, target, parity))
 
-    live_at_b = np.delete(idx, run.consumed[:len(subsets_a)])
+    live_at_b = np.delete(np.arange(m), run.consumed[:len(subsets_a)])
     probe_rng = np.random.default_rng([seed, 0x5AFE])
     modes = set()
 
-    def decode(coset, prior_one: float, truth_bits: np.ndarray) -> DecodeResult:
-        result = decode_map(coset, prior_one, exact_dim_cap)
+    def decode(coset, prior_one: float, truth_bits: np.ndarray) -> gf2.DecodeResult:
+        result = gf2.decode_map(coset, prior_one, exact_dim_cap)
         if result.status == "intractable":
-            result = _certified_map_decode(coset, prior_one, truth_bits, probe_rng)
+            result = gf2.certified_map_decode(coset, prior_one, truth_bits, probe_rng)
             modes.add("certified")
         else:
             modes.add("exact")
@@ -400,8 +346,8 @@ def simulate_hashing(
     # subset's phase bits accumulate in it while its amplitude bits leak
     # into the other members, untracked: success checks the decoded
     # amplitudes of every state live here against the initial ones.
-    phase_system = GF2System(m, n_sides=1, cap=solver_cap)
-    packed_init_phases = pack_bits(init_phases)
+    phase_system = gf2.GF2System(m, n_sides=1, cap=solver_cap)
+    packed_init_phases = gf2.pack_bits(init_phases)
     for r, members in enumerate(subsets_b):
         measured = int(members[0])
         parity = int(np.bitwise_xor.reduce(true_phases[members]))
@@ -412,7 +358,7 @@ def simulate_hashing(
         phase_system.add_row(row, np.array([parity], dtype=np.uint8))
         run.phase_rounds.append(HashingRound(r, members, measured, parity))
 
-    survivors = np.delete(idx, run.consumed)
+    survivors = np.delete(np.arange(m), run.consumed)
     run.survivors = survivors
     run.empirical_yield = survivors.size / m
 
@@ -423,10 +369,9 @@ def simulate_hashing(
         result = decode(phase_system.solve()[0], float(p_phase), init_phases)
         run.phase_decode_status = result.status
         if result.ok and result.bits is not None:
-            packed_decoded = pack_bits(result.bits)
-            survivor_phase_belief = (
-                np.bitwise_count(lineage[survivors] & packed_decoded).sum(axis=1) & 1
-            ).astype(np.uint8)
+            packed_decoded = gf2.pack_bits(result.bits)
+            belief = gf2.dot_bit(lineage[survivors], packed_decoded)
+            survivor_phase_belief = belief.astype(np.uint8)
             run.decoded_survivor_phases = survivor_phase_belief
     run.decode_mode = "/".join(sorted(modes)) if modes else "none"
 

@@ -77,15 +77,18 @@ class MethodSpec:
     @staticmethod
     def from_id(method_id: str, max_rounds: int = DEFAULT_MAX_ROUNDS) -> "MethodSpec":
         block = METHODS["block_then_hashing"].id
-        if method_id.startswith(block):
-            spec = MethodSpec("block_then_hashing", int(method_id[len(block):]), max_rounds)
-            # int() also takes signs, spaces, leading zeros and non-ASCII
-            # digits; only the canonical id names the spec.
-            if spec.method_id == method_id:
-                return spec
-        for kind, method in METHODS.items():
-            if method.id == method_id:
-                return MethodSpec(kind, max_rounds=max_rounds)
+        size = method_id.removeprefix(block)
+        if size != method_id:
+            # A negative size gets the range error; since int() also takes
+            # leading zeros, only canonical ids pass.
+            if size.isascii() and size.removeprefix("-").isdigit():
+                spec = MethodSpec("block_then_hashing", int(size), max_rounds)
+                if spec.method_id == method_id:
+                    return spec
+        else:
+            for kind, method in METHODS.items():
+                if method.id == method_id:
+                    return MethodSpec(kind, max_rounds=max_rounds)
         raise ValueError(f"unknown method id {method_id!r}")
 
     def requires_two_parties(self) -> bool:
@@ -134,31 +137,24 @@ def recurrence_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw best yield and its round count at each fidelity (see
     ``recurrence_then_hashing``), all points advancing one round at a time.
-    A point whose round passes nothing stops there, as a lone point would."""
+    Rows are normalized, so p_pass = sum_a P(a)^2 over the two amplitude
+    classes is at least 1/2 and no point stops early."""
     if variant not in RECURRENCE_VARIANTS:
         raise ValueError(f"unknown recurrence variant {variant!r}")
     dist = werner_rows(2, fidelities)
     factor = np.ones(len(dist))
     best_yield = two_party_hashing_yields(dist)
     best_round = np.zeros(len(dist), dtype=int)
-    running = np.ones(len(dist), dtype=bool)
     for r in range(1, max_rounds + 1):
         p_pass, nxt = recurrence_rows(2, dist)
-        running &= p_pass != 0.0
-        if not running.any():
-            break
         factor *= p_pass / 2.0
         # Hashing always consumes the exact passed distribution of the
         # final round; the variants differ in what the next round sees.
         y = factor * two_party_hashing_yields(nxt)
-        better = running & (y > best_yield)
+        better = y > best_yield
         best_yield[better] = y[better]
         best_round[better] = r
-        if variant == "exact":
-            dist = nxt
-        else:
-            # A stopped point keeps its last fidelity, so every row twirls.
-            dist = werner_rows(2, np.where(running, nxt[:, 0], dist[:, 0]))
+        dist = nxt if variant == "exact" else werner_rows(2, nxt[:, 0])
     return best_yield, best_round
 
 
@@ -240,8 +236,10 @@ def fidelity_grid(
     # is compared with the cap before int() sees it.
     last = np.floor((f_max - f_min) / step + 1e-9)
     if last >= cap:
-        n_points = int(last) + 1 if np.isfinite(last) else last
-        raise CapacityError(f"{n_points} grid points exceeds the cap {cap}")
+        # Past 2^53 (or at infinity) a float count is not an exact integer.
+        n_points = last + 1
+        count = int(n_points) if n_points < 2**53 else f"{n_points:g}"
+        raise CapacityError(f"{count} grid points exceeds the cap {cap}")
     return f_min + step * np.arange(int(last) + 1)
 
 

@@ -116,7 +116,7 @@ def test_yield_curve_rejects_two_party_method_at_n3():
 
 def test_config_file_fills_defaults_and_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("methods=mp-hash\nf=0.9:1.0:0.1\nparties=4\n")
+    cfg.write_text("# comment\nmethods=mp-hash\n\nf=0.9:1.0:0.1\nparties=4\n")
     out1 = tmp_path / "a.csv"
     assert run_cli(["yield-curve", "--config", str(cfg), "--out", str(out1)]) == 0
     header = out1.read_text().splitlines()[0]
@@ -248,6 +248,8 @@ def test_stdout_output(capsys):
         (["yield-curve", "--methods", "mp-hash", "--f", "0.5:1:1e-320"], None, 3),
         (["yield-curve", "--methods", "mp-hash", "--f", "0.5:1:5e-324"], None, 3),
         (["yield-curve", "--methods", "mp-hash"], "f=0.5:1:1e-320", 3),
+        # A config line with no '='.
+        (["yield-curve", "--methods", "mp-hash"], "parties", 2),
     ],
 )
 def test_rejected_input_exits_before_output(tmp_path, capsys, argv, config, code):
@@ -361,12 +363,11 @@ OUT_OF_RANGE = [
      "binary entropy argument -2.6660155564665427e-13 outside [0, 1]"),
 ]
 
-# Method lists rejected before any yield is computed, with the messages
-# recorded while each method id was still parsed by its own branch.
+# Method lists rejected before any yield is computed, and their messages.
 BAD_METHODS = [
     ("2", "block-3", "0.8:0.9:0.1", "block size -3 outside the supported range 2..8"),
-    ("2", "block", "0.8:0.9:0.1", "invalid literal for int() with base 10: ''"),
-    ("2", "blockx", "0.8:0.9:0.1", "invalid literal for int() with base 10: 'x'"),
+    ("2", "block", "0.8:0.9:0.1", "unknown method id 'block'"),
+    ("2", "blockx", "0.8:0.9:0.1", "unknown method id 'blockx'"),
     ("2", "block9", "0.8:0.9:0.1", "block size 9 outside the supported range 2..8"),
     ("2", "foo", "0.8:0.9:0.1", "unknown method id 'foo'"),
     ("2", "", "0.8:0.9:0.1", "no methods requested"),
@@ -379,6 +380,8 @@ BAD_METHODS = [
     ("2", "block03", "0.8:0.9:0.1", "unknown method id 'block03'"),
     ("2", "block 5", "0.8:0.9:0.1", "unknown method id 'block 5'"),
     ("2", "block\u0663", "0.8:0.9:0.1", "unknown method id 'block\u0663'"),
+    ("2", "block-\u0663", "0.8:0.9:0.1", "unknown method id 'block-\u0663'"),
+    ("2", "block1_0", "0.8:0.9:0.1", "unknown method id 'block1_0'"),
     ("2", "block3,block3", "0.8:0.9:0.1", "method block3 requested more than once"),
     ("2", "mp-hash,rec-hash,mp-hash", "0.8:0.9:0.1", "method mp-hash requested more than once"),
 ]

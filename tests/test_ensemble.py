@@ -77,6 +77,10 @@ def test_iid_block_single_state_is_identity():
     single = werner_single(2, 0.7)
     block = iid_block(single, 1)
     np.testing.assert_allclose(block.probs, single.probs, atol=0)
+    # A block step needs a target and at least one source.
+    for fn in (block_step, block_yield):
+        with pytest.raises(ValueError, match="at least 2"):
+            fn(single, 1)
 
 
 def test_iid_block_point_mass():

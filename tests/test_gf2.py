@@ -57,21 +57,22 @@ def test_pack_round_trip():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_decode_matches_brute_force(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 11))
-    k = int(rng.integers(0, n + 3))
-    truth = (rng.random(n) < 0.2).astype(np.uint8)
-    system, rows = random_system(rng, n, k, truth)
-    coset = system.solve()[0]
-    assert coset is not None
-    assert coset.contains(pack_bits(truth))
-    result = decode_map(coset, 0.2, exact_dim_cap=16)
-    expected, ties = brute_force_map(rows, n, 0.2)
-    if ties > 1:
-        assert result.status == "ambiguous"
-    else:
-        assert result.ok
-        np.testing.assert_array_equal(result.bits, expected)
+    for prior_one in (0.2, 0.8):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 11))
+        k = int(rng.integers(0, n + 3))
+        truth = (rng.random(n) < prior_one).astype(np.uint8)
+        system, rows = random_system(rng, n, k, truth)
+        coset = system.solve()[0]
+        assert coset is not None
+        assert coset.contains(pack_bits(truth))
+        result = decode_map(coset, prior_one, exact_dim_cap=16)
+        expected, ties = brute_force_map(rows, n, prior_one)
+        if ties > 1:
+            assert result.status == "ambiguous"
+        else:
+            assert result.ok
+            np.testing.assert_array_equal(result.bits, expected)
 
 
 def test_decode_full_rank_unique():
@@ -97,6 +98,11 @@ def test_decode_degenerate_prior():
     assert result.bits.sum() == 0
     result = decode_map(coset, 1.0)
     assert result.bits.sum() == 6
+    # The forced string must lie in the coset: x0 + x1 = 1 excludes both.
+    system.add_row(pack_indices(np.array([0, 1]), 6), np.array([1], dtype=np.uint8))
+    coset = system.solve()[0]
+    for prior_one in (0.0, 1.0):
+        assert decode_map(coset, prior_one).status == "ambiguous"
 
 
 def test_decode_half_prior_is_ambiguous():
@@ -134,6 +140,8 @@ def test_inconsistent_side_reports_none():
     system.add_row(pack_indices(np.array([0, 1]), 4), np.array([0], dtype=np.uint8))
     system.add_row(pack_indices(np.array([0, 1]), 4), np.array([1], dtype=np.uint8))
     assert system.solve()[0] is None
+    result = decode_map(None, 0.2)
+    assert (result.status, result.bits, result.coset_dim) == ("ambiguous", None, -1)
 
 
 def test_solver_cap():

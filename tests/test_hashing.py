@@ -7,13 +7,20 @@ import pytest
 
 from catpurify.ensemble import SingleDistribution, bit_marginals, werner_single
 from catpurify.errors import CapacityError, DimensionError
-from catpurify import hashing
-from catpurify.gf2 import GF2System, _enumerate_coset, pack_bits, pack_indices, row_weight, unpack_bits
+from catpurify import gf2
+from catpurify.gf2 import (
+    PROBE_PAIRS,
+    GF2System,
+    _enumerate_coset,
+    certified_map_decode,
+    pack_bits,
+    pack_indices,
+    row_weight,
+    unpack_bits,
+)
 from catpurify.hashing import (
     SELECTOR_CHUNK,
-    PROBE_PAIRS,
     HashingRun,
-    _certified_map_decode,
     _draw_subsets,
     binary_entropy,
     multiparty_hashing_yield,
@@ -105,6 +112,9 @@ def test_werner_yield_zero_crossing():
 def test_limit_examples():
     assert werner_hashing_yield_limit(1.0) == 1.0
     assert werner_hashing_yield_limit(0.0) == -1.0
+    for f in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="outside"):
+            werner_hashing_yield_limit(f)
     for f in (0.85, 0.9, 0.95):
         d8 = abs(werner_hashing_yield(8, f) - werner_hashing_yield_limit(f))
         d16 = abs(werner_hashing_yield(16, f) - werner_hashing_yield_limit(f))
@@ -453,7 +463,7 @@ def test_subset_sampler_reads_in_bounded_chunks():
 
 
 def bulk_probe_pairs(rng, d, n_pairs):
-    """The probe-pair draw of ``_certified_map_decode``."""
+    """The probe-pair draw of ``certified_map_decode``."""
     return rng.integers(0, d, size=(n_pairs, 2))
 
 
@@ -525,7 +535,7 @@ def test_certified_decode_matches_probe_loop(prior_one):
             system.add_row(pack_indices(np.flatnonzero(sel), n), [int(truth[sel].sum() & 1)])
         coset = system.solve()[0]
         probe_rng, ref_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
-        result = _certified_map_decode(coset, prior_one, truth, probe_rng)
+        result = certified_map_decode(coset, prior_one, truth, probe_rng)
         status, bits = reference_certified_decode(coset, prior_one, truth, ref_rng)
         assert result.status == status and result.coset_dim == coset.dim
         if bits is None:
@@ -573,8 +583,8 @@ def test_seed_1432_minimum_lies_beyond_probe_reach(monkeypatch):
         calls.append((coset, truth_bits, copy.deepcopy(rng)))
         return certified(coset, prior_one, truth_bits, rng)
 
-    certified = hashing._certified_map_decode
-    monkeypatch.setattr(hashing, "_certified_map_decode", spy)
+    certified = gf2.certified_map_decode
+    monkeypatch.setattr(gf2, "certified_map_decode", spy)
     single = werner_single(2, 0.9)
     ok_c, _, run_c = simulate_hashing(2, 32, single, 1432, safety_bits=2, exact_dim_cap=0)
     ok_e, _, run_e = simulate_hashing(2, 32, single, 1432, safety_bits=2, exact_dim_cap=24)

@@ -85,6 +85,13 @@ def test_best_method_near_one():
     assert y == 1.0
 
 
+def test_best_method_picks_a_later_method():
+    methods = [MethodSpec.from_id("2p-hash"), MethodSpec.from_id("rec-hash")]
+    winner, y = best_method(0.7, methods)
+    assert winner is methods[1]
+    assert y == recurrence_then_hashing(0.7)[0] > 0.0
+
+
 def test_best_method_single_entry():
     only = [MethodSpec.from_id("block3")]
     winner, _ = best_method(0.9, only)
@@ -119,6 +126,9 @@ def test_fidelity_grid_shapes():
     for step in (1e-320, 5e-324):
         with pytest.raises(CapacityError, match=r"^inf grid points exceeds the cap 1000000$"):
             fidelity_grid(0.5, 1.0, step)
+    # Past 2^53 the float count is printed, not its 300 integer digits.
+    with pytest.raises(CapacityError, match=r"^5e\+299 grid points exceeds the cap 1000000$"):
+        fidelity_grid(0.5, 1.0, 1e-300)
     with pytest.raises(ValueError):
         fidelity_grid(0.9, 0.8, 0.1)
 
