@@ -191,6 +191,8 @@ def cmd_simulate_hashing(args: argparse.Namespace) -> int:
                 str(len(run.consumed)),
             ]
         )
+        # Free this trial's arrays before the next trial allocates its own.
+        del run
     mean_yield = sum(yields) / len(yields)
     lines.append(
         ["summary", _fmt(successes / args.trials), _fmt(mean_yield), "", "", ""]

@@ -38,11 +38,27 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return _pack_rows(np.asarray(bits, dtype=np.uint8))
 
 
-def pack_indices(indices: np.ndarray, n_bits: int) -> np.ndarray:
-    """Index list -> packed uint64 row with those bits set."""
-    bits = np.zeros(n_words(n_bits) << 6, dtype=np.uint8)
-    bits[np.asarray(indices, dtype=np.int64)] = 1
+def pack_indices(
+    indices: np.ndarray, n_bits: int, starts: np.ndarray | None = None
+) -> np.ndarray:
+    """Index list -> packed uint64 row with those bits set.  With
+    ``starts``, a stack with one row per segment
+    ``indices[starts[k]:starts[k + 1]]``."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if starts is None:
+        bits = np.zeros(n_words(n_bits) << 6, dtype=np.uint8)
+        bits[indices] = 1
+    else:
+        lengths = np.diff(starts, append=indices.size)
+        bits = np.zeros((len(starts), n_words(n_bits) << 6), dtype=np.uint8)
+        bits[np.repeat(np.arange(len(starts)), lengths), indices] = 1
     return _pack_rows(bits)
+
+
+def xor_segments(rows: np.ndarray, indices: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """XOR of the packed rows ``rows[indices[starts[k]:starts[k + 1]]]`` for
+    each segment k; every segment must be nonempty."""
+    return np.bitwise_xor.reduceat(rows.take(indices, axis=0), starts, axis=0)
 
 
 def identity_rows(n_bits: int) -> np.ndarray:
@@ -107,21 +123,23 @@ class GF2System:
             raise CapacityError(f"{n_unknowns} unknowns exceeds the solver cap {cap}")
         self.n_unknowns = n_unknowns
         self.n_sides = n_sides
-        self._rows: list[np.ndarray] = []
-        self._rhs: list[np.ndarray] = []
+        # Blocks of rows, and of their right-hand sides, as added.
+        self._rows = [np.empty((0, n_words(n_unknowns)), dtype=np.uint64)]
+        self._rhs = [np.empty((0, n_sides), dtype=np.uint8)]
 
     def add_row(self, row: np.ndarray, rhs_bits: np.ndarray) -> None:
-        """One parity constraint; ``rhs_bits`` carries its value for every
-        right-hand side in parallel."""
+        """One parity constraint, or a stack of them; ``rhs_bits`` carries
+        each row's value for every right-hand side in parallel."""
+        rows = np.array(row, dtype=np.uint64, ndmin=2)
         rhs = np.asarray(rhs_bits, dtype=np.uint8)
-        if rhs.size != self.n_sides:
-            raise ValueError(f"expected {self.n_sides} rhs bits, got {rhs.size}")
-        self._rows.append(np.array(row, dtype=np.uint64))
-        self._rhs.append(rhs)
+        if rhs.size != len(rows) * self.n_sides:
+            raise ValueError(f"expected {len(rows) * self.n_sides} rhs bits, got {rhs.size}")
+        self._rows.append(rows)
+        self._rhs.append(rhs.reshape(len(rows), self.n_sides))
 
     @property
     def n_rows(self) -> int:
-        return len(self._rows)
+        return sum(len(rows) for rows in self._rows)
 
     def solve(self) -> list[AffineCoset | None]:
         """Reduce once and return one coset per right-hand side (None for an
@@ -131,11 +149,7 @@ class GF2System:
         words = n_words(n)
         # The right-hand sides ride along as extra words of each row.
         rows = np.concatenate(
-            [
-                np.array(self._rows, dtype=np.uint64).reshape(len(self._rows), words),
-                _pack_rows(np.array(self._rhs, dtype=np.uint8).reshape(len(self._rhs), self.n_sides)),
-            ],
-            axis=1,
+            [np.concatenate(self._rows), _pack_rows(np.concatenate(self._rhs))], axis=1
         )
         n_rows = rows.shape[0]
         # Gauss-Jordan by rows: each nonzero row pivots on its lowest set

@@ -11,6 +11,7 @@ labels by GF(2) elimination with a maximum-posterior completion.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,6 +227,108 @@ def _draw_subsets(
     return phases
 
 
+# Largest gather of the round bookkeeping, in bytes.  Rounds are handled in
+# runs whose gathered labels or lineage rows, and unpacked membership rows,
+# fit within it.
+ROUND_CHUNK_BYTES = 1 << 20
+
+
+def _member_runs(
+    subsets: list[np.ndarray], member_bytes: int, round_bytes: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rounds' members in consecutive runs: each run's members
+    concatenated, and where each of its rounds starts in them.  A run
+    gathers ``member_bytes`` per member plus ``round_bytes`` per round, at
+    most ``ROUND_CHUNK_BYTES`` in all unless one round alone is larger."""
+    sizes = np.array([members.size for members in subsets], dtype=np.int64)
+    ends = np.cumsum(sizes * member_bytes + round_bytes)
+    start = 0
+    while start < sizes.size:
+        done = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + ROUND_CHUNK_BYTES, side="right")))
+        starts = np.cumsum(sizes[start:stop]) - sizes[start:stop]
+        yield np.concatenate(subsets[start:stop]), starts
+        start = stop
+
+
+def _amplitude_rows(
+    subsets: list[np.ndarray], m: int, init_amps: np.ndarray, side_truth: np.ndarray,
+    side_bits: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed membership rows, right-hand sides (one column per amplitude
+    side) and measured amplitude parities of the amplitude rounds.
+
+    The target is consumed after its round and live amplitudes never change
+    during this phase, so each parity is that of the members' initial
+    amplitudes.  It is checked against the packed rows' dot product with
+    each side's initial bits.
+    """
+    words = gf2.n_words(m)
+    packed_sides = gf2.pack_bits(side_truth)
+    blocks = [(np.empty((0, words), np.uint64), np.empty((0, side_bits.size), np.uint8),
+               np.empty(0, init_amps.dtype))]
+    # A run gathers the members' amplitudes and unpacks one byte per bit.
+    for indices, starts in _member_runs(subsets, init_amps.itemsize, words << 6):
+        rows = gf2.pack_indices(indices, m, starts)
+        parities = np.bitwise_xor.reduceat(init_amps[indices], starts)
+        rhs = ((parities[:, None] & side_bits) != 0).astype(np.uint8)
+        if not np.array_equal(gf2.dot_bit(rows[:, None], packed_sides), rhs):
+            raise InternalInvariantError("amplitude parity bookkeeping drifted")
+        blocks.append((rows, rhs, parities))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _amplitude_backaction(
+    subsets: list[np.ndarray], m: int, init_phases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lineage rows and true phases after the amplitude rounds, one round at
+    a time: each round XORs its target's phase into every source.  Lineage
+    row i packs the initial phases whose XOR is state i's phase; the true
+    phases track the same labels directly, as an independent route."""
+    lineage = gf2.identity_rows(m)
+    true_phases = init_phases.copy()
+    for members in subsets:
+        target, sources = int(members[0]), members[1:]
+        true_phases[sources] ^= true_phases[target]
+        # Every lineage bit of a state sits at or below its own index
+        # (targets are subset minima), so words past the target's are zero.
+        span = gf2.n_words(target + 1)
+        lineage[sources, :span] ^= lineage[target, :span]
+    return lineage, true_phases
+
+
+def _phase_rows(
+    subsets: list[np.ndarray], lineage: np.ndarray, true_phases: np.ndarray,
+    packed_init_phases: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows over the initial phases, and measured parities, of the phase
+    rounds; sets each measured state's true phase to its parity.
+
+    The measured state is consumed after its round, so every parity reads
+    the true phases as the amplitude rounds left them.  A round's row is the
+    XOR of its members' lineage rows, checked against the parity through
+    the initial phases.
+    """
+    blocks = [(np.empty((0, lineage.shape[1]), np.uint64), np.empty(0, true_phases.dtype))]
+    for indices, starts in _member_runs(subsets, lineage.shape[1] * lineage.itemsize):
+        rows = gf2.xor_segments(lineage, indices, starts)
+        parities = np.bitwise_xor.reduceat(true_phases[indices], starts)
+        if not np.array_equal(gf2.dot_bit(rows, packed_init_phases), parities):
+            raise InternalInvariantError("phase parity bookkeeping drifted")
+        blocks.append((rows, parities))
+    rows, parities = (np.concatenate(parts) for parts in zip(*blocks))
+    true_phases[[int(members[0]) for members in subsets]] = parities
+    return rows, parities
+
+
+def _round_records(subsets: list[np.ndarray], parities: np.ndarray) -> list[HashingRound]:
+    # Members ascend, so each round's target is its first member.
+    return [
+        HashingRound(r, members, int(members[0]), parity)
+        for r, (members, parity) in enumerate(zip(subsets, parities.tolist()))
+    ]
+
+
 def simulate_hashing(
     n_parties: int,
     block_size_m: int,
@@ -267,9 +370,8 @@ def simulate_hashing(
     init_phases = ((codes & phase_bit(n_parties)) != 0).astype(np.uint8)
     init_amps = (codes & amp_mask(n_parties)).astype(np.int64)
     # Amplitude side j decodes the string of party j+2's amplitude bits.
-    side_bits = [amp_bit(j, n_parties) for j in range(n_parties - 1)]
-    true_phases = init_phases.copy()
-    true_amps = init_amps.copy()
+    side_bits = np.array([amp_bit(j, n_parties) for j in range(n_parties - 1)], dtype=np.int64)
+    side_truth = ((init_amps & side_bits[:, None]) != 0).astype(np.uint8)
 
     p_phase, p_amps = bit_marginals(single)
     h_amp = max(binary_entropy(x) for x in p_amps)
@@ -293,25 +395,11 @@ def simulate_hashing(
         consumed=[int(members[0]) for members in subsets_a + subsets_b],
     )
 
-    lineage = gf2.identity_rows(m)
+    rows, rhs, parities = _amplitude_rows(subsets_a, m, init_amps, side_truth, side_bits)
     amp_system = gf2.GF2System(m, n_sides=n_parties - 1, cap=solver_cap)
-    for r, members in enumerate(subsets_a):
-        # Members ascend, so the first is the minimum.
-        target, sources = int(members[0]), members[1:]
-        parity = int(np.bitwise_xor.reduce(true_amps[members]))
-        true_phases[sources] ^= true_phases[target]
-        # Every lineage bit of a state sits at or below its own index
-        # (targets are subset minima), so words past the target's are zero.
-        span = gf2.n_words(target + 1)
-        lineage[sources, :span] ^= lineage[target, :span]
-        true_amps[target] = parity
-        # Live amplitudes never change during this phase, so the measured
-        # value must equal the parity of the initial bits.
-        if parity != int(np.bitwise_xor.reduce(init_amps[members])):
-            raise InternalInvariantError("amplitude parity bookkeeping drifted")
-        rhs = np.array([(parity & bit) != 0 for bit in side_bits], dtype=np.uint8)
-        amp_system.add_row(gf2.pack_indices(members, m), rhs)
-        run.amp_rounds.append(HashingRound(r, members, target, parity))
+    amp_system.add_row(rows, rhs)
+    run.amp_rounds = _round_records(subsets_a, parities)
+    lineage, true_phases = _amplitude_backaction(subsets_a, m, init_phases)
 
     live_at_b = np.delete(np.arange(m), run.consumed[:len(subsets_a)])
     probe_rng = np.random.default_rng([seed, 0x5AFE])
@@ -332,9 +420,8 @@ def simulate_hashing(
     decoded_amps = None
     if amp_feasible:
         decoded_amps = np.zeros(m, dtype=np.int64)
-        for j, bit in enumerate(side_bits):
-            truth_j = ((init_amps & bit) != 0).astype(np.uint8)
-            result = decode(amp_cosets[j], float(p_amps[j]), truth_j)
+        for j, bit in enumerate(side_bits.tolist()):
+            result = decode(amp_cosets[j], float(p_amps[j]), side_truth[j])
             run.amp_decode_status = result.status
             if not result.ok or result.bits is None:
                 decoded_amps = None
@@ -346,17 +433,11 @@ def simulate_hashing(
     # subset's phase bits accumulate in it while its amplitude bits leak
     # into the other members, untracked: success checks the decoded
     # amplitudes of every state live here against the initial ones.
-    phase_system = gf2.GF2System(m, n_sides=1, cap=solver_cap)
     packed_init_phases = gf2.pack_bits(init_phases)
-    for r, members in enumerate(subsets_b):
-        measured = int(members[0])
-        parity = int(np.bitwise_xor.reduce(true_phases[members]))
-        row = np.bitwise_xor.reduce(lineage.take(members, axis=0), axis=0)
-        if gf2.dot_bit(row, packed_init_phases) != parity:
-            raise InternalInvariantError("phase parity bookkeeping drifted")
-        true_phases[measured] = parity
-        phase_system.add_row(row, np.array([parity], dtype=np.uint8))
-        run.phase_rounds.append(HashingRound(r, members, measured, parity))
+    rows, parities = _phase_rows(subsets_b, lineage, true_phases, packed_init_phases)
+    phase_system = gf2.GF2System(m, n_sides=1, cap=solver_cap)
+    phase_system.add_row(rows, parities)
+    run.phase_rounds = _round_records(subsets_b, parities)
 
     survivors = np.delete(np.arange(m), run.consumed)
     run.survivors = survivors

@@ -144,6 +144,41 @@ def test_inconsistent_side_reports_none():
     assert (result.status, result.bits, result.coset_dim) == ("ambiguous", None, -1)
 
 
+@pytest.mark.parametrize("n,n_sides", [(5, 1), (70, 2), (130, 3)])
+def test_stacked_rows_give_the_row_by_row_cosets(n, n_sides):
+    rng = np.random.default_rng(n)
+    for n_rows in (0, 1, 2, n // 2, n + 4):
+        segments = [np.flatnonzero(rng.random(n) < 0.5) for _ in range(n_rows)]
+        rhs = rng.integers(0, 2, size=(n_rows, n_sides), dtype=np.uint8)
+        one_by_one, stacked = GF2System(n, n_sides), GF2System(n, n_sides)
+        for idxs, bits in zip(segments, rhs):
+            one_by_one.add_row(pack_indices(idxs, n), bits)
+        # Two stacks, the first possibly empty, built by the segment packer.
+        split = n_rows // 3
+        for part in (slice(0, split), slice(split, n_rows)):
+            sizes = [seg.size for seg in segments[part]]
+            starts = np.cumsum([0] + sizes[:-1]) if sizes else np.zeros(0, dtype=np.int64)
+            indices = np.concatenate([np.zeros(0, dtype=np.int64)] + segments[part])
+            rows = pack_indices(indices, n, starts)
+            for seg, row in zip(segments[part], rows):
+                np.testing.assert_array_equal(row, pack_indices(seg, n))
+            stacked.add_row(rows, rhs[part])
+        assert stacked.n_rows == one_by_one.n_rows == n_rows
+        for a, b in zip(stacked.solve(), one_by_one.solve(), strict=True):
+            assert (a is None) == (b is None)
+            if a is not None:
+                for field in ("particular", "basis", "free_cols"):
+                    np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
+def test_stacked_rows_need_every_rhs_bit():
+    system = GF2System(8, n_sides=2)
+    rows = pack_indices(np.array([0, 1, 1, 2]), 8, np.array([0, 2]))
+    with pytest.raises(ValueError, match="expected 4 rhs bits, got 2"):
+        system.add_row(rows, np.array([1, 0], dtype=np.uint8))
+    assert system.n_rows == 0
+
+
 def test_solver_cap():
     with pytest.raises(CapacityError):
         GF2System(1 << 15)

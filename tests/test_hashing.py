@@ -7,7 +7,7 @@ import pytest
 
 from catpurify.ensemble import SingleDistribution, bit_marginals, werner_single
 from catpurify.errors import CapacityError, DimensionError
-from catpurify import gf2
+from catpurify import gf2, hashing
 from catpurify.gf2 import (
     PROBE_PAIRS,
     GF2System,
@@ -18,10 +18,16 @@ from catpurify.gf2 import (
     row_weight,
     unpack_bits,
 )
+from catpurify.cli import main
+from catpurify.labels import amp_bit
 from catpurify.hashing import (
+    ROUND_CHUNK_BYTES,
     SELECTOR_CHUNK,
     HashingRun,
+    _amplitude_backaction,
+    _amplitude_rows,
     _draw_subsets,
+    _phase_rows,
     binary_entropy,
     multiparty_hashing_yield,
     simulate_hashing,
@@ -460,6 +466,163 @@ def test_subset_sampler_reads_in_bounded_chunks():
     # 2000 + 1999 + ... + 1601 doubles at least; chunks keep the calls few.
     assert sum(counting.sizes) >= sum(range(1601, 2001))
     assert len(counting.sizes) < 40
+
+
+def reference_bookkeeping(subsets_a, subsets_b, m, codes, n):
+    """The per-round bookkeeping, with rows and lineage as Python int
+    bitmasks: one parity, row and label update per round, reading the
+    labels as the rounds before it left them."""
+    amp_mask = (1 << (n - 1)) - 1
+    amps = [int(c) & amp_mask for c in codes]
+    phases = [int(c) >> (n - 1) for c in codes]
+    lineage = [1 << i for i in range(m)]
+    amp_rows, amp_parities = [], []
+    for members in subsets_a:
+        target, *sources = members.tolist()
+        parity, row = 0, 0
+        for i in members.tolist():
+            parity ^= amps[i]
+            row |= 1 << i
+        for i in sources:
+            phases[i] ^= phases[target]
+            lineage[i] ^= lineage[target]
+        amps[target] = parity
+        amp_rows.append(row)
+        amp_parities.append(parity)
+    lineage_after_a, phases_after_a = list(lineage), list(phases)
+    phase_rows, phase_parities = [], []
+    for members in subsets_b:
+        parity, row = 0, 0
+        for i in members.tolist():
+            parity ^= phases[i]
+            row ^= lineage[i]
+        phases[int(members[0])] = parity
+        phase_rows.append(row)
+        phase_parities.append(parity)
+    return (amp_rows, amp_parities, lineage_after_a, phases_after_a,
+            phase_rows, phase_parities, phases)
+
+
+def packed_as_ints(rows):
+    return [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in rows]
+
+
+def bulk_bookkeeping(subsets_a, subsets_b, m, codes, n):
+    """The simulator's bulk passes on the same subsets and labels."""
+    init_phases = (codes >> (n - 1)).astype(np.uint8)
+    init_amps = codes & ((1 << (n - 1)) - 1)
+    side_bits = np.array([amp_bit(j, n) for j in range(n - 1)], dtype=np.int64)
+    side_truth = ((init_amps & side_bits[:, None]) != 0).astype(np.uint8)
+    amp_rows, rhs, amp_parities = _amplitude_rows(subsets_a, m, init_amps, side_truth, side_bits)
+    np.testing.assert_array_equal(rhs, (amp_parities[:, None] & side_bits) != 0)
+    lineage, phases = _amplitude_backaction(subsets_a, m, init_phases)
+    lineage_after_a, phases_after_a = packed_as_ints(lineage), phases.tolist()
+    phase_rows, phase_parities = _phase_rows(subsets_b, lineage, phases, pack_bits(init_phases))
+    return (packed_as_ints(amp_rows), amp_parities.tolist(), lineage_after_a, phases_after_a,
+            packed_as_ints(phase_rows), phase_parities.tolist(), phases.tolist())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bulk_bookkeeping_matches_per_round_reference(n):
+    rng = np.random.default_rng(n)
+    cases = [(1, 3, 3), (2, 2, 2), (2, 0, 0), (5, 0, 4), (5, 4, 0), (64, 40, 30), (65, 70, 70)]
+    cases += [(int(rng.integers(1, 130)), int(rng.integers(0, 60)), int(rng.integers(0, 60)))
+              for _ in range(12)]
+    shapes = set()
+    for seed, (m, planned_a, planned_b) in enumerate(cases):
+        draw = np.random.default_rng([n, seed])
+        subsets_a, subsets_b = _draw_subsets(draw, m, (planned_a, planned_b))
+        codes = draw.integers(0, 1 << n, size=m)
+        expected = reference_bookkeeping(subsets_a, subsets_b, m, codes, n)
+        assert bulk_bookkeeping(subsets_a, subsets_b, m, codes, n) == expected
+        shapes.add((len(subsets_a) == 0, len(subsets_b) == 0))
+    # Both phases run empty, and each runs empty while the other does not.
+    assert shapes == {(False, False), (True, True), (False, True), (True, False)}
+
+
+def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
+    gathers = []
+    pack_indices_real, xor_segments_real = gf2.pack_indices, gf2.xor_segments
+
+    def counting_pack(indices, n_bits, starts=None):
+        rows = pack_indices_real(indices, n_bits, starts)
+        if starts is not None:
+            gathers.append((len(starts), indices.size * 8 + rows.shape[0] * rows.shape[1] * 64))
+        return rows
+
+    def counting_xor(rows, indices, starts):
+        gathers.append((len(starts), indices.size * rows.shape[1] * 8))
+        return xor_segments_real(rows, indices, starts)
+
+    monkeypatch.setattr(gf2, "pack_indices", counting_pack)
+    monkeypatch.setattr(gf2, "xor_segments", counting_xor)
+    single = werner_single(3, 0.9)
+    # At m=2000 a phase round gathers about 180 KB of lineage rows.  At
+    # m=300 the early phase rounds gather more than 3,000 bytes each, so
+    # they run alone, over the cap.
+    for m, cap in ((2000, ROUND_CHUNK_BYTES), (300, 3000)):
+        gathers.clear()
+        monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", cap)
+        _, _, run = simulate_hashing(3, m, single, seed=1000, safety_bits=20)
+        assert sum(rounds for rounds, _ in gathers) == run.rounds_a + run.rounds_b
+        assert all(size <= cap or rounds == 1 for rounds, size in gathers)
+        assert any(rounds > 1 for rounds, _ in gathers)
+        assert len(gathers) > 2
+    assert any(size > cap and rounds == 1 for rounds, size in gathers)
+
+
+def simulate_until_invariant_fails(capsys):
+    code = main(["simulate-hashing", "-N", "2", "-m", "64", "-f", "0.9",
+                 "--trials", "3", "--seed", "21"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_amplitude_check_fires_on_drifted_rows(monkeypatch, capsys):
+    # Rows that name each member's neighbour no longer match the parities.
+    real = gf2.pack_indices
+    monkeypatch.setattr(gf2, "pack_indices", lambda indices, n_bits, starts=None: real(
+        np.minimum(np.asarray(indices) + 1, n_bits - 1), n_bits, starts))
+    code, err = simulate_until_invariant_fails(capsys)
+    assert code == 4
+    assert err == "internal invariant violated: amplitude parity bookkeeping drifted\n"
+
+
+def test_phase_check_fires_on_drifted_lineage(monkeypatch, capsys):
+    # A lineage that starts shifted by one state misnames every phase row.
+    real = gf2.identity_rows
+    monkeypatch.setattr(gf2, "identity_rows", lambda n_bits: np.roll(real(n_bits), 1, axis=0))
+    code, err = simulate_until_invariant_fails(capsys)
+    assert code == 4
+    assert err == "internal invariant violated: phase parity bookkeeping drifted\n"
+
+
+def test_coset_check_fires_on_a_flipped_parity(monkeypatch, capsys):
+    # A system whose first recorded parity is flipped no longer holds the
+    # truth; at m=64 the first coset is too large to enumerate, so the
+    # certified decoder checks it.
+    real = gf2.GF2System.add_row
+
+    def flip_first(self, rows, rhs_bits):
+        flipped = np.array(rhs_bits, dtype=np.uint8)
+        flipped.reshape(-1)[: self.n_sides] ^= 1
+        real(self, rows, flipped)
+
+    monkeypatch.setattr(gf2.GF2System, "add_row", flip_first)
+    code, err = simulate_until_invariant_fails(capsys)
+    assert code == 4
+    assert err == "internal invariant violated: hidden truth fell outside the solution coset\n"
+
+
+def test_two_state_pure_block_runs_one_round(capsys):
+    # m=2 supplies one amplitude round and no phase round, so the phase
+    # passes get no input at all.
+    _, _, run = simulate_hashing(2, 2, werner_single(2, 1.0), seed=0)
+    assert (run.rounds_a, run.rounds_b, run.failure_reason) == (1, 0, "ambiguous")
+    assert main(["simulate-hashing", "-m", "2", "-f", "1.0", "--trials", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["0,0,0.5,1,0,1", "1,0,0.5,1,0,1", "summary,0,0.5,,,"]
 
 
 def bulk_probe_pairs(rng, d, n_pairs):
