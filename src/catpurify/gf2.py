@@ -45,14 +45,12 @@ def pack_indices(
     ``starts``, a stack with one row per segment
     ``indices[starts[k]:starts[k + 1]]``."""
     indices = np.asarray(indices, dtype=np.int64)
-    if starts is None:
-        bits = np.zeros(n_words(n_bits) << 6, dtype=np.uint8)
-        bits[indices] = 1
-    else:
-        lengths = np.diff(starts, append=indices.size)
-        bits = np.zeros((len(starts), n_words(n_bits) << 6), dtype=np.uint8)
-        bits[np.repeat(np.arange(len(starts)), lengths), indices] = 1
-    return _pack_rows(bits)
+    segments = [0] if starts is None else starts
+    lengths = np.diff(segments, append=indices.size)
+    bits = np.zeros((len(segments), n_words(n_bits) << 6), dtype=np.uint8)
+    bits[np.repeat(np.arange(len(segments)), lengths), indices] = 1
+    rows = _pack_rows(bits)
+    return rows[0] if starts is None else rows
 
 
 def xor_segments(rows: np.ndarray, indices: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -228,18 +228,18 @@ def _draw_subsets(
 
 
 # Largest gather of the round bookkeeping, in bytes.  Rounds are handled in
-# runs whose gathered labels or lineage rows, and unpacked membership rows,
-# fit within it.
+# runs whose per-member temporaries and unpacked membership rows fit within
+# it.
 ROUND_CHUNK_BYTES = 1 << 20
 
 
 def _member_runs(
     subsets: list[np.ndarray], member_bytes: int, round_bytes: int = 0
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The rounds' members in consecutive runs: each run's members
-    concatenated, and where each of its rounds starts in them.  A run
-    gathers ``member_bytes`` per member plus ``round_bytes`` per round, at
-    most ``ROUND_CHUNK_BYTES`` in all unless one round alone is larger."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The rounds in consecutive runs: each run's round indices, its
+    members concatenated, and where each of its rounds starts in them.  A
+    run gathers ``member_bytes`` per member plus ``round_bytes`` per round,
+    at most ``ROUND_CHUNK_BYTES`` in all unless one round alone is larger."""
     sizes = np.array([members.size for members in subsets], dtype=np.int64)
     ends = np.cumsum(sizes * member_bytes + round_bytes)
     start = 0
@@ -247,8 +247,27 @@ def _member_runs(
         done = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, done + ROUND_CHUNK_BYTES, side="right")))
         starts = np.cumsum(sizes[start:stop]) - sizes[start:stop]
-        yield np.concatenate(subsets[start:stop]), starts
+        yield np.arange(start, stop), np.concatenate(subsets[start:stop]), starts
         start = stop
+
+
+def _measured_rounds(subsets: list[np.ndarray], m: int) -> np.ndarray:
+    """The first round of a phase that measures each state (its subset
+    minimum), or the phase's round count for a state it never measures."""
+    measured_at = np.full(m, len(subsets), dtype=np.int64)
+    targets = np.array([int(members[0]) for members in subsets], dtype=np.int64)
+    np.minimum.at(measured_at, targets, np.arange(len(subsets)))
+    return measured_at
+
+
+def _reads_unmeasured(
+    measured_at: np.ndarray, rounds: np.ndarray, indices: np.ndarray, starts: np.ndarray
+) -> bool:
+    """Whether no round of a run reads a state an earlier round measured.
+    A round measures its own first member, so the earliest measuring round
+    among its members is at most the round itself, and equal exactly when
+    the bulk passes read the labels the rounds before it left."""
+    return np.array_equal(np.minimum.reduceat(measured_at[indices], starts), rounds)
 
 
 def _amplitude_rows(
@@ -260,19 +279,25 @@ def _amplitude_rows(
 
     The target is consumed after its round and live amplitudes never change
     during this phase, so each parity is that of the members' initial
-    amplitudes.  It is checked against the packed rows' dot product with
-    each side's initial bits.
+    amplitudes.  That premise is checked, and so is each parity against the
+    packed rows' dot product with each side's initial bits.
     """
     words = gf2.n_words(m)
     packed_sides = gf2.pack_bits(side_truth)
+    measured_at = _measured_rounds(subsets, m)
     blocks = [(np.empty((0, words), np.uint64), np.empty((0, side_bits.size), np.uint8),
                np.empty(0, init_amps.dtype))]
-    # A run gathers the members' amplitudes and unpacks one byte per bit.
-    for indices, starts in _member_runs(subsets, init_amps.itemsize, words << 6):
+    # Per member a run holds four int64 values (its index, its row in
+    # pack_indices, its amplitude and its measuring round); per round it
+    # unpacks one byte per bit.
+    for rounds, indices, starts in _member_runs(subsets, 32, words << 6):
         rows = gf2.pack_indices(indices, m, starts)
         parities = np.bitwise_xor.reduceat(init_amps[indices], starts)
         rhs = ((parities[:, None] & side_bits) != 0).astype(np.uint8)
-        if not np.array_equal(gf2.dot_bit(rows[:, None], packed_sides), rhs):
+        if not (
+            _reads_unmeasured(measured_at, rounds, indices, starts)
+            and np.array_equal(gf2.dot_bit(rows[:, None], packed_sides), rhs)
+        ):
             raise InternalInvariantError("amplitude parity bookkeeping drifted")
         blocks.append((rows, rhs, parities))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
@@ -302,23 +327,27 @@ def _phase_rows(
     packed_init_phases: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows over the initial phases, and measured parities, of the phase
-    rounds; sets each measured state's true phase to its parity.
+    rounds.
 
     The measured state is consumed after its round, so every parity reads
-    the true phases as the amplitude rounds left them.  A round's row is the
-    XOR of its members' lineage rows, checked against the parity through
-    the initial phases.
+    the true phases as the amplitude rounds left them.  That is checked, and
+    so is each round's row, the XOR of its members' lineage rows, against
+    the parity through the initial phases.
     """
+    measured_at = _measured_rounds(subsets, len(lineage))
     blocks = [(np.empty((0, lineage.shape[1]), np.uint64), np.empty(0, true_phases.dtype))]
-    for indices, starts in _member_runs(subsets, lineage.shape[1] * lineage.itemsize):
+    # Per member: its index, lineage row, phase and measuring round.
+    member_bytes = lineage.shape[1] * lineage.itemsize + true_phases.itemsize + 16
+    for rounds, indices, starts in _member_runs(subsets, member_bytes):
         rows = gf2.xor_segments(lineage, indices, starts)
         parities = np.bitwise_xor.reduceat(true_phases[indices], starts)
-        if not np.array_equal(gf2.dot_bit(rows, packed_init_phases), parities):
+        if not (
+            _reads_unmeasured(measured_at, rounds, indices, starts)
+            and np.array_equal(gf2.dot_bit(rows, packed_init_phases), parities)
+        ):
             raise InternalInvariantError("phase parity bookkeeping drifted")
         blocks.append((rows, parities))
-    rows, parities = (np.concatenate(parts) for parts in zip(*blocks))
-    true_phases[[int(members[0]) for members in subsets]] = parities
-    return rows, parities
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def _round_records(subsets: list[np.ndarray], parities: np.ndarray) -> list[HashingRound]:

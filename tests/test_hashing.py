@@ -1,12 +1,13 @@
 import copy
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from catpurify.ensemble import SingleDistribution, bit_marginals, werner_single
-from catpurify.errors import CapacityError, DimensionError
+from catpurify.errors import CapacityError, DimensionError, InternalInvariantError
 from catpurify import gf2, hashing
 from catpurify.gf2 import (
     PROBE_PAIRS,
@@ -500,7 +501,7 @@ def reference_bookkeeping(subsets_a, subsets_b, m, codes, n):
         phase_rows.append(row)
         phase_parities.append(parity)
     return (amp_rows, amp_parities, lineage_after_a, phases_after_a,
-            phase_rows, phase_parities, phases)
+            phase_rows, phase_parities)
 
 
 def packed_as_ints(rows):
@@ -516,10 +517,9 @@ def bulk_bookkeeping(subsets_a, subsets_b, m, codes, n):
     amp_rows, rhs, amp_parities = _amplitude_rows(subsets_a, m, init_amps, side_truth, side_bits)
     np.testing.assert_array_equal(rhs, (amp_parities[:, None] & side_bits) != 0)
     lineage, phases = _amplitude_backaction(subsets_a, m, init_phases)
-    lineage_after_a, phases_after_a = packed_as_ints(lineage), phases.tolist()
     phase_rows, phase_parities = _phase_rows(subsets_b, lineage, phases, pack_bits(init_phases))
-    return (packed_as_ints(amp_rows), amp_parities.tolist(), lineage_after_a, phases_after_a,
-            packed_as_ints(phase_rows), phase_parities.tolist(), phases.tolist())
+    return (packed_as_ints(amp_rows), amp_parities.tolist(), packed_as_ints(lineage),
+            phases.tolist(), packed_as_ints(phase_rows), phase_parities.tolist())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -547,20 +547,20 @@ def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
     def counting_pack(indices, n_bits, starts=None):
         rows = pack_indices_real(indices, n_bits, starts)
         if starts is not None:
-            gathers.append((len(starts), indices.size * 8 + rows.shape[0] * rows.shape[1] * 64))
+            gathers.append((len(starts), indices.size * 32 + rows.shape[0] * rows.shape[1] * 64))
         return rows
 
     def counting_xor(rows, indices, starts):
-        gathers.append((len(starts), indices.size * rows.shape[1] * 8))
+        gathers.append((len(starts), indices.size * (rows.shape[1] * 8 + 17)))
         return xor_segments_real(rows, indices, starts)
 
     monkeypatch.setattr(gf2, "pack_indices", counting_pack)
     monkeypatch.setattr(gf2, "xor_segments", counting_xor)
     single = werner_single(3, 0.9)
     # At m=2000 a phase round gathers about 180 KB of lineage rows.  At
-    # m=300 the early phase rounds gather more than 3,000 bytes each, so
+    # m=300 the early phase rounds gather more than 5,000 bytes each, so
     # they run alone, over the cap.
-    for m, cap in ((2000, ROUND_CHUNK_BYTES), (300, 3000)):
+    for m, cap in ((2000, ROUND_CHUNK_BYTES), (300, 5000)):
         gathers.clear()
         monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", cap)
         _, _, run = simulate_hashing(3, m, single, seed=1000, safety_bits=20)
@@ -569,6 +569,66 @@ def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
         assert any(rounds > 1 for rounds, _ in gathers)
         assert len(gathers) > 2
     assert any(size > cap and rounds == 1 for rounds, size in gathers)
+
+
+def test_bulk_bookkeeping_peaks_within_the_chunk_cap(monkeypatch):
+    # Traced numpy allocations of each pass: one run of rounds at a time,
+    # plus the rows and parities it returns, held once as blocks and once
+    # concatenated.  With no cap a pass holds every round's temporaries.
+    m, n = 2000, 3
+    draw = np.random.default_rng(1000)
+    subsets_a, subsets_b = _draw_subsets(draw, m, (700, 700))
+    codes = draw.integers(0, 1 << n, size=m)
+    init_phases = (codes >> (n - 1)).astype(np.uint8)
+    init_amps = codes & ((1 << (n - 1)) - 1)
+    side_bits = np.array([amp_bit(j, n) for j in range(n - 1)], dtype=np.int64)
+    side_truth = ((init_amps & side_bits[:, None]) != 0).astype(np.uint8)
+    lineage, phases = _amplitude_backaction(subsets_a, m, init_phases)
+    passes = (
+        lambda: _amplitude_rows(subsets_a, m, init_amps, side_truth, side_bits),
+        lambda: _phase_rows(subsets_b, lineage, phases, pack_bits(init_phases)),
+    )
+
+    def peak_over_outputs(run_pass):
+        tracemalloc.start()
+        try:
+            outputs = run_pass()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - 2 * sum(out.nbytes for out in outputs)
+
+    for run_pass in passes:
+        assert peak_over_outputs(run_pass) <= ROUND_CHUNK_BYTES + (64 << 10)
+    monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", 1 << 40)
+    for run_pass in passes:
+        assert peak_over_outputs(run_pass) > 4 * ROUND_CHUNK_BYTES
+
+
+def test_bulk_passes_reject_a_state_read_after_it_was_measured():
+    # Each pass reads every label as the phase began, which holds only if
+    # no round reads a state an earlier round of its phase measured.  Such
+    # subsets give parities that agree with the rows, so only the premise
+    # check can catch them.
+    m = 6
+    lineage = gf2.identity_rows(m)
+    phases = np.array([1, 0, 1, 1, 0, 0], dtype=np.uint8)
+    amps = np.array([1, 1, 0, 0, 1, 1])
+    reread = [[[0, 2], [0, 3, 4]], [[1, 2], [0, 1, 5]], [[2, 3], [0, 4], [1, 2, 5]]]
+    fresh = [[[0, 2], [1, 3, 4]], [[1, 2], [0, 3, 5]], [[2, 3], [0, 4], [1, 3, 5]]]
+    for rounds in reread + fresh:
+        subsets = [np.array(members) for members in rounds]
+        for label, build in (
+            ("amplitude", lambda: _amplitude_rows(
+                subsets, m, amps, amps[None].astype(np.uint8), np.array([1]))),
+            ("phase", lambda: _phase_rows(subsets, lineage, phases, pack_bits(phases))),
+        ):
+            if rounds in fresh:
+                build()
+                continue
+            with pytest.raises(InternalInvariantError) as raised:
+                build()
+            assert str(raised.value) == f"{label} parity bookkeeping drifted"
 
 
 def simulate_until_invariant_fails(capsys):
