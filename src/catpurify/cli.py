@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("-m", "--block-size", type=_positive, default=1000)
     sim.add_argument("-f", "--fidelity", type=float, default=0.9)
     sim.add_argument("--trials", type=_positive, default=1)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_non_negative, default=0)
     sim.add_argument("--safety-bits", type=_non_negative, default=None,
                      help="extra hash rounds per phase (default: 2*log2(m) rounded up)")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,34 +90,25 @@ def two_party_hashing_yields(probs: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class HashingRound:
-    """One measured subset parity."""
-
-    index: int
-    members: np.ndarray
-    target: int
-    measured: int
-
-    def subset_mask(self) -> int:
-        bits = np.zeros(int(self.members.max(initial=-1)) + 1, dtype=np.uint8)
-        bits[self.members] = 1
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-@dataclass
 class HashingRun:
-    """Full transcript and outcome of one simulated hashing run."""
+    """Full transcript and outcome of one simulated hashing run.
+
+    Each phase keeps one packed membership row (over the m states, as
+    ``gf2`` packs them) and one measured value per round; the rounds'
+    targets are ``consumed``, phase A's first."""
 
     n_parties: int
     block_size: int
     seed: int
     safety_bits: int
     initial_codes: np.ndarray
+    amp_rows: np.ndarray
+    amp_measured: np.ndarray
+    phase_rows: np.ndarray
+    phase_measured: np.ndarray
+    consumed: list[int]
     planned_rounds_a: int = 0
     planned_rounds_b: int = 0
-    amp_rounds: list[HashingRound] = field(default_factory=list)
-    phase_rounds: list[HashingRound] = field(default_factory=list)
-    consumed: list[int] = field(default_factory=list)
     survivors: np.ndarray | None = None
     decoded_amps: np.ndarray | None = None
     decoded_survivor_phases: np.ndarray | None = None
@@ -130,28 +121,29 @@ class HashingRun:
 
     @property
     def rounds_a(self) -> int:
-        return len(self.amp_rounds)
+        return len(self.amp_measured)
 
     @property
     def rounds_b(self) -> int:
-        return len(self.phase_rounds)
+        return len(self.phase_measured)
 
     def to_text(self) -> str:
         """Line-oriented transcript: the hidden initial codes in hex,
-        comma-separated, then one line per round with the subset bitmask in
-        hex and the measured bits."""
+        comma-separated, then one line per round with its index, the subset
+        bitmask in hex, the target and the measured bits."""
         lines = [
             "catpurify-hashing-run v2",
             f"n_parties={self.n_parties} block_size={self.block_size} "
             f"seed={self.seed} safety_bits={self.safety_bits}",
             "truth=" + ",".join(f"{c:x}" for c in self.initial_codes.tolist()),
         ]
-        for tag, rounds in (("A", self.amp_rounds), ("B", self.phase_rounds)):
-            for rnd in rounds:
-                lines.append(
-                    f"{tag} {rnd.index} {rnd.subset_mask():x} "
-                    f"{rnd.target} {rnd.measured:x}"
-                )
+        targets = iter(self.consumed)
+        for tag, rows, measured in (("A", self.amp_rows, self.amp_measured),
+                                    ("B", self.phase_rows, self.phase_measured)):
+            for r, (row, value) in enumerate(zip(rows, measured.tolist())):
+                bits = gf2.unpack_bits(row, self.block_size)
+                mask = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+                lines.append(f"{tag} {r} {mask:x} {next(targets)} {value:x}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -164,20 +156,29 @@ class HashingRun:
         raise ValueError("transcript has no truth= line")
 
     @staticmethod
-    def parse_rounds(text: str) -> tuple[list[HashingRound], list[HashingRound]]:
-        """Recover the round records from a serialized transcript."""
-        amp, phase = [], []
+    def parse_rounds(text: str) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Recover the round records of a serialized transcript: for phase A
+        and then phase B, the packed membership rows, the targets and the
+        measured values, as ``HashingRun`` holds them."""
+        m, fields = None, {"A": [], "B": []}
         for line in text.splitlines():
             parts = line.split()
-            if not parts or parts[0] not in ("A", "B"):
-                continue
-            mask = int(parts[2], 16)
-            mask_bytes = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-            bits = np.unpackbits(np.frombuffer(mask_bytes, np.uint8), bitorder="little")
-            members = np.flatnonzero(bits)
-            rnd = HashingRound(int(parts[1]), members, int(parts[3]), int(parts[4], 16))
-            (amp if parts[0] == "A" else phase).append(rnd)
-        return amp, phase
+            if parts and parts[0] in fields:
+                fields[parts[0]].append(parts[2:])
+            elif line.startswith("n_parties="):
+                m = int(dict(part.split("=") for part in parts)["block_size"])
+        if m is None:
+            raise ValueError("transcript has no parameter line")
+        n_bytes = (m + 7) // 8
+        phases = []
+        for rounds in fields.values():
+            masks = b"".join(int(mask, 16).to_bytes(n_bytes, "little") for mask, _, _ in rounds)
+            bits = np.unpackbits(np.frombuffer(masks, np.uint8), bitorder="little")
+            rows = gf2.pack_bits(bits.reshape(len(rounds), n_bytes * 8)[:, :m])
+            targets = np.array([int(target) for _, target, _ in rounds], dtype=np.int64)
+            measured = np.array([int(value, 16) for _, _, value in rounds], dtype=np.int64)
+            phases.append((rows, targets, measured))
+        return phases[0], phases[1]
 
 
 def _default_safety_bits(m: int) -> int:
@@ -251,12 +252,15 @@ def _member_runs(
         start = stop
 
 
-def _measured_rounds(subsets: list[np.ndarray], m: int) -> np.ndarray:
-    """The first round of a phase that measures each state (its subset
-    minimum), or the phase's round count for a state it never measures."""
-    measured_at = np.full(m, len(subsets), dtype=np.int64)
-    targets = np.array([int(members[0]) for members in subsets], dtype=np.int64)
-    np.minimum.at(measured_at, targets, np.arange(len(subsets)))
+def _targets(subsets: list[np.ndarray]) -> np.ndarray:
+    """Each round's measured state: members ascend, so its first member."""
+    return np.array([members[0] for members in subsets], dtype=np.int64)
+
+
+def _measured_rounds(targets: np.ndarray, m: int) -> np.ndarray:
+    """The first round of a phase that measures each state, or its round count if none does."""
+    measured_at = np.full(m, len(targets), dtype=np.int64)
+    np.minimum.at(measured_at, targets, np.arange(len(targets)))
     return measured_at
 
 
@@ -271,8 +275,8 @@ def _reads_unmeasured(
 
 
 def _amplitude_rows(
-    subsets: list[np.ndarray], m: int, init_amps: np.ndarray, side_truth: np.ndarray,
-    side_bits: np.ndarray,
+    subsets: list[np.ndarray], targets: np.ndarray, m: int, init_amps: np.ndarray,
+    side_truth: np.ndarray, side_bits: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Packed membership rows, right-hand sides (one column per amplitude
     side) and measured amplitude parities of the amplitude rounds.
@@ -284,7 +288,7 @@ def _amplitude_rows(
     """
     words = gf2.n_words(m)
     packed_sides = gf2.pack_bits(side_truth)
-    measured_at = _measured_rounds(subsets, m)
+    measured_at = _measured_rounds(targets, m)
     blocks = [(np.empty((0, words), np.uint64), np.empty((0, side_bits.size), np.uint8),
                np.empty(0, init_amps.dtype))]
     # Per member a run holds four int64 values (its index, its row in
@@ -323,22 +327,26 @@ def _amplitude_backaction(
 
 
 def _phase_rows(
-    subsets: list[np.ndarray], lineage: np.ndarray, true_phases: np.ndarray,
-    packed_init_phases: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows over the initial phases, and measured parities, of the phase
-    rounds.
+    subsets: list[np.ndarray], targets: np.ndarray, lineage: np.ndarray,
+    true_phases: np.ndarray, packed_init_phases: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed membership rows, rows over the initial phases, and measured
+    parities of the phase rounds.
 
     The measured state is consumed after its round, so every parity reads
     the true phases as the amplitude rounds left them.  That is checked, and
-    so is each round's row, the XOR of its members' lineage rows, against
-    the parity through the initial phases.
+    so is each round's row over the initial phases, the XOR of its members'
+    lineage rows, against the parity through the initial phases.
     """
-    measured_at = _measured_rounds(subsets, len(lineage))
-    blocks = [(np.empty((0, lineage.shape[1]), np.uint64), np.empty(0, true_phases.dtype))]
-    # Per member: its index, lineage row, phase and measuring round.
-    member_bytes = lineage.shape[1] * lineage.itemsize + true_phases.itemsize + 16
-    for rounds, indices, starts in _member_runs(subsets, member_bytes):
+    m, words = lineage.shape
+    measured_at = _measured_rounds(targets, m)
+    blocks = [(np.empty((0, words), np.uint64), np.empty((0, words), np.uint64),
+               np.empty(0, true_phases.dtype))]
+    # Per member: its index, lineage row, phase, measuring round and row in
+    # pack_indices; per round, one unpacked byte per bit.
+    member_bytes = words * lineage.itemsize + true_phases.itemsize + 24
+    for rounds, indices, starts in _member_runs(subsets, member_bytes, words << 6):
+        members = gf2.pack_indices(indices, m, starts)
         rows = gf2.xor_segments(lineage, indices, starts)
         parities = np.bitwise_xor.reduceat(true_phases[indices], starts)
         if not (
@@ -346,16 +354,8 @@ def _phase_rows(
             and np.array_equal(gf2.dot_bit(rows, packed_init_phases), parities)
         ):
             raise InternalInvariantError("phase parity bookkeeping drifted")
-        blocks.append((rows, parities))
+        blocks.append((members, rows, parities))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-
-def _round_records(subsets: list[np.ndarray], parities: np.ndarray) -> list[HashingRound]:
-    # Members ascend, so each round's target is its first member.
-    return [
-        HashingRound(r, members, int(members[0]), parity)
-        for r, (members, parity) in enumerate(zip(subsets, parities.tolist()))
-    ]
 
 
 def simulate_hashing(
@@ -413,24 +413,30 @@ def simulate_hashing(
     subsets_a, subsets_b = _draw_subsets(rng, m, (planned_a, planned_b))
     amp_feasible = len(subsets_a) == planned_a
     feasible = amp_feasible and len(subsets_b) == planned_b
+
+    # Both phases' records, before either system is solved.  Phase rounds:
+    # the measured state acts as the XOR source, so the subset's phase bits
+    # accumulate in it while its amplitude bits leak into the other members,
+    # untracked: success checks the decoded amplitudes of every state live
+    # there against the initial ones.
+    targets_a, targets_b = _targets(subsets_a), _targets(subsets_b)
+    amp_rows, rhs, amp_parities = _amplitude_rows(
+        subsets_a, targets_a, m, init_amps, side_truth, side_bits
+    )
+    lineage, true_phases = _amplitude_backaction(subsets_a, m, init_phases)
+    phase_members, phase_rows, phase_parities = _phase_rows(
+        subsets_b, targets_b, lineage, true_phases, gf2.pack_bits(init_phases)
+    )
+    del subsets_a, subsets_b
     run = HashingRun(
-        n_parties=n_parties,
-        block_size=m,
-        seed=seed,
-        safety_bits=safety_bits,
-        initial_codes=codes.copy(),
-        planned_rounds_a=planned_a,
-        planned_rounds_b=planned_b,
-        consumed=[int(members[0]) for members in subsets_a + subsets_b],
+        n_parties=n_parties, block_size=m, seed=seed, safety_bits=safety_bits,
+        initial_codes=codes, planned_rounds_a=planned_a, planned_rounds_b=planned_b,
+        amp_rows=amp_rows, amp_measured=amp_parities,
+        phase_rows=phase_members, phase_measured=phase_parities,
+        consumed=targets_a.tolist() + targets_b.tolist(),
     )
 
-    rows, rhs, parities = _amplitude_rows(subsets_a, m, init_amps, side_truth, side_bits)
-    amp_system = gf2.GF2System(m, n_sides=n_parties - 1, cap=solver_cap)
-    amp_system.add_row(rows, rhs)
-    run.amp_rounds = _round_records(subsets_a, parities)
-    lineage, true_phases = _amplitude_backaction(subsets_a, m, init_phases)
-
-    live_at_b = np.delete(np.arange(m), run.consumed[:len(subsets_a)])
+    live_at_b = np.delete(np.arange(m), targets_a)
     probe_rng = np.random.default_rng([seed, 0x5AFE])
     modes = set()
 
@@ -445,6 +451,8 @@ def simulate_hashing(
 
     # Decode the amplitude strings before the phase rounds need them (one
     # shared matrix, one right-hand side per amplitude bit position).
+    amp_system = gf2.GF2System(m, n_sides=n_parties - 1, cap=solver_cap)
+    amp_system.add_row(amp_rows, rhs)
     amp_cosets = amp_system.solve()
     decoded_amps = None
     if amp_feasible:
@@ -458,16 +466,6 @@ def simulate_hashing(
             decoded_amps |= result.bits.astype(np.int64) * bit
         run.decoded_amps = decoded_amps
 
-    # Phase rounds: the measured state acts as the XOR source, so the
-    # subset's phase bits accumulate in it while its amplitude bits leak
-    # into the other members, untracked: success checks the decoded
-    # amplitudes of every state live here against the initial ones.
-    packed_init_phases = gf2.pack_bits(init_phases)
-    rows, parities = _phase_rows(subsets_b, lineage, true_phases, packed_init_phases)
-    phase_system = gf2.GF2System(m, n_sides=1, cap=solver_cap)
-    phase_system.add_row(rows, parities)
-    run.phase_rounds = _round_records(subsets_b, parities)
-
     survivors = np.delete(np.arange(m), run.consumed)
     run.survivors = survivors
     run.empirical_yield = survivors.size / m
@@ -476,6 +474,8 @@ def simulate_hashing(
     # current phase through its recorded lineage.
     survivor_phase_belief = None
     if feasible:
+        phase_system = gf2.GF2System(m, n_sides=1, cap=solver_cap)
+        phase_system.add_row(phase_rows, phase_parities)
         result = decode(phase_system.solve()[0], float(p_phase), init_phases)
         run.phase_decode_status = result.status
         if result.ok and result.bits is not None:

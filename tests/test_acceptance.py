@@ -11,6 +11,7 @@ import numpy as np
 
 from catpurify.cli import main as cli_main
 from catpurify.ensemble import block_step, block_yield, werner_single
+from catpurify.gf2 import unpack_bits
 from catpurify.hashing import (
     simulate_hashing,
     two_party_hashing_yield,
@@ -193,11 +194,15 @@ def test_criterion_10_small_instance_decoder_oracle():
     agreements = 0
     for seed in range(50):
         _, _, run = simulate_hashing(2, 10, single, seed=seed, safety_bits=1)
+        rounds = list(zip(
+            (np.flatnonzero(row) for row in unpack_bits(run.amp_rows, 10)),
+            run.amp_measured.tolist(),
+        ))
         consistent = []
         for bits in itertools.product((0, 1), repeat=10):
             cand = np.array(bits, dtype=np.uint8)
             if all(
-                int(cand[r.members].sum() & 1) == r.measured for r in run.amp_rounds
+                int(cand[members].sum() & 1) == measured for members, measured in rounds
             ):
                 consistent.append(cand)
         weights = np.array([c.sum() for c in consistent])

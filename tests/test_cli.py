@@ -250,6 +250,8 @@ def test_stdout_output(capsys):
         (["yield-curve", "--methods", "mp-hash"], "f=0.5:1:1e-320", 3),
         # A config line with no '='.
         (["yield-curve", "--methods", "mp-hash"], "parties", 2),
+        (["simulate-hashing", "-N", "2", "-m", "8", "--seed", "-1"], None, 2),
+        (["simulate-hashing", "-N", "2", "-m", "8"], "seed=-1", 2),
     ],
 )
 def test_rejected_input_exits_before_output(tmp_path, capsys, argv, config, code):

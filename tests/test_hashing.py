@@ -29,6 +29,7 @@ from catpurify.hashing import (
     _amplitude_rows,
     _draw_subsets,
     _phase_rows,
+    _targets,
     binary_entropy,
     multiparty_hashing_yield,
     simulate_hashing,
@@ -151,27 +152,39 @@ def test_separate_string_hashing_never_beats_joint():
         ) + 1e-12
 
 
+def transcript_rounds(text: str, m: int):
+    """Each phase of a serialized transcript of an m-state block, as
+    (members, target, measured) per round."""
+    return [
+        [(np.flatnonzero(bits), int(target), int(measured))
+         for bits, target, measured in zip(unpack_bits(rows, m), targets, measured_values)]
+        for rows, targets, measured_values in HashingRun.parse_rounds(text)
+    ]
+
+
 def replay_transcript(run: HashingRun):
-    """Independent replay: re-derive every parity from the initial labels
-    and the recorded wiring, checking the measured bits as it goes."""
+    """Independent replay of the serialized transcript: re-derive every
+    parity from the initial labels and the recorded wiring, checking the
+    measured bits as it goes."""
+    text = run.to_text()
     n = run.n_parties
+    codes = HashingRun.parse_truth(text)
     amp_mask = (1 << (n - 1)) - 1
-    phases = ((run.initial_codes >> (n - 1)) & 1).astype(int)
-    amps = (run.initial_codes & amp_mask).astype(int)
-    for rnd in run.amp_rounds:
-        members = rnd.members
+    phases = ((codes >> (n - 1)) & 1).astype(int)
+    amps = (codes & amp_mask).astype(int)
+    amp_rounds, phase_rounds = transcript_rounds(text, run.block_size)
+    for members, target, measured in amp_rounds:
         parity = int(np.bitwise_xor.reduce(amps[members]))
-        assert parity == rnd.measured
-        sources = members[members != rnd.target]
-        phases[sources] ^= phases[rnd.target]
-        amps[rnd.target] = parity
-    for rnd in run.phase_rounds:
-        members = rnd.members
+        assert parity == measured
+        sources = members[members != target]
+        phases[sources] ^= phases[target]
+        amps[target] = parity
+    for members, target, measured in phase_rounds:
         parity = int(np.bitwise_xor.reduce(phases[members]))
-        assert parity == rnd.measured
-        others = members[members != rnd.target]
-        phases[rnd.target] = parity
-        amps[others] ^= amps[rnd.target]
+        assert parity == measured
+        others = members[members != target]
+        phases[target] = parity
+        amps[others] ^= amps[target]
     return phases, amps
 
 
@@ -233,13 +246,24 @@ def test_transcript_truth_round_trip(n_parties):
 
 
 def test_transcript_round_trip():
-    _, _, run = simulate_hashing(3, 24, werner_single(3, 0.9), seed=2, safety_bits=2)
-    amp, phase = HashingRun.parse_rounds(run.to_text())
-    assert len(amp) == run.rounds_a and len(phase) == run.rounds_b
-    for parsed, original in zip(amp + phase, run.amp_rounds + run.phase_rounds):
-        np.testing.assert_array_equal(parsed.members, original.members)
-        assert parsed.target == original.target
-        assert parsed.measured == original.measured
+    # (m, f, safety_bits): both phases empty (m=1, and a pure m=2 block with
+    # no safety rounds), phase B empty, rows of one word (m=24 and a full
+    # word at m=64) and of two (m=65).
+    cases = [(1, 0.9, 0), (2, 1.0, 0), (2, 1.0, None), (24, 0.9, 2), (64, 0.9, 4), (65, 0.9, 4)]
+    empty = set()
+    for n, (m, f, safety_bits) in itertools.product((2, 3, 4), cases):
+        _, _, run = simulate_hashing(n, m, werner_single(n, f), seed=2, safety_bits=safety_bits)
+        amp, phase = HashingRun.parse_rounds(run.to_text())
+        targets = np.array(run.consumed, dtype=np.int64)
+        for (rows, parsed_targets, measured), original in zip((amp, phase), (
+            (run.amp_rows, targets[:run.rounds_a], run.amp_measured),
+            (run.phase_rows, targets[run.rounds_a:], run.phase_measured),
+        )):
+            assert rows.dtype == np.uint64 and rows.shape == (len(measured), gf2.n_words(m))
+            for got, want in zip((rows, parsed_targets, measured), original):
+                np.testing.assert_array_equal(got, want)
+        empty.add((run.rounds_a == 0, run.rounds_b == 0))
+    assert empty == {(True, True), (False, True), (False, False)}
 
 
 def test_safety_monotonicity_weak_form():
@@ -271,14 +295,15 @@ def test_solver_cap_enforced():
 
 
 def consistent_amp_candidates(run: HashingRun):
-    """All amplitude strings (N=2) consistent with the recorded parities."""
+    """All amplitude strings (N=2) consistent with the serialized parities."""
     m = run.block_size
+    amp_rounds, _ = transcript_rounds(run.to_text(), m)
     consistent = []
     for bits in itertools.product((0, 1), repeat=m):
         cand = np.array(bits, dtype=np.uint8)
         ok = all(
-            int(cand[rnd.members].sum() & 1) == rnd.measured
-            for rnd in run.amp_rounds
+            int(cand[members].sum() & 1) == measured
+            for members, _, measured in amp_rounds
         )
         if ok:
             consistent.append(cand)
@@ -314,7 +339,6 @@ def test_three_party_run_decodes_both_amplitude_strings():
     success, _, run = simulate_hashing(
         3, 40, werner_single(3, 0.95), seed=8, safety_bits=6
     )
-    assert run.rounds_a == len({r.index for r in run.amp_rounds})
     phases, _ = replay_transcript(run)
     if success:
         survivors = run.survivors
@@ -341,6 +365,15 @@ def test_amplitude_sides_follow_party_order(seed):
     assert not (run.decoded_amps & 0b10).any()
     survivors = run.survivors
     np.testing.assert_array_equal(run.decoded_amps[survivors], run.initial_codes[survivors] & 0b11)
+
+
+def test_returned_run_keeps_only_packed_records():
+    # One packed row of 32 words and one measured value per round, plus
+    # per-state arrays: about 0.4 MB.
+    _, _, run = simulate_hashing(3, 2000, werner_single(3, 0.9), seed=1000, safety_bits=20)
+    arrays = [value for value in vars(run).values() if isinstance(value, np.ndarray)]
+    assert run.amp_rows.shape == run.phase_rows.shape == (652, 32)
+    assert sum(value.nbytes for value in arrays) < 1 << 20
 
 
 def test_large_block_monte_carlo_quick():
@@ -491,17 +524,19 @@ def reference_bookkeeping(subsets_a, subsets_b, m, codes, n):
         amp_rows.append(row)
         amp_parities.append(parity)
     lineage_after_a, phases_after_a = list(lineage), list(phases)
-    phase_rows, phase_parities = [], []
+    phase_members, phase_rows, phase_parities = [], [], []
     for members in subsets_b:
-        parity, row = 0, 0
+        parity, member_row, row = 0, 0, 0
         for i in members.tolist():
             parity ^= phases[i]
+            member_row |= 1 << i
             row ^= lineage[i]
         phases[int(members[0])] = parity
+        phase_members.append(member_row)
         phase_rows.append(row)
         phase_parities.append(parity)
     return (amp_rows, amp_parities, lineage_after_a, phases_after_a,
-            phase_rows, phase_parities)
+            phase_members, phase_rows, phase_parities)
 
 
 def packed_as_ints(rows):
@@ -514,12 +549,15 @@ def bulk_bookkeeping(subsets_a, subsets_b, m, codes, n):
     init_amps = codes & ((1 << (n - 1)) - 1)
     side_bits = np.array([amp_bit(j, n) for j in range(n - 1)], dtype=np.int64)
     side_truth = ((init_amps & side_bits[:, None]) != 0).astype(np.uint8)
-    amp_rows, rhs, amp_parities = _amplitude_rows(subsets_a, m, init_amps, side_truth, side_bits)
+    amp_rows, rhs, amp_parities = _amplitude_rows(
+        subsets_a, _targets(subsets_a), m, init_amps, side_truth, side_bits)
     np.testing.assert_array_equal(rhs, (amp_parities[:, None] & side_bits) != 0)
     lineage, phases = _amplitude_backaction(subsets_a, m, init_phases)
-    phase_rows, phase_parities = _phase_rows(subsets_b, lineage, phases, pack_bits(init_phases))
+    phase_members, phase_rows, phase_parities = _phase_rows(
+        subsets_b, _targets(subsets_b), lineage, phases, pack_bits(init_phases))
     return (packed_as_ints(amp_rows), amp_parities.tolist(), packed_as_ints(lineage),
-            phases.tolist(), packed_as_ints(phase_rows), phase_parities.tolist())
+            phases.tolist(), packed_as_ints(phase_members), packed_as_ints(phase_rows),
+            phase_parities.tolist())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -547,20 +585,24 @@ def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
     def counting_pack(indices, n_bits, starts=None):
         rows = pack_indices_real(indices, n_bits, starts)
         if starts is not None:
-            gathers.append((len(starts), indices.size * 32 + rows.shape[0] * rows.shape[1] * 64))
+            # Each round unpacks one byte per bit; a phase-A member holds
+            # four int64 values.
+            gathers.append([len(starts), indices.size * 32 + rows.size * 64])
         return rows
 
     def counting_xor(rows, indices, starts):
-        gathers.append((len(starts), indices.size * (rows.shape[1] * 8 + 17)))
+        # Phase B packs each run first.  Its members hold a lineage row, a
+        # phase and three int64 values instead.
+        gathers[-1][1] += indices.size * (rows.shape[1] * 8 + 25 - 32)
         return xor_segments_real(rows, indices, starts)
 
     monkeypatch.setattr(gf2, "pack_indices", counting_pack)
     monkeypatch.setattr(gf2, "xor_segments", counting_xor)
     single = werner_single(3, 0.9)
     # At m=2000 a phase round gathers about 180 KB of lineage rows.  At
-    # m=300 the early phase rounds gather more than 5,000 bytes each, so
+    # m=300 the early phase rounds gather more than 6,000 bytes each, so
     # they run alone, over the cap.
-    for m, cap in ((2000, ROUND_CHUNK_BYTES), (300, 5000)):
+    for m, cap in ((2000, ROUND_CHUNK_BYTES), (300, 6000)):
         gathers.clear()
         monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", cap)
         _, _, run = simulate_hashing(3, m, single, seed=1000, safety_bits=20)
@@ -585,8 +627,10 @@ def test_bulk_bookkeeping_peaks_within_the_chunk_cap(monkeypatch):
     side_truth = ((init_amps & side_bits[:, None]) != 0).astype(np.uint8)
     lineage, phases = _amplitude_backaction(subsets_a, m, init_phases)
     passes = (
-        lambda: _amplitude_rows(subsets_a, m, init_amps, side_truth, side_bits),
-        lambda: _phase_rows(subsets_b, lineage, phases, pack_bits(init_phases)),
+        lambda: _amplitude_rows(
+            subsets_a, _targets(subsets_a), m, init_amps, side_truth, side_bits),
+        lambda: _phase_rows(
+            subsets_b, _targets(subsets_b), lineage, phases, pack_bits(init_phases)),
     )
 
     def peak_over_outputs(run_pass):
@@ -618,10 +662,11 @@ def test_bulk_passes_reject_a_state_read_after_it_was_measured():
     fresh = [[[0, 2], [1, 3, 4]], [[1, 2], [0, 3, 5]], [[2, 3], [0, 4], [1, 3, 5]]]
     for rounds in reread + fresh:
         subsets = [np.array(members) for members in rounds]
+        targets = _targets(subsets)
         for label, build in (
             ("amplitude", lambda: _amplitude_rows(
-                subsets, m, amps, amps[None].astype(np.uint8), np.array([1]))),
-            ("phase", lambda: _phase_rows(subsets, lineage, phases, pack_bits(phases))),
+                subsets, targets, m, amps, amps[None].astype(np.uint8), np.array([1]))),
+            ("phase", lambda: _phase_rows(subsets, targets, lineage, phases, pack_bits(phases))),
         ):
             if rounds in fresh:
                 build()
