@@ -49,13 +49,13 @@ class WernerParams:
     def alphas(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
         """Unclipped alpha of each fidelity.  The first fidelity whose alpha
         is outside [0, 1] by more than 1e-12 raises."""
-        dim = 1 << n_parties
+        dim_inv = 2.0 ** -n_parties
         f = np.asarray(fidelities, dtype=float)
-        alpha = (f - 1.0 / dim) / (1.0 - 1.0 / dim)
+        alpha = (f - dim_inv) / (1.0 - dim_inv)
         ok = (-1e-12 <= alpha) & (alpha <= 1.0 + 1e-12)
         if not ok.all():
             raise ValueError(
-                f"fidelity {float(f[~ok][0])} outside [{1.0 / dim}, 1] for N={n_parties}"
+                f"fidelity {float(f[~ok][0])} outside [{dim_inv}, 1] for N={n_parties}"
             )
         return alpha
 
@@ -121,9 +121,11 @@ def werner_rows(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
     ``WernerParams``'s error."""
     f = np.asarray(fidelities, dtype=float)
     WernerParams.alphas(n_parties, f)  # validates the range
+    # 2^N labels fit the cap exactly when N is below the cap's bit length;
+    # checking N first never builds (or prints) a huge 2^N.
+    if n_parties >= ENSEMBLE_ENTRY_CAP.bit_length():
+        raise CapacityError(f"2^{n_parties} labels exceeds the ensemble cap {ENSEMBLE_ENTRY_CAP}")
     dim = 1 << n_parties
-    if dim > ENSEMBLE_ENTRY_CAP:
-        raise CapacityError(f"{dim} labels exceeds the ensemble cap {ENSEMBLE_ENTRY_CAP}")
     # Fidelities within validation tolerance of the endpoints may leave
     # negative dust in the off-target entries; snap it to zero.
     probs = np.empty((f.size, dim))

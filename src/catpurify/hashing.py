@@ -57,7 +57,7 @@ def werner_hashing_yields(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
     dim_inv = 2.0 ** (1 - n_parties)
     f = np.asarray(fidelities, dtype=float)
     x = (1.0 - f) / (2.0 - dim_inv)
-    outside = ~((1.0 / (1 << n_parties) - 1e-12 <= f) & (f <= 1.0 + 1e-12))
+    outside = ~((2.0 ** -n_parties - 1e-12 <= f) & (f <= 1.0 + 1e-12))
     # A fidelity within the tolerance above 1 gives x < 0, outside H2's
     # domain; the first point failing either test names the error.
     bad = outside | (x < 0.0)
@@ -235,7 +235,7 @@ ROUND_CHUNK_BYTES = 1 << 20
 
 
 def _member_runs(
-    subsets: list[np.ndarray], member_bytes: int, round_bytes: int = 0
+    subsets: list[np.ndarray], member_bytes: int, round_bytes: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The rounds in consecutive runs: each run's round indices, its
     members concatenated, and where each of its rounds starts in them.  A
@@ -257,54 +257,54 @@ def _targets(subsets: list[np.ndarray]) -> np.ndarray:
     return np.array([members[0] for members in subsets], dtype=np.int64)
 
 
-def _measured_rounds(targets: np.ndarray, m: int) -> np.ndarray:
-    """The first round of a phase that measures each state, or its round count if none does."""
-    measured_at = np.full(m, len(targets), dtype=np.int64)
-    np.minimum.at(measured_at, targets, np.arange(len(targets)))
-    return measured_at
+def _records(
+    subsets: list[np.ndarray], targets: np.ndarray, values: np.ndarray,
+    side_bits: np.ndarray, side_truth: np.ndarray, lineage: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Packed membership rows, system rows over the initial labels,
+    right-hand sides (one column per side) and measured values of one
+    phase's rounds.
 
-
-def _reads_unmeasured(
-    measured_at: np.ndarray, rounds: np.ndarray, indices: np.ndarray, starts: np.ndarray
-) -> bool:
-    """Whether no round of a run reads a state an earlier round measured.
-    A round measures its own first member, so the earliest measuring round
-    among its members is at most the round itself, and equal exactly when
-    the bulk passes read the labels the rounds before it left."""
-    return np.array_equal(np.minimum.reduceat(measured_at[indices], starts), rounds)
-
-
-def _amplitude_rows(
-    subsets: list[np.ndarray], targets: np.ndarray, m: int, init_amps: np.ndarray,
-    side_truth: np.ndarray, side_bits: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Packed membership rows, right-hand sides (one column per amplitude
-    side) and measured amplitude parities of the amplitude rounds.
-
-    The target is consumed after its round and live amplitudes never change
-    during this phase, so each parity is that of the members' initial
-    amplitudes.  That premise is checked, and so is each parity against the
-    packed rows' dot product with each side's initial bits.
+    Each value is the XOR of the members' ``values`` as the phase began:
+    the target is consumed after its round, and the phase changes no live
+    state's value.  That premise is checked, and so is each right-hand side
+    against the row's dot product with each side's initial bits
+    ``side_truth``.  Without ``lineage`` the values are the initial labels
+    and the rows are the membership rows themselves (the amplitude phase);
+    with it, a row is the XOR of its members' lineage rows (the phase
+    string, one side).
     """
+    n_rounds, m = len(subsets), values.size
     words = gf2.n_words(m)
-    packed_sides = gf2.pack_bits(side_truth)
-    measured_at = _measured_rounds(targets, m)
-    blocks = [(np.empty((0, words), np.uint64), np.empty((0, side_bits.size), np.uint8),
-               np.empty(0, init_amps.dtype))]
-    # Per member a run holds four int64 values (its index, its row in
-    # pack_indices, its amplitude and its measuring round); per round it
-    # unpacks one byte per bit.
-    for rounds, indices, starts in _member_runs(subsets, 32, words << 6):
-        rows = gf2.pack_indices(indices, m, starts)
-        parities = np.bitwise_xor.reduceat(init_amps[indices], starts)
-        rhs = ((parities[:, None] & side_bits) != 0).astype(np.uint8)
+    label = "amplitude" if lineage is None else "phase"
+    packed_truth = gf2.pack_bits(side_truth)
+    # The first round that measures each state, or n_rounds if none does.
+    measured_at = np.full(m, n_rounds, dtype=np.int64)
+    np.minimum.at(measured_at, targets, np.arange(n_rounds))
+    members = np.empty((n_rounds, words), dtype=np.uint64)
+    rows = members if lineage is None else np.empty_like(members)
+    rhs = np.empty((n_rounds, side_bits.size), dtype=np.uint8)
+    parities = np.empty(n_rounds, dtype=values.dtype)
+    # Per member a run holds three int64 values (its index, its row in
+    # pack_indices and its measuring round), its value and its lineage row
+    # if any; per round it unpacks one byte per bit.
+    member_bytes = 24 + values.itemsize + (0 if lineage is None else words * lineage.itemsize)
+    for rounds, indices, starts in _member_runs(subsets, member_bytes, words << 6):
+        run_rows = members[rounds] = gf2.pack_indices(indices, m, starts)
+        if lineage is not None:
+            run_rows = rows[rounds] = gf2.xor_segments(lineage, indices, starts)
+        run_parities = parities[rounds] = np.bitwise_xor.reduceat(values[indices], starts)
+        run_rhs = rhs[rounds] = (run_parities[:, None] & side_bits) != 0
+        # A round measures its own first member, so the earliest measuring
+        # round among its members equals the round itself exactly when it
+        # reads no state an earlier round measured.
+        first_measured = np.minimum.reduceat(measured_at[indices], starts)
         if not (
-            _reads_unmeasured(measured_at, rounds, indices, starts)
-            and np.array_equal(gf2.dot_bit(rows[:, None], packed_sides), rhs)
+            np.array_equal(first_measured, rounds)
+            and np.array_equal(gf2.dot_bit(run_rows[:, None], packed_truth), run_rhs)
         ):
-            raise InternalInvariantError("amplitude parity bookkeeping drifted")
-        blocks.append((rows, rhs, parities))
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+            raise InternalInvariantError(f"{label} parity bookkeeping drifted")
+    return members, rows, rhs, parities
 
 
 def _amplitude_backaction(
@@ -324,38 +324,6 @@ def _amplitude_backaction(
         span = gf2.n_words(target + 1)
         lineage[sources, :span] ^= lineage[target, :span]
     return lineage, true_phases
-
-
-def _phase_rows(
-    subsets: list[np.ndarray], targets: np.ndarray, lineage: np.ndarray,
-    true_phases: np.ndarray, packed_init_phases: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Packed membership rows, rows over the initial phases, and measured
-    parities of the phase rounds.
-
-    The measured state is consumed after its round, so every parity reads
-    the true phases as the amplitude rounds left them.  That is checked, and
-    so is each round's row over the initial phases, the XOR of its members'
-    lineage rows, against the parity through the initial phases.
-    """
-    m, words = lineage.shape
-    measured_at = _measured_rounds(targets, m)
-    blocks = [(np.empty((0, words), np.uint64), np.empty((0, words), np.uint64),
-               np.empty(0, true_phases.dtype))]
-    # Per member: its index, lineage row, phase, measuring round and row in
-    # pack_indices; per round, one unpacked byte per bit.
-    member_bytes = words * lineage.itemsize + true_phases.itemsize + 24
-    for rounds, indices, starts in _member_runs(subsets, member_bytes, words << 6):
-        members = gf2.pack_indices(indices, m, starts)
-        rows = gf2.xor_segments(lineage, indices, starts)
-        parities = np.bitwise_xor.reduceat(true_phases[indices], starts)
-        if not (
-            _reads_unmeasured(measured_at, rounds, indices, starts)
-            and np.array_equal(gf2.dot_bit(rows, packed_init_phases), parities)
-        ):
-            raise InternalInvariantError("phase parity bookkeeping drifted")
-        blocks.append((members, rows, parities))
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def simulate_hashing(
@@ -418,14 +386,15 @@ def simulate_hashing(
     # the measured state acts as the XOR source, so the subset's phase bits
     # accumulate in it while its amplitude bits leak into the other members,
     # untracked: success checks the decoded amplitudes of every state live
-    # there against the initial ones.
+    # there against the initial ones.  The phase string is the one-side case
+    # of the amplitude strings, read through the lineage.
     targets_a, targets_b = _targets(subsets_a), _targets(subsets_b)
-    amp_rows, rhs, amp_parities = _amplitude_rows(
-        subsets_a, targets_a, m, init_amps, side_truth, side_bits
+    amp_rows, _, amp_rhs, amp_parities = _records(
+        subsets_a, targets_a, init_amps, side_bits, side_truth
     )
     lineage, true_phases = _amplitude_backaction(subsets_a, m, init_phases)
-    phase_members, phase_rows, phase_parities = _phase_rows(
-        subsets_b, targets_b, lineage, true_phases, gf2.pack_bits(init_phases)
+    phase_members, phase_rows, phase_rhs, phase_parities = _records(
+        subsets_b, targets_b, true_phases, np.ones(1, dtype=np.int64), init_phases[None], lineage
     )
     del subsets_a, subsets_b
     run = HashingRun(
@@ -440,30 +409,35 @@ def simulate_hashing(
     probe_rng = np.random.default_rng([seed, 0x5AFE])
     modes = set()
 
-    def decode(coset, prior_one: float, truth_bits: np.ndarray) -> gf2.DecodeResult:
-        result = gf2.decode_map(coset, prior_one, exact_dim_cap)
-        if result.status == "intractable":
-            result = gf2.certified_map_decode(coset, prior_one, truth_bits, probe_rng)
-            modes.add("certified")
-        else:
-            modes.add("exact")
-        return result
+    def solve_and_decode(
+        rows: np.ndarray, rhs: np.ndarray, priors: list[float], truth: np.ndarray
+    ) -> tuple[str, list[np.ndarray] | None]:
+        """Solve one shared matrix for every side's right-hand side and
+        decode each coset: the last side's status, and every side's bits or
+        None at the first side that fails."""
+        system = gf2.GF2System(m, n_sides=len(priors), cap=solver_cap)
+        system.add_row(rows, rhs)
+        decoded = []
+        for coset, prior_one, truth_bits in zip(system.solve(), priors, truth):
+            result = gf2.decode_map(coset, prior_one, exact_dim_cap)
+            if result.status == "intractable":
+                result = gf2.certified_map_decode(coset, prior_one, truth_bits, probe_rng)
+                modes.add("certified")
+            else:
+                modes.add("exact")
+            if not result.ok or result.bits is None:
+                return result.status, None
+            decoded.append(result.bits)
+        return result.status, decoded
 
-    # Decode the amplitude strings before the phase rounds need them (one
-    # shared matrix, one right-hand side per amplitude bit position).
-    amp_system = gf2.GF2System(m, n_sides=n_parties - 1, cap=solver_cap)
-    amp_system.add_row(amp_rows, rhs)
-    amp_cosets = amp_system.solve()
+    # Decode the amplitude strings before the phase string needs them.
     decoded_amps = None
     if amp_feasible:
-        decoded_amps = np.zeros(m, dtype=np.int64)
-        for j, bit in enumerate(side_bits.tolist()):
-            result = decode(amp_cosets[j], float(p_amps[j]), side_truth[j])
-            run.amp_decode_status = result.status
-            if not result.ok or result.bits is None:
-                decoded_amps = None
-                break
-            decoded_amps |= result.bits.astype(np.int64) * bit
+        run.amp_decode_status, amp_bits = solve_and_decode(
+            amp_rows, amp_rhs, [float(x) for x in p_amps], side_truth
+        )
+        if amp_bits is not None:
+            decoded_amps = side_bits @ np.array(amp_bits, dtype=np.int64)
         run.decoded_amps = decoded_amps
 
     survivors = np.delete(np.arange(m), run.consumed)
@@ -474,13 +448,11 @@ def simulate_hashing(
     # current phase through its recorded lineage.
     survivor_phase_belief = None
     if feasible:
-        phase_system = gf2.GF2System(m, n_sides=1, cap=solver_cap)
-        phase_system.add_row(phase_rows, phase_parities)
-        result = decode(phase_system.solve()[0], float(p_phase), init_phases)
-        run.phase_decode_status = result.status
-        if result.ok and result.bits is not None:
-            packed_decoded = gf2.pack_bits(result.bits)
-            belief = gf2.dot_bit(lineage[survivors], packed_decoded)
+        run.phase_decode_status, phase_bits = solve_and_decode(
+            phase_rows, phase_rhs, [float(p_phase)], init_phases[None]
+        )
+        if phase_bits is not None:
+            belief = gf2.dot_bit(lineage[survivors], gf2.pack_bits(phase_bits[0]))
             survivor_phase_belief = belief.astype(np.uint8)
             run.decoded_survivor_phases = survivor_phase_belief
     run.decode_mode = "/".join(sorted(modes)) if modes else "none"

@@ -73,10 +73,6 @@ class CatLabel:
         amps = [int((value & amp_bit(j, n_parties)) != 0) for j in range(n_parties - 1)]
         return CatLabel(n_parties, int((value & phase_bit(n_parties)) != 0), tuple(amps))
 
-    @property
-    def is_target(self) -> bool:
-        return self.phase == 0 and not any(self.amplitudes)
-
 
 @dataclass(frozen=True)
 class LocalCorrection:

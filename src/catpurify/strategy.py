@@ -137,8 +137,9 @@ def recurrence_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw best yield and its round count at each fidelity (see
     ``recurrence_then_hashing``), all points advancing one round at a time.
-    Rows are normalized, so p_pass = sum_a P(a)^2 over the two amplitude
-    classes is at least 1/2 and no point stops early."""
+    Each round scales a point's factor by p_pass/2 <= 1/2, so every factor
+    underflows to exactly 0 within about 1,075 rounds; after that round no
+    yield or round count can change, and the loop stops there."""
     if variant not in RECURRENCE_VARIANTS:
         raise ValueError(f"unknown recurrence variant {variant!r}")
     dist = werner_rows(2, fidelities)
@@ -154,6 +155,8 @@ def recurrence_grid(
         better = y > best_yield
         best_yield[better] = y[better]
         best_round[better] = r
+        if not factor.any():
+            break
         dist = nxt if variant == "exact" else werner_rows(2, nxt[:, 0])
     return best_yield, best_round
 

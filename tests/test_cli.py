@@ -2,7 +2,8 @@ import hashlib
 
 import pytest
 
-from catpurify.cli import main
+from catpurify.cli import _fmt, main
+from catpurify.hashing import werner_hashing_yield_limit
 
 
 def run_cli(args):
@@ -252,6 +253,9 @@ def test_stdout_output(capsys):
         (["yield-curve", "--methods", "mp-hash"], "parties", 2),
         (["simulate-hashing", "-N", "2", "-m", "8", "--seed", "-1"], None, 2),
         (["simulate-hashing", "-N", "2", "-m", "8"], "seed=-1", 2),
+        # 2^N past every double's range, and past what memory could hold.
+        (["simulate-hashing", "-N", "1024", "-m", "2"], None, 3),
+        (["simulate-hashing", "-N", "1000000000000", "-m", "2"], None, 3),
     ],
 )
 def test_rejected_input_exits_before_output(tmp_path, capsys, argv, config, code):
@@ -270,6 +274,26 @@ def test_rejected_input_exits_before_output(tmp_path, capsys, argv, config, code
 def test_yield_curve_mp_hash_beyond_ensemble_cap(capsys):
     assert run_cli(["yield-curve", "-N", "40", "--methods", "mp-hash", "--f", "1:1:1"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "1,1,1"
+
+
+@pytest.mark.parametrize("n", ["1024", "1000000000"])
+def test_yield_curve_mp_hash_at_huge_party_counts(capsys, n):
+    # 2^-N is at most 2^-1024, so every cell equals the many-party limit.
+    assert run_cli(["yield-curve", "-N", n, "--methods", "mp-hash", "--f", "0.5:1:0.25"]) == 0
+    expected = []
+    for f in (0.5, 0.75, 1.0):
+        y = werner_hashing_yield_limit(f)
+        expected.append(",".join(_fmt(v) for v in (f, y, max(y, 0.0))))
+    assert capsys.readouterr().out.splitlines()[1:] == expected
+
+
+def test_max_rounds_past_the_underflow_costs_nothing(capsys):
+    argv = ["yield-curve", "--methods", "rec-hash", "--f", "0.3:0.9:0.15", "--max-rounds"]
+    outputs = []
+    for max_rounds in ("2000", "1000000000"):
+        assert run_cli(argv + [max_rounds]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_config_file_round_trip_simulate_hashing(tmp_path):

@@ -26,9 +26,8 @@ from catpurify.hashing import (
     SELECTOR_CHUNK,
     HashingRun,
     _amplitude_backaction,
-    _amplitude_rows,
     _draw_subsets,
-    _phase_rows,
+    _records,
     _targets,
     binary_entropy,
     multiparty_hashing_yield,
@@ -264,6 +263,14 @@ def test_transcript_round_trip():
                 np.testing.assert_array_equal(got, want)
         empty.add((run.rounds_a == 0, run.rounds_b == 0))
     assert empty == {(True, True), (False, True), (False, False)}
+
+
+def test_transcript_parse_rejects_a_missing_line():
+    lines = simulate_hashing(2, 8, werner_single(2, 0.9), seed=0)[2].to_text().splitlines(True)
+    with pytest.raises(ValueError, match="no truth= line"):
+        HashingRun.parse_truth("".join(l for l in lines if not l.startswith("truth=")))
+    with pytest.raises(ValueError, match="no parameter line"):
+        HashingRun.parse_rounds("".join(l for l in lines if not l.startswith("n_parties=")))
 
 
 def test_safety_monotonicity_weak_form():
@@ -543,18 +550,30 @@ def packed_as_ints(rows):
     return [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in rows]
 
 
+def amplitude_records(subsets, init_amps, n):
+    side_bits = np.array([amp_bit(j, n) for j in range(n - 1)], dtype=np.int64)
+    side_truth = ((init_amps & side_bits[:, None]) != 0).astype(np.uint8)
+    return _records(subsets, _targets(subsets), init_amps, side_bits, side_truth)
+
+
+def phase_records(subsets, lineage, phases, init_phases):
+    return _records(subsets, _targets(subsets), phases, np.ones(1, dtype=np.int64),
+                    init_phases[None], lineage)
+
+
 def bulk_bookkeeping(subsets_a, subsets_b, m, codes, n):
     """The simulator's bulk passes on the same subsets and labels."""
     init_phases = (codes >> (n - 1)).astype(np.uint8)
     init_amps = codes & ((1 << (n - 1)) - 1)
     side_bits = np.array([amp_bit(j, n) for j in range(n - 1)], dtype=np.int64)
-    side_truth = ((init_amps & side_bits[:, None]) != 0).astype(np.uint8)
-    amp_rows, rhs, amp_parities = _amplitude_rows(
-        subsets_a, _targets(subsets_a), m, init_amps, side_truth, side_bits)
+    amp_members, amp_rows, rhs, amp_parities = amplitude_records(subsets_a, init_amps, n)
+    # The amplitude system's rows are its membership rows, held once.
+    assert amp_rows is amp_members
     np.testing.assert_array_equal(rhs, (amp_parities[:, None] & side_bits) != 0)
     lineage, phases = _amplitude_backaction(subsets_a, m, init_phases)
-    phase_members, phase_rows, phase_parities = _phase_rows(
-        subsets_b, _targets(subsets_b), lineage, phases, pack_bits(init_phases))
+    phase_members, phase_rows, phase_rhs, phase_parities = phase_records(
+        subsets_b, lineage, phases, init_phases)
+    np.testing.assert_array_equal(phase_rhs[:, 0], phase_parities)
     return (packed_as_ints(amp_rows), amp_parities.tolist(), packed_as_ints(lineage),
             phases.tolist(), packed_as_ints(phase_members), packed_as_ints(phase_rows),
             phase_parities.tolist())
@@ -615,22 +634,19 @@ def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
 
 def test_bulk_bookkeeping_peaks_within_the_chunk_cap(monkeypatch):
     # Traced numpy allocations of each pass: one run of rounds at a time,
-    # plus the rows and parities it returns, held once as blocks and once
-    # concatenated.  With no cap a pass holds every round's temporaries.
+    # plus the records it returns, each allocated once (the amplitude pass
+    # returns its membership rows as its system rows).  With no cap a pass
+    # holds every round's temporaries.
     m, n = 2000, 3
     draw = np.random.default_rng(1000)
     subsets_a, subsets_b = _draw_subsets(draw, m, (700, 700))
     codes = draw.integers(0, 1 << n, size=m)
     init_phases = (codes >> (n - 1)).astype(np.uint8)
     init_amps = codes & ((1 << (n - 1)) - 1)
-    side_bits = np.array([amp_bit(j, n) for j in range(n - 1)], dtype=np.int64)
-    side_truth = ((init_amps & side_bits[:, None]) != 0).astype(np.uint8)
     lineage, phases = _amplitude_backaction(subsets_a, m, init_phases)
     passes = (
-        lambda: _amplitude_rows(
-            subsets_a, _targets(subsets_a), m, init_amps, side_truth, side_bits),
-        lambda: _phase_rows(
-            subsets_b, _targets(subsets_b), lineage, phases, pack_bits(init_phases)),
+        lambda: amplitude_records(subsets_a, init_amps, n),
+        lambda: phase_records(subsets_b, lineage, phases, init_phases),
     )
 
     def peak_over_outputs(run_pass):
@@ -640,7 +656,7 @@ def test_bulk_bookkeeping_peaks_within_the_chunk_cap(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - 2 * sum(out.nbytes for out in outputs)
+        return peak - sum(out.nbytes for out in {id(out): out for out in outputs}.values())
 
     for run_pass in passes:
         assert peak_over_outputs(run_pass) <= ROUND_CHUNK_BYTES + (64 << 10)
@@ -662,11 +678,9 @@ def test_bulk_passes_reject_a_state_read_after_it_was_measured():
     fresh = [[[0, 2], [1, 3, 4]], [[1, 2], [0, 3, 5]], [[2, 3], [0, 4], [1, 3, 5]]]
     for rounds in reread + fresh:
         subsets = [np.array(members) for members in rounds]
-        targets = _targets(subsets)
         for label, build in (
-            ("amplitude", lambda: _amplitude_rows(
-                subsets, targets, m, amps, amps[None].astype(np.uint8), np.array([1]))),
-            ("phase", lambda: _phase_rows(subsets, targets, lineage, phases, pack_bits(phases))),
+            ("amplitude", lambda: amplitude_records(subsets, amps, 2)),
+            ("phase", lambda: phase_records(subsets, lineage, phases, phases)),
         ):
             if rounds in fresh:
                 build()

@@ -265,6 +265,23 @@ def test_recurrence_matches_dense_chain(variant):
             assert rounds == best or abs(yields[rounds] - yields[best]) <= 1e-15
 
 
+@pytest.mark.parametrize("variant", ["twirl", "exact"])
+def test_recurrence_stops_once_every_factor_underflows(variant):
+    # Every factor is exactly 0 within about 1,075 rounds, so a limit of
+    # 10^9 rounds returns at once.  The dense chain, which never stops
+    # early, gives the same best yield and round count; at f=0.5 (twirl)
+    # and 0.25 (exact) the best round is the deep one where the factor
+    # reaches 0 and a negative yield becomes -0.0.
+    for f in (0.25, 0.5):
+        y, rounds = _recurrence_raw(f, 10**9, variant)
+        assert recurrence_then_hashing(f, 10**9, variant) == recurrence_then_hashing(
+            f, 2000, variant)
+        yields = dense_recurrence(f, 2000, variant)
+        best = int(np.argmax(yields))
+        assert abs(y - yields[best]) <= 1e-15
+        assert rounds == best or abs(yields[rounds] - yields[best]) <= 1e-15
+
+
 @pytest.mark.parametrize("n_parties, methods", [
     (2, ["rec-hash", "block3", "block8", "2p-hash", "mp-hash"]),
     (3, ["mp-hash"]),
