@@ -4,7 +4,6 @@ from .labels import CatLabel, LocalCorrection, all_labels, correction_for, measu
 from .ensemble import (
     DiagonalEnsemble,
     SingleDistribution,
-    WernerParams,
     bit_marginals,
     block_step,
     block_yield,

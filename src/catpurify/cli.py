@@ -15,8 +15,10 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import CapacityError, InternalInvariantError
 from .ensemble import werner_single
@@ -33,6 +35,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
+
+# Output rows formatted and written at a time, so output memory does not
+# grow with the row count.
+WRITE_BLOCK_ROWS = 4096
 
 # Values a config file may give a switch such as ``self-test``.
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -59,7 +65,10 @@ _party_count = _int_at_least(2)
 
 
 def _party_list(text: str) -> tuple[int, ...]:
-    return tuple(_party_count(tok) for tok in text.split(",") if tok.strip())
+    parties = tuple(_party_count(tok) for tok in text.split(",") if tok.strip())
+    if not parties:
+        raise argparse.ArgumentTypeError(f"expected at least one party count, got {text!r}")
+    return parties
 
 
 def _f_range(text: str) -> tuple[float, float, float]:
@@ -111,14 +120,17 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     return parser.parse_args(argv[:at] + _config_flags(args.parser, args.config) + argv[at:])
 
 
-def _write_lines(lines: list[Sequence[str]], args: argparse.Namespace) -> None:
+def _write_rows(rows: Iterable[Sequence[str]], args: argparse.Namespace) -> None:
+    """Write ``rows``, header first, as delimited LF lines,
+    ``WRITE_BLOCK_ROWS`` of them per write."""
     delimiter = "," if args.format == "csv" else "\t"
-    text = "\n".join(delimiter.join(row) for row in lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rows = iter(rows)
+    with (
+        open(args.out, "w", encoding="utf-8", newline="\n") if args.out
+        else contextlib.nullcontext(sys.stdout)
+    ) as fh:
+        while block := list(itertools.islice(rows, WRITE_BLOCK_ROWS)):
+            fh.write("".join(delimiter.join(row) + "\n" for row in block))
 
 
 def cmd_yield_curve(args: argparse.Namespace) -> int:
@@ -134,10 +146,14 @@ def cmd_yield_curve(args: argparse.Namespace) -> int:
     for mid in curve.method_ids:
         header += [f"{mid}_raw", f"{mid}_clamped"]
         columns += [curve.raw[mid], curve.clamped[mid]]
-    # Each column's floats are freed once formatted, so peak memory holds
-    # one column of Python floats at a time.
-    cells = [list(map(_fmt, column.tolist())) for column in columns]
-    _write_lines([header, *zip(*cells)], args)
+
+    def rows():
+        yield header
+        for start in range(0, curve.grid.size, WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            yield from zip(*(map(_fmt, column[block].tolist()) for column in columns))
+
+    _write_rows(rows(), args)
     return EXIT_OK
 
 
@@ -197,7 +213,7 @@ def cmd_simulate_hashing(args: argparse.Namespace) -> int:
     lines.append(
         ["summary", _fmt(successes / args.trials), _fmt(mean_yield), "", "", ""]
     )
-    _write_lines(lines, args)
+    _write_rows(lines, args)
     return EXIT_OK
 
 

@@ -30,34 +30,19 @@ ENSEMBLE_ENTRY_CAP = 1 << 24
 NORMALIZATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class WernerParams:
-    """Mixing weight alpha and fidelity F of the isotropic (Werner-type)
-    state alpha|target><target| + (1-alpha)*I/2^N; F = alpha + (1-alpha)/2^N.
-    """
-
-    n_parties: int
-    fidelity: float
-    alpha: float
-
-    @classmethod
-    def from_fidelity(cls, n_parties: int, fidelity: float) -> "WernerParams":
-        alpha = float(cls.alphas(n_parties, np.array([fidelity]))[0])
-        return cls(n_parties, fidelity, min(max(alpha, 0.0), 1.0))
-
-    @staticmethod
-    def alphas(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
-        """Unclipped alpha of each fidelity.  The first fidelity whose alpha
-        is outside [0, 1] by more than 1e-12 raises."""
-        dim_inv = 2.0 ** -n_parties
-        f = np.asarray(fidelities, dtype=float)
-        alpha = (f - dim_inv) / (1.0 - dim_inv)
-        ok = (-1e-12 <= alpha) & (alpha <= 1.0 + 1e-12)
-        if not ok.all():
-            raise ValueError(
-                f"fidelity {float(f[~ok][0])} outside [{dim_inv}, 1] for N={n_parties}"
-            )
-        return alpha
+def check_fidelities(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
+    """The one fidelity rule, for every method and grid: the isotropic
+    weight alpha = (f - 2^-N)/(1 - 2^-N) of the state
+    alpha|target><target| + (1-alpha)*I/2^N must lie in [0, 1] up to 1e-12.
+    Returns the fidelities as floats; the first one breaking the rule
+    raises."""
+    dim_inv = 2.0 ** -n_parties
+    f = np.asarray(fidelities, dtype=float)
+    alpha = (f - dim_inv) / (1.0 - dim_inv)
+    ok = (-1e-12 <= alpha) & (alpha <= 1.0 + 1e-12)
+    if not ok.all():
+        raise ValueError(f"fidelity {float(f[~ok][0])} outside [{dim_inv}, 1] for N={n_parties}")
+    return f
 
 
 @dataclass
@@ -117,10 +102,8 @@ def werner_single(n_parties: int, fidelity: float) -> SingleDistribution:
 
 def werner_rows(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
     """``werner_single``'s probability vector for each fidelity, as the
-    rows of a (G, 2^N) array.  The first fidelity outside [2^-N, 1] raises
-    ``WernerParams``'s error."""
-    f = np.asarray(fidelities, dtype=float)
-    WernerParams.alphas(n_parties, f)  # validates the range
+    rows of a (G, 2^N) array, under ``check_fidelities``'s rule."""
+    f = check_fidelities(n_parties, fidelities)
     # 2^N labels fit the cap exactly when N is below the cap's bit length;
     # checking N first never builds (or prints) a huge 2^N.
     if n_parties >= ENSEMBLE_ENTRY_CAP.bit_length():

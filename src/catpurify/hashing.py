@@ -16,20 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SingleDistribution, bit_marginals, entropy_rows, shannon_entropy
+from .ensemble import (
+    SingleDistribution, bit_marginals, check_fidelities, entropy_rows, shannon_entropy,
+)
 from .errors import CapacityError, DimensionError, InternalInvariantError
 from . import gf2
 from .labels import amp_bit, amp_mask, phase_bit
 
 
-def _entropy_domain_error(x: float) -> ValueError:
-    return ValueError(f"binary entropy argument {x} outside [0, 1]")
-
-
 def binary_entropy(x: float) -> float:
     """H2(x) in bits, with H2(0) = H2(1) = 0."""
     if not 0.0 <= x <= 1.0:
-        raise _entropy_domain_error(x)
+        raise ValueError(f"binary entropy argument {x} outside [0, 1]")
     if x in (0.0, 1.0):
         return 0.0
     return float(entropy_rows(np.array([x, 1.0 - x])))
@@ -52,28 +50,19 @@ def werner_hashing_yield(n_parties: int, fidelity: float) -> float:
 
 
 def werner_hashing_yields(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
-    """``werner_hashing_yield`` at each fidelity; the first fidelity out of
-    range raises."""
-    dim_inv = 2.0 ** (1 - n_parties)
-    f = np.asarray(fidelities, dtype=float)
-    x = (1.0 - f) / (2.0 - dim_inv)
-    outside = ~((2.0 ** -n_parties - 1e-12 <= f) & (f <= 1.0 + 1e-12))
-    # A fidelity within the tolerance above 1 gives x < 0, outside H2's
-    # domain; the first point failing either test names the error.
-    bad = outside | (x < 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if outside[i]:
-            raise ValueError(f"fidelity {float(f[i])} outside [2^-N, 1] for N={n_parties}")
-        raise _entropy_domain_error(float(x[i]))
+    """``werner_hashing_yield`` at each fidelity, under
+    ``check_fidelities``'s rule."""
+    f = check_fidelities(n_parties, fidelities)
+    # A fidelity within the tolerance above 1 leaves negative dust in the
+    # marginal; snap it to zero, as ``werner_rows`` does.
+    x = np.maximum((1.0 - f) / (2.0 - 2.0 ** (1 - n_parties)), 0.0)
     return 1.0 - 2.0 * entropy_rows(np.stack([x, 1.0 - x], axis=-1))
 
 
 def werner_hashing_yield_limit(fidelity: float) -> float:
-    """Many-party limit: 1 - 2 H2((1-f)/2)."""
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity {fidelity} outside [0, 1]")
-    return 1.0 - 2.0 * binary_entropy((1.0 - fidelity) / 2.0)
+    """Many-party limit 1 - 2 H2((1-f)/2): ``werner_hashing_yield`` at
+    N = inf, where 2^-N is exactly 0."""
+    return werner_hashing_yield(math.inf, fidelity)
 
 
 def two_party_hashing_yield(single: SingleDistribution) -> float:

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ensemble import SingleDistribution, block_yield_rows, werner_rows
+from .ensemble import SingleDistribution, block_yield_rows, check_fidelities, werner_rows
 from .errors import CapacityError
 from .hashing import two_party_hashing_yields, werner_hashing_yields
 from .labels import amp_mask, phase_bit
@@ -137,9 +137,12 @@ def recurrence_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw best yield and its round count at each fidelity (see
     ``recurrence_then_hashing``), all points advancing one round at a time.
-    Each round scales a point's factor by p_pass/2 <= 1/2, so every factor
-    underflows to exactly 0 within about 1,075 rounds; after that round no
-    yield or round count can change, and the loop stops there."""
+    Each round scales a point's factor by p_pass/2 <= 1/2, and a round's
+    yield is at most its factor.  So once no factor exceeds its point's
+    best yield floored at 0, no yield or round count can change, and the
+    loop stops there: a point whose best is positive needs a few rounds,
+    and one whose best is still <= 0 runs until its factor underflows to
+    exactly 0, within about 1,075 rounds."""
     if variant not in RECURRENCE_VARIANTS:
         raise ValueError(f"unknown recurrence variant {variant!r}")
     dist = werner_rows(2, fidelities)
@@ -155,7 +158,8 @@ def recurrence_grid(
         better = y > best_yield
         best_yield[better] = y[better]
         best_round[better] = r
-        if not factor.any():
+        # Later yields are at most the next factor, under half this one.
+        if not (factor > np.maximum(best_yield, 0.0)).any():
             break
         dist = nxt if variant == "exact" else werner_rows(2, nxt[:, 0])
     return best_yield, best_round
@@ -263,20 +267,14 @@ def yield_curve(
             raise ValueError(f"method {spec.method_id} only applies to N=2")
     grid = fidelity_grid(f_min, f_max, step)
     curve = YieldCurve(n_parties, grid)
+    # Every kernel applies this one rule, so checking the whole grid first
+    # names the first bad point before any kernel runs.
+    check_fidelities(n_parties, grid)
     table = np.empty((len(methods), grid.size))
     for start in range(0, grid.size, GRID_CHUNK):
         cols = slice(start, start + GRID_CHUNK)
-        chunk = grid[cols]
-        try:
-            for k, spec in enumerate(methods):
-                table[k, cols] = METHODS[spec.kind].kernel(spec, n_parties, chunk)
-        except ValueError:
-            # Name the first bad (point, method) in row-major order, as a
-            # point-by-point sweep would.
-            for f in chunk:
-                for spec in methods:
-                    _raw_yield(spec, n_parties, float(f))
-            raise
+        for k, spec in enumerate(methods):
+            table[k, cols] = METHODS[spec.kind].kernel(spec, n_parties, grid[cols])
     for k, spec in enumerate(methods):
         curve.raw[spec.method_id] = table[k]
         curve.clamped[spec.method_id] = np.maximum(table[k], 0.0)

@@ -256,6 +256,9 @@ def test_stdout_output(capsys):
         # 2^N past every double's range, and past what memory could hold.
         (["simulate-hashing", "-N", "1024", "-m", "2"], None, 3),
         (["simulate-hashing", "-N", "1000000000000", "-m", "2"], None, 3),
+        # An empty party list would check nothing.
+        (["verify", "-N", ","], None, 2),
+        (["verify"], "parties=,", 2),
     ],
 )
 def test_rejected_input_exits_before_output(tmp_path, capsys, argv, config, code):
@@ -285,6 +288,18 @@ def test_yield_curve_mp_hash_at_huge_party_counts(capsys, n):
         y = werner_hashing_yield_limit(f)
         expected.append(",".join(_fmt(v) for v in (f, y, max(y, 0.0))))
     assert capsys.readouterr().out.splitlines()[1:] == expected
+
+
+def test_fidelity_within_tolerance_above_one_is_one(capsys):
+    # Every method applies the one fidelity rule and snaps a point within
+    # its tolerance above 1 to the f=1 row; at 12 digits the fidelity cell
+    # reads 1 as well.
+    argv = ["yield-curve", "-N", "2", "--methods", "rec-hash,mp-hash,2p-hash,block3", "--f"]
+    outputs = []
+    for grid in ("1.0000000000004:1.0000000000004:1", "1:1:1"):
+        assert run_cli(argv + [grid]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_max_rounds_past_the_underflow_costs_nothing(capsys):
@@ -357,6 +372,11 @@ STDOUT_DIGESTS = [
      "2b96b725b99213ae4fc5819d3287afb33b5e041ee2bbbcacfe5561838e89bebf"),
     (["yield-curve", "-N", "3", "--methods", "mp-hash", "--f", "0.5:1.0:0.0001"],
      "23e7e10afa9a21b1f0f61d14bedcdc009ce46d4f6966acd516c7f4cec944e58c"),
+    # Recorded while rec-hash still ran every point until its factor
+    # underflowed.
+    (["yield-curve", "-N", "2", "--methods", "rec-hash", "--f", "0.25:1:0.0001",
+      "--max-rounds", "2000"],
+     "0dde1faec10e30645710a61f2810727d13d5c5f5ea572ee5c28a5e4e00ab0c1d"),
 ]
 
 
@@ -366,27 +386,28 @@ def test_stdout_bytes_unchanged(capsys, argv, expected):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
 
-# Grids leaving [2^-N, 1]: the error names the first offending point in
-# row-major (point, then method) order, even when it lies past the first
-# chunk of grid points or only one of the listed methods rejects it.
+# Grids leaving [2^-N, 1]: every method applies one fidelity rule, so the
+# error names the first offending point, whatever the methods and their
+# order, even when it lies past the first chunk of grid points.
 OUT_OF_RANGE = [
     ("2", "rec-hash", "0.2:0.5:0.1", "fidelity 0.2 outside [0.25, 1] for N=2"),
     ("2", "block3", "0.2:0.5:0.1", "fidelity 0.2 outside [0.25, 1] for N=2"),
     ("2", "2p-hash", "0.2:0.5:0.1", "fidelity 0.2 outside [0.25, 1] for N=2"),
-    ("3", "mp-hash", "0.1:0.5:0.1", "fidelity 0.1 outside [2^-N, 1] for N=3"),
+    ("3", "mp-hash", "0.1:0.5:0.1", "fidelity 0.1 outside [0.125, 1] for N=3"),
     ("2", "rec-hash", "0.9:1.2:0.1", "fidelity 1.1 outside [0.25, 1] for N=2"),
     ("2", "block3", "0.9:1.2:0.1", "fidelity 1.1 outside [0.25, 1] for N=2"),
     ("2", "2p-hash", "0.9:1.2:0.1", "fidelity 1.1 outside [0.25, 1] for N=2"),
-    ("3", "mp-hash", "0.9:1.2:0.1", "fidelity 1.1 outside [2^-N, 1] for N=3"),
-    ("2", "mp-hash,2p-hash", "0.24:0.5:0.01", "fidelity 0.24 outside [2^-N, 1] for N=2"),
+    ("3", "mp-hash", "0.9:1.2:0.1", "fidelity 1.1 outside [0.125, 1] for N=3"),
+    ("2", "mp-hash,2p-hash", "0.24:0.5:0.01", "fidelity 0.24 outside [0.25, 1] for N=2"),
     ("2", "2p-hash,mp-hash", "0.24:0.5:0.01", "fidelity 0.24 outside [0.25, 1] for N=2"),
     ("2", "block3,rec-hash,2p-hash", "0.5:1.2:0.001",
      "fidelity 1.001 outside [0.25, 1] for N=2"),
-    ("2", "rec-hash,mp-hash", "1.0000000000004:1.0000000000004:1",
-     "binary entropy argument -2.6660155564665427e-13 outside [0, 1]"),
-    # 2p-hash first rejects the second point, mp-hash already the first.
+    # The first point lies within the tolerance above 1 and passes every
+    # method; the second does not, whatever the method order.
+    ("2", "rec-hash,mp-hash", "1.0000000000004:1.00000000001:0.0000000000096",
+     "fidelity 1.00000000001 outside [0.25, 1] for N=2"),
     ("2", "2p-hash,mp-hash", "1.0000000000004:1.00000000001:0.0000000000096",
-     "binary entropy argument -2.6660155564665427e-13 outside [0, 1]"),
+     "fidelity 1.00000000001 outside [0.25, 1] for N=2"),
 ]
 
 # Method lists rejected before any yield is computed, and their messages.

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from catpurify.ensemble import (
     DiagonalEnsemble,
     SingleDistribution,
-    WernerParams,
     apply_mxor,
     bit_marginals,
     block_step,
     block_yield,
+    check_fidelities,
     iid_block,
     shannon_entropy,
     werner_rows,
@@ -29,11 +29,22 @@ from oracles import brute_force_block_step, flatten_joint
 ENTROPY_WERNER_07 = 1.3567796494470395
 
 
-def test_werner_params_relation():
-    params = WernerParams.from_fidelity(3, 0.9)
-    assert abs(params.fidelity - (params.alpha + (1 - params.alpha) / 8)) < 1e-12
-    with pytest.raises(ValueError):
-        WernerParams.from_fidelity(2, 0.2)
+def test_check_fidelities_rule():
+    # The isotropic weight alpha = (f - 2^-N)/(1 - 2^-N) may leave [0, 1]
+    # by at most 1e-12; the first point breaking that names the error.
+    for n in (2, 3, 10):
+        dim_inv = 2.0 ** -n
+        edges = [dim_inv - 0.5e-12 * (1 - dim_inv), 1.0 + 0.5e-12 * (1 - dim_inv)]
+        fids = check_fidelities(n, [dim_inv, 0.9, 1.0, *edges])
+        assert fids.dtype == float and fids.tolist() == [dim_inv, 0.9, 1.0, *edges]
+        for bad in (dim_inv - 2e-12, 1.0 + 2e-12, float("nan")):
+            with pytest.raises(ValueError) as error:
+                check_fidelities(n, [0.9, bad, 2.0])
+            assert str(error.value) == f"fidelity {bad} outside [{dim_inv}, 1] for N={n}"
+    # 2^-N underflows to 0 past N = 1074, leaving the many-party rule.
+    assert check_fidelities(10**9, [0.0, 1.0]).tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match=r"^fidelity -1e-11 outside \[0\.0, 1\] for N=inf$"):
+        check_fidelities(float("inf"), [-1e-11])
 
 
 def test_werner_single_examples():
@@ -60,7 +71,7 @@ def test_werner_rows_match_scalar_formula():
             werner_rows(2, np.array(bad))
         first = next(f for f in bad if not 0.25 <= f <= 1.0)
         with pytest.raises(ValueError) as point_error:
-            WernerParams.from_fidelity(2, first)
+            werner_single(2, first)
         assert str(grid_error.value) == str(point_error.value) == (
             f"fidelity {first} outside [0.25, 1] for N=2"
         )

@@ -57,8 +57,8 @@ def bisect_zero(fn, lo, hi, tol=1e-9):
 
 
 @pytest.mark.parametrize("fidelities", [
-    [0.9, 1.0 + 5e-13, 1.5],  # a binary-entropy error comes first
-    [0.9, 1.5, 1.0 + 5e-13],  # a range error comes first
+    [0.9, 1.0 + 5e-13, 1.5],  # within the tolerance above 1, then out of range
+    [0.9, 1.5, 1.0 + 5e-13],  # out of range, then within the tolerance
     [0.2, 0.5],
     [0.24, 0.3],
 ])
@@ -105,6 +105,8 @@ def test_multiparty_yield_matches_closed_form_n3():
 def test_werner_yield_examples():
     for n in (2, 3, 4):
         assert werner_hashing_yield(n, 1.0) == 1.0
+        # Within the tolerance above 1, the marginal's dust snaps to 0.
+        assert werner_hashing_yield(n, 1.0 + 5e-13) == 1.0
     assert abs(werner_hashing_yield(4, 0.9) - MP_HASH_N4_F09) < 1e-12
     with pytest.raises(ValueError):
         werner_hashing_yield(2, 0.1)
@@ -122,6 +124,9 @@ def test_limit_examples():
     for f in (-0.1, 1.1):
         with pytest.raises(ValueError, match="outside"):
             werner_hashing_yield_limit(f)
+    # The one fidelity rule's tolerance, with 2^-N = 0.
+    assert werner_hashing_yield_limit(1.0 + 5e-13) == 1.0
+    assert werner_hashing_yield_limit(-5e-13) == werner_hashing_yield_limit(0.0)
     for f in (0.85, 0.9, 0.95):
         d8 = abs(werner_hashing_yield(8, f) - werner_hashing_yield_limit(f))
         d16 = abs(werner_hashing_yield(16, f) - werner_hashing_yield_limit(f))

@@ -267,12 +267,14 @@ def test_recurrence_matches_dense_chain(variant):
 
 @pytest.mark.parametrize("variant", ["twirl", "exact"])
 def test_recurrence_stops_once_every_factor_underflows(variant):
-    # Every factor is exactly 0 within about 1,075 rounds, so a limit of
-    # 10^9 rounds returns at once.  The dense chain, which never stops
-    # early, gives the same best yield and round count; at f=0.5 (twirl)
-    # and 0.25 (exact) the best round is the deep one where the factor
-    # reaches 0 and a negative yield becomes -0.0.
-    for f in (0.25, 0.5):
+    # A point whose best yield is positive stops once its factor falls to
+    # that yield; one whose best is <= 0 stops when its factor is exactly 0,
+    # within about 1,075 rounds.  So a limit of 10^9 rounds returns at once.
+    # The dense chain, which never stops early, gives the same best yield
+    # and round count; at f=0.5 (twirl) and 0.25 (exact) the best round is
+    # the deep one where the factor reaches 0 and a negative yield becomes
+    # -0.0.
+    for f in (0.25, 0.5, 0.6, 0.75, 0.9):
         y, rounds = _recurrence_raw(f, 10**9, variant)
         assert recurrence_then_hashing(f, 10**9, variant) == recurrence_then_hashing(
             f, 2000, variant)
