@@ -20,6 +20,8 @@ import itertools
 import sys
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, InternalInvariantError
 from .ensemble import werner_single
 from .hashing import simulate_hashing
@@ -142,16 +144,16 @@ def cmd_yield_curve(args: argparse.Namespace) -> int:
     if not methods:
         raise ValueError("no methods requested")
     curve = yield_curve(args.parties, *args.f_range, methods)
-    header, columns = ["fidelity"], [curve.grid]
-    for mid in curve.method_ids:
-        header += [f"{mid}_raw", f"{mid}_clamped"]
-        columns += [curve.raw[mid], curve.clamped[mid]]
 
     def rows():
-        yield header
+        yield ["fidelity"] + [f"{mid}_{col}" for mid in curve.raw for col in ("raw", "clamped")]
         for start in range(0, curve.grid.size, WRITE_BLOCK_ROWS):
             block = slice(start, start + WRITE_BLOCK_ROWS)
-            yield from zip(*(map(_fmt, column[block].tolist()) for column in columns))
+            columns = [curve.grid[block]]
+            for raw in curve.raw.values():
+                # The clamped column floors the raw yield at 0 for display.
+                columns += [raw[block], np.maximum(raw[block], 0.0)]
+            yield from zip(*(map(_fmt, column.tolist()) for column in columns))
 
     _write_rows(rows(), args)
     return EXIT_OK

@@ -96,8 +96,6 @@ class HashingRun:
     phase_rows: np.ndarray
     phase_measured: np.ndarray
     consumed: list[int]
-    planned_rounds_a: int = 0
-    planned_rounds_b: int = 0
     survivors: np.ndarray | None = None
     decoded_amps: np.ndarray | None = None
     decoded_survivor_phases: np.ndarray | None = None
@@ -388,8 +386,7 @@ def simulate_hashing(
     del subsets_a, subsets_b
     run = HashingRun(
         n_parties=n_parties, block_size=m, seed=seed, safety_bits=safety_bits,
-        initial_codes=codes, planned_rounds_a=planned_a, planned_rounds_b=planned_b,
-        amp_rows=amp_rows, amp_measured=amp_parities,
+        initial_codes=codes, amp_rows=amp_rows, amp_measured=amp_parities,
         phase_rows=phase_members, phase_measured=phase_parities,
         consumed=targets_a.tolist() + targets_b.tolist(),
     )

@@ -10,7 +10,7 @@ calls, and ``yield_curve`` calls it once per ``GRID_CHUNK`` points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,32 +29,27 @@ GRID_CHUNK = 128
 
 
 class Method(NamedTuple):
-    """A ``yield-curve`` method: its id (a block id ends in the size), whether
-    it needs N=2, and its kernel ``(spec, n_parties, fidelities) -> raw yields``."""
+    """A ``yield-curve`` method: whether it needs N=2, and its kernel
+    ``(spec, n_parties, fidelities) -> raw yields``."""
 
-    id: str
     two_party: bool
     kernel: Callable[[MethodSpec, int, np.ndarray], np.ndarray]
 
 
-# Keyed by ``MethodSpec.kind``; adding a method is adding an entry.
+# Keyed by the method id, which a block id continues with its size; adding
+# a method is adding an entry.
 METHODS = {
-    "recurrence_hashing": Method(
-        "rec-hash", True, lambda spec, n, f: recurrence_grid(f, spec.max_rounds)[0]
-    ),
-    "block_then_hashing": Method(
-        "block", True, lambda spec, n, f: block_yield_rows(2, werner_rows(2, f), spec.m)
-    ),
-    "multiparty_hashing": Method("mp-hash", False, lambda spec, n, f: werner_hashing_yields(n, f)),
-    "two_party_hashing": Method(
-        "2p-hash", True, lambda spec, n, f: two_party_hashing_yields(werner_rows(2, f))
-    ),
+    "rec-hash": Method(True, lambda spec, n, f: recurrence_grid(f, spec.max_rounds)[0]),
+    "block": Method(True, lambda spec, n, f: block_yield_rows(2, werner_rows(2, f), spec.m)),
+    "mp-hash": Method(False, lambda spec, n, f: werner_hashing_yields(n, f)),
+    "2p-hash": Method(True, lambda spec, n, f: two_party_hashing_yields(werner_rows(2, f))),
 }
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One named strategy; ``m`` only applies to block methods."""
+    """One named strategy: ``kind`` is its ``METHODS`` key, and ``m`` only
+    applies to block methods."""
 
     kind: str
     m: int | None = None
@@ -63,7 +58,7 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in METHODS:
             raise ValueError(f"unknown method kind {self.kind!r}")
-        if self.kind == "block_then_hashing":
+        if self.kind == "block":
             if self.m is None or not 2 <= self.m <= 8:
                 raise ValueError(f"block size {self.m} outside the supported range 2..8")
         elif self.m is not None:
@@ -71,28 +66,21 @@ class MethodSpec:
 
     @property
     def method_id(self) -> str:
-        prefix = METHODS[self.kind].id
-        return prefix if self.m is None else f"{prefix}{self.m}"
+        return self.kind if self.m is None else f"{self.kind}{self.m}"
 
     @staticmethod
     def from_id(method_id: str, max_rounds: int = DEFAULT_MAX_ROUNDS) -> "MethodSpec":
-        block = METHODS["block_then_hashing"].id
-        size = method_id.removeprefix(block)
+        size = method_id.removeprefix("block")
         if size != method_id:
             # A negative size gets the range error; since int() also takes
             # leading zeros, only canonical ids pass.
             if size.isascii() and size.removeprefix("-").isdigit():
-                spec = MethodSpec("block_then_hashing", int(size), max_rounds)
+                spec = MethodSpec("block", int(size), max_rounds)
                 if spec.method_id == method_id:
                     return spec
-        else:
-            for kind, method in METHODS.items():
-                if method.id == method_id:
-                    return MethodSpec(kind, max_rounds=max_rounds)
+        elif method_id in METHODS:
+            return MethodSpec(method_id, max_rounds=max_rounds)
         raise ValueError(f"unknown method id {method_id!r}")
-
-    def requires_two_parties(self) -> bool:
-        return METHODS[self.kind].two_party
 
 
 def recurrence_round(single: SingleDistribution) -> tuple[float, SingleDistribution | None]:
@@ -122,19 +110,12 @@ def recurrence_rows(n_parties: int, probs: np.ndarray) -> tuple[np.ndarray, np.n
     return p_pass, joint / np.where(p_pass > 0.0, p_pass, 1.0)[:, None]
 
 
-RECURRENCE_VARIANTS = ("twirl", "exact")
-
-
-def _recurrence_raw(
-    fidelity: float, max_rounds: int, variant: str = "twirl"
-) -> tuple[float, int]:
-    raw, rounds = recurrence_grid(np.array([fidelity]), max_rounds, variant)
+def _recurrence_raw(fidelity: float, max_rounds: int) -> tuple[float, int]:
+    raw, rounds = recurrence_grid(np.array([fidelity]), max_rounds)
     return float(raw[0]), int(rounds[0])
 
 
-def recurrence_grid(
-    fidelities: np.ndarray, max_rounds: int, variant: str = "twirl"
-) -> tuple[np.ndarray, np.ndarray]:
+def recurrence_grid(fidelities: np.ndarray, max_rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw best yield and its round count at each fidelity (see
     ``recurrence_then_hashing``), all points advancing one round at a time.
     Each round scales a point's factor by p_pass/2 <= 1/2, and a round's
@@ -143,8 +124,6 @@ def recurrence_grid(
     loop stops there: a point whose best is positive needs a few rounds,
     and one whose best is still <= 0 runs until its factor underflows to
     exactly 0, within about 1,075 rounds."""
-    if variant not in RECURRENCE_VARIANTS:
-        raise ValueError(f"unknown recurrence variant {variant!r}")
     dist = werner_rows(2, fidelities)
     factor = np.ones(len(dist))
     best_yield = two_party_hashing_yields(dist)
@@ -152,8 +131,8 @@ def recurrence_grid(
     for r in range(1, max_rounds + 1):
         p_pass, nxt = recurrence_rows(2, dist)
         factor *= p_pass / 2.0
-        # Hashing always consumes the exact passed distribution of the
-        # final round; the variants differ in what the next round sees.
+        # Hashing consumes the exact passed distribution of the final
+        # round; the next round sees its twirl.
         y = factor * two_party_hashing_yields(nxt)
         better = y > best_yield
         best_yield[better] = y[better]
@@ -161,14 +140,12 @@ def recurrence_grid(
         # Later yields are at most the next factor, under half this one.
         if not (factor > np.maximum(best_yield, 0.0)).any():
             break
-        dist = nxt if variant == "exact" else werner_rows(2, nxt[:, 0])
+        dist = werner_rows(2, nxt[:, 0])
     return best_yield, best_round
 
 
 def recurrence_then_hashing(
-    fidelity: float,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    variant: str = "twirl",
+    fidelity: float, max_rounds: int = DEFAULT_MAX_ROUNDS
 ) -> tuple[float, int]:
     """Best yield over r recurrence rounds followed by two-party hashing.
 
@@ -177,33 +154,42 @@ def recurrence_then_hashing(
     1 - H of the exact distribution passed out of the last round.  Returns
     (yield floored at 0, optimal round count); ties go to the smaller r.
 
-    The default 'twirl' variant twirls back to isotropic form between
-    rounds, which is what makes iterated rounds converge: the two-state
-    parity check only catches amplitude disagreements, so iterating on the
-    raw passed distribution piles weight onto the phase-flipped label and
-    stalls at fidelity 1/2.  The 'exact' variant tracks that raw
-    distribution anyway, for comparison; it is the stronger choice for a
-    single round and the weaker one deep into the recurrence.
+    Each round twirls back to isotropic form before the next, which is
+    what makes iterated rounds converge: the two-state parity check only
+    catches amplitude disagreements, so iterating on the raw passed
+    distribution piles weight onto the phase-flipped label and stalls at
+    fidelity 1/2.
     """
-    raw, rounds = _recurrence_raw(fidelity, max_rounds, variant)
+    raw, rounds = _recurrence_raw(fidelity, max_rounds)
     return max(0.0, raw), rounds
 
 
 def block_then_hashing(fidelity: float, m: int) -> float:
-    """Two-party block step of size m continued by hashing, clamped at 0."""
-    return max(0.0, _raw_yield(MethodSpec("block_then_hashing", m=m), 2, fidelity))
+    """Two-party block step of size m continued by hashing, floored at 0."""
+    return max(0.0, _raw_yield(MethodSpec("block", m=m), 2, fidelity))
 
 
 def _raw_yield(spec: MethodSpec, n_parties: int, fidelity: float) -> float:
     return float(METHODS[spec.kind].kernel(spec, n_parties, np.array([fidelity]))[0])
 
 
+def _check_methods(n_parties: int, methods: list[MethodSpec]) -> None:
+    """Refuse a method named twice, or a two-party method at N != 2."""
+    ids = [spec.method_id for spec in methods]
+    for spec in methods:
+        if ids.count(spec.method_id) > 1:
+            raise ValueError(f"method {spec.method_id} requested more than once")
+        if METHODS[spec.kind].two_party and n_parties != 2:
+            raise ValueError(f"method {spec.method_id} only applies to N=2")
+
+
 def best_method(
     fidelity: float, methods: list[MethodSpec], n_parties: int = 2
 ) -> tuple[MethodSpec, float]:
-    """Argmax of the raw (unclamped) yield; ties go to list order."""
+    """Argmax of the raw yield, not floored at 0; ties go to list order."""
     if not methods:
         raise ValueError("need at least one method")
+    _check_methods(n_parties, methods)
     winner, best = methods[0], _raw_yield(methods[0], n_parties, fidelity)
     for spec in methods[1:]:
         y = _raw_yield(spec, n_parties, fidelity)
@@ -214,21 +200,14 @@ def best_method(
 
 @dataclass
 class YieldCurve:
-    """Per-fidelity yields of a set of methods; the CSV-facing result."""
+    """Raw yields, not floored at 0, of a set of methods on a fidelity
+    grid, keyed by method id in request order."""
 
-    n_parties: int
     grid: np.ndarray
-    raw: dict[str, np.ndarray] = field(default_factory=dict)
-    clamped: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def method_ids(self) -> list[str]:
-        return list(self.raw.keys())
+    raw: dict[str, np.ndarray]
 
 
-def fidelity_grid(
-    f_min: float, f_max: float, step: float, cap: int = GRID_POINT_CAP
-) -> np.ndarray:
+def fidelity_grid(f_min: float, f_max: float, step: float) -> np.ndarray:
     """Arithmetic progression from f_min by ``step``, not exceeding f_max.
     A step larger than the range yields the single point f_min."""
     if not np.isfinite([f_min, f_max, step]).all():
@@ -242,11 +221,11 @@ def fidelity_grid(
     # A subnormal step makes the index of the last point infinite, so it
     # is compared with the cap before int() sees it.
     last = np.floor((f_max - f_min) / step + 1e-9)
-    if last >= cap:
+    if last >= GRID_POINT_CAP:
         # Past 2^53 (or at infinity) a float count is not an exact integer.
         n_points = last + 1
         count = int(n_points) if n_points < 2**53 else f"{n_points:g}"
-        raise CapacityError(f"{count} grid points exceeds the cap {cap}")
+        raise CapacityError(f"{count} grid points exceeds the cap {GRID_POINT_CAP}")
     return f_min + step * np.arange(int(last) + 1)
 
 
@@ -257,16 +236,9 @@ def yield_curve(
     step: float,
     methods: list[MethodSpec],
 ) -> YieldCurve:
-    """Evaluate every method on the grid; deterministic, with both raw and
-    clamped-at-zero vectors."""
-    ids = [spec.method_id for spec in methods]
-    for spec in methods:
-        if ids.count(spec.method_id) > 1:
-            raise ValueError(f"method {spec.method_id} requested more than once")
-        if spec.requires_two_parties() and n_parties != 2:
-            raise ValueError(f"method {spec.method_id} only applies to N=2")
+    """Evaluate every method on the grid; deterministic."""
+    _check_methods(n_parties, methods)
     grid = fidelity_grid(f_min, f_max, step)
-    curve = YieldCurve(n_parties, grid)
     # Every kernel applies this one rule, so checking the whole grid first
     # names the first bad point before any kernel runs.
     check_fidelities(n_parties, grid)
@@ -275,22 +247,17 @@ def yield_curve(
         cols = slice(start, start + GRID_CHUNK)
         for k, spec in enumerate(methods):
             table[k, cols] = METHODS[spec.kind].kernel(spec, n_parties, grid[cols])
-    for k, spec in enumerate(methods):
-        curve.raw[spec.method_id] = table[k]
-        curve.clamped[spec.method_id] = np.maximum(table[k], 0.0)
-    return curve
+    return YieldCurve(grid, {spec.method_id: row for spec, row in zip(methods, table)})
 
 
-def find_knee(
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    sweep_step: float = 0.005,
-    tol: float = 1e-4,
-) -> float | None:
+def find_knee() -> float | None:
     """Smallest fidelity in (0.5, 1) at which zero recurrence rounds is
-    already optimal, by sweep plus bisection; None when absent."""
+    already optimal at ``DEFAULT_MAX_ROUNDS``, by a sweep in steps of 0.005
+    then bisection to within 1e-4; None when absent."""
+    sweep_step, tol = 0.005, 1e-4
 
     def hashes_immediately(f: float) -> bool:
-        return recurrence_then_hashing(f, max_rounds)[1] == 0
+        return recurrence_then_hashing(f)[1] == 0
 
     prev = 0.5 + sweep_step
     if hashes_immediately(prev):

@@ -1,9 +1,15 @@
+import argparse
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
-from catpurify.cli import _fmt, main
+from catpurify.cli import _fmt, build_parser, main
 from catpurify.hashing import werner_hashing_yield_limit
+from catpurify.strategy import METHODS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -103,6 +109,26 @@ def test_yield_curve_block_cells_correctly_rounded(capsys):
     assert rows["fidelity"] == ["block4_raw", "block4_clamped", "block5_raw", "block5_clamped"]
     assert rows["0.756"][0] == "-0.0170534125292"
     assert rows["0.775"][2:] == ["0.000425199601713", "0.000425199601713"]
+
+
+def test_yield_curve_clamped_column_floors_raw(capsys):
+    assert run_cli(["yield-curve", "--methods", "2p-hash", "--f", "0.5:0.6:0.05"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "fidelity,2p-hash_raw,2p-hash_clamped"
+    cells = [line.split(",") for line in lines[1:]]
+    assert all(clamped == _fmt(max(float(raw), 0.0)) for _, raw, clamped in cells)
+    assert any(float(raw) < 0.0 for _, raw, _ in cells)
+
+
+def test_method_list_matches_help_and_readme():
+    # Each METHODS key as the docs spell it, a block id with its size m.
+    names = {f"{key}<m>" if key == "block" else key for key in METHODS}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    methods_help = sub.choices["yield-curve"]._option_string_actions["--methods"].help
+    assert {name.strip() for name in methods_help.partition(":")[2].split(",")} == names
+    table = README.read_text(encoding="utf-8").partition("## Method identifiers")[2]
+    table = table.partition("\n## ")[0]
+    assert set(re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)) == names
 
 
 def test_yield_curve_capacity_error():

@@ -45,16 +45,11 @@ def test_recurrence_helps_at_low_fidelity():
 def test_recurrence_exact_variant_stalls_at_low_fidelity():
     # Tracking the raw passed distribution never catches accumulated phase
     # errors: from f=0.6 the iterate converges to the half/half mixture and
-    # the yield collapses, which is why 'twirl' is the default.
-    y_exact, _ = recurrence_then_hashing(0.6, variant="exact")
+    # the yield collapses, which is why every round twirls.
+    y_exact = max(dense_recurrence(0.6, 20, "exact"))
     assert y_exact <= 1e-12
-    y_twirl, _ = recurrence_then_hashing(0.6, variant="twirl")
+    y_twirl, _ = recurrence_then_hashing(0.6)
     assert y_twirl > y_exact
-
-
-def test_recurrence_variant_validation():
-    with pytest.raises(ValueError):
-        recurrence_then_hashing(0.8, variant="other")
 
 
 def test_block_then_hashing_examples():
@@ -98,18 +93,27 @@ def test_best_method_single_entry():
     assert winner is only[0]
 
 
+def test_best_method_applies_the_method_list_rules():
+    two_party = [MethodSpec.from_id("rec-hash"), MethodSpec.from_id("mp-hash")]
+    with pytest.raises(ValueError, match=r"^method rec-hash only applies to N=2$"):
+        best_method(0.9, two_party, n_parties=3)
+    twice = [MethodSpec.from_id("mp-hash"), MethodSpec.from_id("mp-hash")]
+    with pytest.raises(ValueError, match=r"^method mp-hash requested more than once$"):
+        best_method(0.9, twice)
+
+
 def test_method_spec_ids_round_trip():
     for mid in ("rec-hash", "block3", "mp-hash", "2p-hash"):
         assert MethodSpec.from_id(mid).method_id == mid
-    specs = [MethodSpec(kind) for kind in METHODS if kind != "block_then_hashing"]
-    specs += [MethodSpec("block_then_hashing", m=m) for m in range(2, 9)]
+    specs = [MethodSpec(kind) for kind in METHODS if kind != "block"]
+    specs += [MethodSpec("block", m=m) for m in range(2, 9)]
     for spec in specs:
         assert MethodSpec.from_id(spec.method_id, max_rounds=7) == replace(spec, max_rounds=7)
     assert len({spec.method_id for spec in specs}) == len(specs)
     with pytest.raises(ValueError):
         MethodSpec.from_id("block-3")
     with pytest.raises(ValueError):
-        MethodSpec("multiparty_hashing", m=3)
+        MethodSpec("mp-hash", m=3)
 
 
 def test_fidelity_grid_shapes():
@@ -151,12 +155,6 @@ def test_yield_curve_n2_separate_below_joint():
     assert np.all(curve.raw["mp-hash"] <= curve.raw["2p-hash"] + 1e-12)
 
 
-def test_yield_curve_clamps_display_vector():
-    curve = yield_curve(2, 0.5, 0.6, 0.05, [MethodSpec.from_id("2p-hash")])
-    assert np.all(curve.clamped["2p-hash"] >= 0.0)
-    assert np.any(curve.raw["2p-hash"] < 0.0)
-
-
 def test_yield_curve_rejects_two_party_methods_at_higher_n():
     with pytest.raises(ValueError):
         yield_curve(3, 0.8, 0.9, 0.01, [MethodSpec.from_id("rec-hash")])
@@ -181,8 +179,6 @@ def test_raw_yields_within_global_bounds():
     for mid in curve.raw:
         assert np.all(curve.raw[mid] <= 1.0)
         assert np.all(curve.raw[mid] >= -4.0)
-        assert np.all(curve.clamped[mid] >= 0.0)
-        assert np.all(curve.clamped[mid] <= 1.0)
     deep = yield_curve(4, 0.3, 1.0, 0.01, [MethodSpec.from_id("mp-hash")])
     assert np.all(deep.raw["mp-hash"] >= -8.0)
 
@@ -249,35 +245,29 @@ def dense_recurrence(fidelity, max_rounds, variant):
     return yields
 
 
-@pytest.mark.parametrize("variant", ["twirl", "exact"])
+# The library runs the twirled chain; the dense chain's "exact" variant is
+# kept only to show that it stalls.
+@pytest.mark.parametrize("variant", ["twirl"])
 def test_recurrence_matches_dense_chain(variant):
     for f in fidelity_grid(0.5, 1.0, 0.01):
-        y, rounds = _recurrence_raw(float(f), 20, variant)
+        y, rounds = _recurrence_raw(float(f), 20)
         yields = dense_recurrence(float(f), 20, variant)
         best = int(np.argmax(yields))  # first maximum: ties go to fewer rounds
         assert abs(y - yields[best]) <= 1e-15
-        if variant == "twirl":
-            assert rounds == best
-        else:
-            # Deep exact-variant rounds drift to yields near 0 from both
-            # sides, so the strict tie rule may pick another round with the
-            # same yield up to rounding.
-            assert rounds == best or abs(yields[rounds] - yields[best]) <= 1e-15
+        assert rounds == best
 
 
-@pytest.mark.parametrize("variant", ["twirl", "exact"])
+@pytest.mark.parametrize("variant", ["twirl"])
 def test_recurrence_stops_once_every_factor_underflows(variant):
     # A point whose best yield is positive stops once its factor falls to
     # that yield; one whose best is <= 0 stops when its factor is exactly 0,
     # within about 1,075 rounds.  So a limit of 10^9 rounds returns at once.
     # The dense chain, which never stops early, gives the same best yield
-    # and round count; at f=0.5 (twirl) and 0.25 (exact) the best round is
-    # the deep one where the factor reaches 0 and a negative yield becomes
-    # -0.0.
+    # and round count; at f=0.25 and 0.5 the best round is the deep one
+    # where the factor reaches 0 and a negative yield becomes -0.0.
     for f in (0.25, 0.5, 0.6, 0.75, 0.9):
-        y, rounds = _recurrence_raw(f, 10**9, variant)
-        assert recurrence_then_hashing(f, 10**9, variant) == recurrence_then_hashing(
-            f, 2000, variant)
+        y, rounds = _recurrence_raw(f, 10**9)
+        assert recurrence_then_hashing(f, 10**9) == recurrence_then_hashing(f, 2000)
         yields = dense_recurrence(f, 2000, variant)
         best = int(np.argmax(yields))
         assert abs(y - yields[best]) <= 1e-15
@@ -309,7 +299,7 @@ def test_yield_curve_memory_does_not_grow_with_grid():
         tracemalloc.stop()
     n_points = curve.grid.size
     assert n_points >= 20_001
-    # The grid, the method-by-point table and the clamped copies.
-    outputs = 8 * n_points * (1 + 2 * len(methods))
+    # The grid and the method-by-point table.
+    outputs = 8 * n_points * (1 + len(methods))
     # Evaluating all 20,001 points at once peaks at about 94 MB (block7).
     assert peak - outputs < 4_000_000
