@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionError
-from .labels import amp_bit, amp_mask, phase_bit
+from .labels import amp_bit, amp_mask, check_parties, phase_bit
 
 ENSEMBLE_ENTRY_CAP = 1 << 24
 NORMALIZATION_TOL = 1e-9
@@ -35,7 +35,8 @@ def check_fidelities(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
     weight alpha = (f - 2^-N)/(1 - 2^-N) of the state
     alpha|target><target| + (1-alpha)*I/2^N must lie in [0, 1] up to 1e-12.
     Returns the fidelities as floats; the first one breaking the rule
-    raises."""
+    raises.  ``n_parties`` may be ``math.inf``, the many-party limit."""
+    check_parties(n_parties)
     dim_inv = 2.0 ** -n_parties
     f = np.asarray(fidelities, dtype=float)
     alpha = (f - dim_inv) / (1.0 - dim_inv)
@@ -53,6 +54,7 @@ class SingleDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
+        check_parties(self.n_parties)
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != (1 << self.n_parties,):
             raise DimensionError("probability vector length must be 2^N")
@@ -117,16 +119,14 @@ def werner_rows(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
     return probs
 
 
-def iid_block(
-    single: SingleDistribution, n_states: int, cap: int = ENSEMBLE_ENTRY_CAP
-) -> DiagonalEnsemble:
+def iid_block(single: SingleDistribution, n_states: int) -> DiagonalEnsemble:
     """Product distribution of ``n_states`` independent copies."""
     if n_states < 1:
         raise ValueError("need at least one state")
     # 2^bits entries; 2^bits > cap exactly when bits >= cap.bit_length().
     bits = single.n_parties * n_states
-    if bits >= cap.bit_length():
-        raise CapacityError(f"2^{bits} ensemble entries exceeds the cap {cap}")
+    if bits >= ENSEMBLE_ENTRY_CAP.bit_length():
+        raise CapacityError(f"2^{bits} ensemble entries exceeds the cap {ENSEMBLE_ENTRY_CAP}")
     probs = np.array([1.0])
     for _ in range(n_states):
         probs = np.kron(probs, single.probs)
@@ -198,12 +198,7 @@ def marginalize_slot(ensemble: DiagonalEnsemble, slot: int) -> DiagonalEnsemble:
     )
 
 
-def block_step(
-    single: SingleDistribution,
-    m: int,
-    source_order: tuple[int, ...] | None = None,
-    cap: int = ENSEMBLE_ENTRY_CAP,
-) -> tuple[float, DiagonalEnsemble | None]:
+def block_step(single: SingleDistribution, m: int) -> tuple[float, DiagonalEnsemble | None]:
     """One block-size-m purification step.
 
     Forms m i.i.d. copies, XORs sources 1..m-1 into the m-th state, measures
@@ -216,12 +211,9 @@ def block_step(
     """
     if m < 2:
         raise ValueError("block size must be at least 2")
-    block = iid_block(single, m, cap=cap)
+    block = iid_block(single, m)
     target = m - 1
-    order = tuple(range(m - 1)) if source_order is None else tuple(source_order)
-    if sorted(order) != list(range(m - 1)):
-        raise ValueError("source order must be a permutation of the sources")
-    for source in order:
+    for source in range(target):
         block = apply_mxor(block, source, target)
     p_pass, projected = condition_amps_zero(block, target)
     if p_pass == 0.0:
@@ -268,19 +260,15 @@ def _type_classes(n_parties: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return counts, amp_xor, mult
 
 
-def block_yield(
-    single: SingleDistribution, m: int, cap: int = ENSEMBLE_ENTRY_CAP
-) -> float:
+def block_yield(single: SingleDistribution, m: int) -> float:
     """Per-input yield of the block step followed by hashing the survivors:
     p_pass * (m-1)/m * (1 - H(passed)/(m-1)).  May be negative; clamping is
     left to presentation layers.  The one-row call of ``block_yield_rows``.
     """
-    return float(block_yield_rows(single.n_parties, single.probs[None, :], m, cap)[0])
+    return float(block_yield_rows(single.n_parties, single.probs[None, :], m)[0])
 
 
-def block_yield_rows(
-    n_parties: int, probs: np.ndarray, m: int, cap: int = ENSEMBLE_ENTRY_CAP
-) -> np.ndarray:
+def block_yield_rows(n_parties: int, probs: np.ndarray, m: int) -> np.ndarray:
     """``block_yield`` for each row of a (G, 2^N) array of single-state
     distributions; rows with p_pass = 0 yield 0.
 
@@ -289,8 +277,8 @@ def block_yield_rows(
     than built densely.  A class with amplitude XOR A passes with
     P(S) = sum_b q(b, A) prod_{s in S} q(s xor b*2^(N-1)) for each of its
     mult(S) label tuples, b being the measured target's phase bit.
-    ``cap`` bounds the class table's entries; the work per row is one
-    table's worth, so callers bound G.
+    ``ENSEMBLE_ENTRY_CAP`` bounds the class table's entries; the work per
+    row is one table's worth, so callers bound G.
     """
     if m < 2:
         raise ValueError("block size must be at least 2")
@@ -298,10 +286,8 @@ def block_yield_rows(
     dim, size = 1 << n, m - 1
     # comb(a + b, a) >= 2^min(a, b), so a table that is certainly too large
     # is refused before its exact size, a huge integer, is computed.
-    if (
-        min(dim - 1, size) >= cap.bit_length()
-        or dim * math.comb(dim + size - 1, size) > cap
-    ):
+    cap = ENSEMBLE_ENTRY_CAP
+    if min(dim - 1, size) >= cap.bit_length() or dim * math.comb(dim + size - 1, size) > cap:
         raise CapacityError(
             f"the type-class table for N={n}, m={m} exceeds the cap of {cap} entries"
         )

@@ -116,9 +116,9 @@ class GF2System:
     """Accumulates parity rows over a fixed set of unknowns and solves them
     for ``n_sides`` right-hand sides sharing the matrix."""
 
-    def __init__(self, n_unknowns: int, n_sides: int = 1, cap: int = GF2_SOLVER_CAP):
-        if n_unknowns > cap:
-            raise CapacityError(f"{n_unknowns} unknowns exceeds the solver cap {cap}")
+    def __init__(self, n_unknowns: int, n_sides: int = 1):
+        if n_unknowns > GF2_SOLVER_CAP:
+            raise CapacityError(f"{n_unknowns} unknowns exceeds the solver cap {GF2_SOLVER_CAP}")
         self.n_unknowns = n_unknowns
         self.n_sides = n_sides
         # Blocks of rows, and of their right-hand sides, as added.
@@ -245,15 +245,11 @@ def _map_score(rows: np.ndarray, prior_one: float) -> np.ndarray:
     return weights if prior_one < 0.5 else -weights
 
 
-def decode_map(
-    coset: AffineCoset | None,
-    prior_one: float,
-    exact_dim_cap: int = EXACT_COSET_DIM_CAP,
-) -> DecodeResult:
+def decode_map(coset: AffineCoset | None, prior_one: float) -> DecodeResult:
     """Maximum-posterior element of a solution coset under an i.i.d.
     Bernoulli(prior_one) prior: the lowest ``_map_score``, ambiguous when
-    tied.  Cosets of more than ``exact_dim_cap`` free dimensions under a
-    non-degenerate prior are reported as intractable, not decoded
+    tied.  Cosets of more than ``EXACT_COSET_DIM_CAP`` free dimensions
+    under a non-degenerate prior are reported as intractable, not decoded
     approximately."""
     if coset is None:
         return DecodeResult("ambiguous", None, -1)
@@ -266,7 +262,7 @@ def decode_map(
         return DecodeResult("degenerate", fill, coset.dim)
     if coset.dim == 0:
         return DecodeResult("unique", unpack_bits(coset.particular, n), 0)
-    if coset.dim > exact_dim_cap:
+    if coset.dim > EXACT_COSET_DIM_CAP:
         return DecodeResult("intractable", None, coset.dim)
     if prior_one == 0.5:
         return DecodeResult("ambiguous", None, coset.dim)

@@ -319,8 +319,6 @@ def simulate_hashing(
     single: SingleDistribution,
     seed: int,
     safety_bits: int | None = None,
-    solver_cap: int = gf2.GF2_SOLVER_CAP,
-    exact_dim_cap: int = gf2.EXACT_COSET_DIM_CAP,
 ) -> tuple[bool, float, HashingRun]:
     """Simulate the two-phase subset-parity hashing protocol.
 
@@ -341,12 +339,14 @@ def simulate_hashing(
     m = block_size_m
     if m < 1:
         raise ValueError("block size must be positive")
-    if m * (n_parties - 1) > solver_cap:
+    if m * (n_parties - 1) > gf2.GF2_SOLVER_CAP:
         raise CapacityError(
-            f"{m * (n_parties - 1)} decoding unknowns exceeds the solver cap {solver_cap}"
+            f"{m * (n_parties - 1)} decoding unknowns exceeds the solver cap {gf2.GF2_SOLVER_CAP}"
         )
     if safety_bits is None:
         safety_bits = _default_safety_bits(m)
+    elif safety_bits < 0:
+        raise ValueError(f"safety bits must be non-negative, got {safety_bits}")
 
     rng = np.random.default_rng(seed)
     dim = 1 << n_parties
@@ -401,11 +401,11 @@ def simulate_hashing(
         """Solve one shared matrix for every side's right-hand side and
         decode each coset: the last side's status, and every side's bits or
         None at the first side that fails."""
-        system = gf2.GF2System(m, n_sides=len(priors), cap=solver_cap)
+        system = gf2.GF2System(m, n_sides=len(priors))
         system.add_row(rows, rhs)
         decoded = []
         for coset, prior_one, truth_bits in zip(system.solve(), priors, truth):
-            result = gf2.decode_map(coset, prior_one, exact_dim_cap)
+            result = gf2.decode_map(coset, prior_one)
             if result.status == "intractable":
                 result = gf2.certified_map_decode(coset, prior_one, truth_bits, probe_rng)
                 modes.add("certified")

@@ -31,6 +31,12 @@ def amp_bit(j: int, n_parties: int) -> int:
     return 1 << (n_parties - 2 - j)
 
 
+def check_parties(n_parties: int) -> None:
+    """A cat state needs at least 2 parties."""
+    if n_parties < 2:
+        raise ValueError(f"need at least 2 parties, got {n_parties}")
+
+
 @dataclass(frozen=True)
 class CatLabel:
     """Label (p, i_1..i_{N-1}) of one N-party cat-basis state.
@@ -44,8 +50,7 @@ class CatLabel:
     amplitudes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n_parties < 2:
-            raise ValueError(f"need at least 2 parties, got {self.n_parties}")
+        check_parties(self.n_parties)
         if self.phase not in (0, 1):
             raise ValueError(f"phase must be a bit, got {self.phase!r}")
         if len(self.amplitudes) != self.n_parties - 1:

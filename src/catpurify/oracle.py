@@ -240,11 +240,11 @@ CONJUGATION_RULES = [
 ]
 
 
-def verify_conjugation_rules(tol: float = 1e-12, rules=None) -> VerificationReport:
+def verify_conjugation_rules(tol: float = 1e-12) -> VerificationReport:
     """Check U (A x B) U^dag = mapped operator as exact 4x4 identities,
     with U the two-qubit CNOT."""
     report = VerificationReport("xor-conjugation")
-    for before, after in rules if rules is not None else CONJUGATION_RULES:
+    for before, after in CONJUGATION_RULES:
         lhs = CNOT @ np.kron(PAULI_MATRICES[before[0]], PAULI_MATRICES[before[1]]) @ CNOT.conj().T
         rhs = np.kron(PAULI_MATRICES[after[0]], PAULI_MATRICES[after[1]])
         passed = bool(np.max(np.abs(lhs - rhs)) < tol)

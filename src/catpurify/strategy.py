@@ -63,6 +63,8 @@ class MethodSpec:
                 raise ValueError(f"block size {self.m} outside the supported range 2..8")
         elif self.m is not None:
             raise ValueError(f"{self.kind} takes no block size")
+        if self.max_rounds < 0:
+            raise ValueError(f"max rounds must be non-negative, got {self.max_rounds}")
 
     @property
     def method_id(self) -> str:
@@ -144,10 +146,9 @@ def recurrence_grid(fidelities: np.ndarray, max_rounds: int) -> tuple[np.ndarray
     return best_yield, best_round
 
 
-def recurrence_then_hashing(
-    fidelity: float, max_rounds: int = DEFAULT_MAX_ROUNDS
-) -> tuple[float, int]:
-    """Best yield over r recurrence rounds followed by two-party hashing.
+def recurrence_then_hashing(fidelity: float) -> tuple[float, int]:
+    """Best yield over r <= ``DEFAULT_MAX_ROUNDS`` recurrence rounds followed
+    by two-party hashing.
 
     Each round keeps half the pairs at best (one target consumed per pair),
     so r rounds contribute prod(p_pass)/2^r and hashing contributes
@@ -160,7 +161,7 @@ def recurrence_then_hashing(
     distribution piles weight onto the phase-flipped label and stalls at
     fidelity 1/2.
     """
-    raw, rounds = _recurrence_raw(fidelity, max_rounds)
+    raw, rounds = _recurrence_raw(fidelity, DEFAULT_MAX_ROUNDS)
     return max(0.0, raw), rounds
 
 

@@ -16,11 +16,14 @@ from catpurify.ensemble import (
     block_step,
     block_yield,
     check_fidelities,
+    condition_amps_zero,
     iid_block,
+    marginalize_slot,
     shannon_entropy,
     werner_rows,
     werner_single,
 )
+from catpurify import ensemble
 from catpurify.errors import CapacityError
 from catpurify.labels import CatLabel, mxor
 from oracles import brute_force_block_step, flatten_joint
@@ -45,6 +48,17 @@ def test_check_fidelities_rule():
     assert check_fidelities(10**9, [0.0, 1.0]).tolist() == [0.0, 1.0]
     with pytest.raises(ValueError, match=r"^fidelity -1e-11 outside \[0\.0, 1\] for N=inf$"):
         check_fidelities(float("inf"), [-1e-11])
+    # CatLabel's party rule comes first.
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=rf"^need at least 2 parties, got {n}$"):
+            check_fidelities(n, [0.9])
+
+
+def test_single_distribution_needs_two_parties():
+    with pytest.raises(ValueError, match=r"^need at least 2 parties, got 1$"):
+        SingleDistribution(1, [0.9, 0.1])
+    with pytest.raises(ValueError, match=r"^need at least 2 parties, got 1$"):
+        werner_single(1, 0.9)
 
 
 def test_werner_single_examples():
@@ -175,10 +189,17 @@ def test_block_step_zero_pass_probability():
 
 
 def test_block_step_order_invariance_m4():
+    # The block step XORs sources 0, 1, 2 into target 3; replaying it with
+    # the sources in reverse order passes the same distribution.
     single = werner_single(2, 0.72)
-    _, default = block_step(single, 4)
-    _, reversed_order = block_step(single, 4, source_order=(2, 1, 0))
-    np.testing.assert_allclose(default.probs, reversed_order.probs, atol=1e-12)
+    p_pass, default = block_step(single, 4)
+    block = iid_block(single, 4)
+    for source in (2, 1, 0):
+        block = apply_mxor(block, source, 3)
+    p_reversed, projected = condition_amps_zero(block, 3)
+    reversed_order = marginalize_slot(projected, 3)
+    assert abs(p_pass - p_reversed) < 1e-12
+    np.testing.assert_allclose(default.probs, reversed_order.probs / p_reversed, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -303,17 +324,21 @@ def test_block_yield_large_m(n_parties, m):
     assert time.monotonic() - start < 5.0
 
 
-def test_block_yield_capacity_is_the_class_table():
-    single = werner_single(2, 0.9)
-    entries = 4 * math.comb(4 + 5 - 2, 5 - 1)  # N=2, m=5
-    assert block_yield(single, 5, cap=entries) == block_yield(single, 5)
-    with pytest.raises(CapacityError):
-        block_yield(single, 5, cap=entries - 1)
-    # The dense engine's cap is unchanged: 8^9 entries is out of its reach,
-    # while the N=3, m=9 class table is small.
+def test_block_yield_capacity_is_the_class_table(monkeypatch):
+    # The dense engine's cap is the same constant: 8^9 entries is out of
+    # its reach, while the N=3, m=9 class table is small.
     with pytest.raises(CapacityError):
         block_step(werner_single(3, 0.9), 9)
     assert math.isfinite(block_yield(werner_single(3, 0.9), 9))
+    # The cap is read at call time, and a table of exactly the cap passes.
+    single = werner_single(2, 0.9)
+    expected = block_yield(single, 5)
+    entries = 4 * math.comb(4 + 5 - 2, 5 - 1)  # N=2, m=5
+    monkeypatch.setattr(ensemble, "ENSEMBLE_ENTRY_CAP", entries)
+    assert block_yield(single, 5) == expected
+    monkeypatch.setattr(ensemble, "ENSEMBLE_ENTRY_CAP", entries - 1)
+    with pytest.raises(CapacityError, match=f"exceeds the cap of {entries - 1} entries"):
+        block_yield(single, 5)
 
 
 @pytest.mark.parametrize("n_parties,m", [(8, 8), (2, 10**9), (16, 10**6)])

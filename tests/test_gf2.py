@@ -66,7 +66,7 @@ def test_decode_matches_brute_force(seed):
         coset = system.solve()[0]
         assert coset is not None
         assert coset.contains(pack_bits(truth))
-        result = decode_map(coset, prior_one, exact_dim_cap=16)
+        result = decode_map(coset, prior_one)
         expected, ties = brute_force_map(rows, n, prior_one)
         if ties > 1:
             assert result.status == "ambiguous"
@@ -116,7 +116,7 @@ def test_decode_intractable_above_cap():
     system = GF2System(40, n_sides=1)
     system.add_row(pack_indices(np.array([0, 1]), 40), np.array([1], dtype=np.uint8))
     coset = system.solve()[0]
-    assert decode_map(coset, 0.2, exact_dim_cap=16).status == "intractable"
+    assert decode_map(coset, 0.2).status == "intractable"
 
 
 def test_shared_matrix_multiple_sides():

@@ -306,6 +306,30 @@ def test_solver_cap_enforced():
         simulate_hashing(3, 10000, werner_single(3, 0.9), seed=0)
 
 
+def test_solver_cap_is_read_at_call_time(monkeypatch):
+    # N=3, m=8 has 16 decoding unknowns: a cap of 16 admits them, 15 not.
+    single = werner_single(3, 0.9)
+    monkeypatch.setattr(gf2, "GF2_SOLVER_CAP", 16)
+    simulate_hashing(3, 8, single, seed=0)
+    monkeypatch.setattr(gf2, "GF2_SOLVER_CAP", 15)
+    with pytest.raises(CapacityError, match=r"^16 decoding unknowns exceeds the solver cap 15$"):
+        simulate_hashing(3, 8, single, seed=0)
+    with pytest.raises(CapacityError, match=r"^16 unknowns exceeds the solver cap 15$"):
+        GF2System(16)
+
+
+def test_negative_safety_bits_refused():
+    with pytest.raises(ValueError, match=r"^safety bits must be non-negative, got -20$"):
+        simulate_hashing(2, 64, werner_single(2, 0.99), 0, safety_bits=-20)
+
+
+def test_single_party_refused():
+    with pytest.raises(ValueError, match=r"^need at least 2 parties, got 1$"):
+        werner_hashing_yield(1, 0.9)
+    with pytest.raises(ValueError, match=r"^need at least 2 parties, got 1$"):
+        simulate_hashing(1, 4, werner_single(1, 0.9), 0)
+
+
 def consistent_amp_candidates(run: HashingRun):
     """All amplitude strings (N=2) consistent with the serialized parities."""
     m = run.block_size
@@ -837,8 +861,16 @@ def test_certified_decode_matches_probe_loop(prior_one):
     assert outcomes >= {"ambiguous", "rival"} | ({"truth"} if prior_one != 0.5 else set())
 
 
+def simulate_with_exact_cap(monkeypatch, exact_cap, single, seed, safety_bits):
+    """``simulate_hashing`` at N=2, m=32 with ``EXACT_COSET_DIM_CAP`` set to
+    ``exact_cap``: 0 sends every coset to certified decoding, 24 every
+    coset at m=32 to exhaustive decoding."""
+    monkeypatch.setattr(gf2, "EXACT_COSET_DIM_CAP", exact_cap)
+    return simulate_hashing(2, 32, single, seed, safety_bits=safety_bits)
+
+
 @pytest.mark.parametrize("safety_bits", [2, 4])
-def test_certified_mislabel_rate_within_readme_bound(safety_bits):
+def test_certified_mislabel_rate_within_readme_bound(safety_bits, monkeypatch):
     # The same transcript decoded twice: certified (no coset is small
     # enough for exhaustive search) and exhaustive (every coset at m=32 is).
     # A certified success that exhaustive MAP fails is a mislabel; the
@@ -848,12 +880,8 @@ def test_certified_mislabel_rate_within_readme_bound(safety_bits):
     seeds = range(200)
     mislabels = 0
     for seed in seeds:
-        certified, _, run_c = simulate_hashing(
-            2, 32, single, seed, safety_bits=safety_bits, exact_dim_cap=0
-        )
-        exhaustive, _, run_e = simulate_hashing(
-            2, 32, single, seed, safety_bits=safety_bits, exact_dim_cap=24
-        )
+        certified, _, run_c = simulate_with_exact_cap(monkeypatch, 0, single, seed, safety_bits)
+        exhaustive, _, run_e = simulate_with_exact_cap(monkeypatch, 24, single, seed, safety_bits)
         assert run_c.to_text() == run_e.to_text()
         assert (run_c.decode_mode, run_e.decode_mode) == ("certified", "exact")
         mislabels += certified and not exhaustive
@@ -873,8 +901,8 @@ def test_seed_1432_minimum_lies_beyond_probe_reach(monkeypatch):
     certified = gf2.certified_map_decode
     monkeypatch.setattr(gf2, "certified_map_decode", spy)
     single = werner_single(2, 0.9)
-    ok_c, _, run_c = simulate_hashing(2, 32, single, 1432, safety_bits=2, exact_dim_cap=0)
-    ok_e, _, run_e = simulate_hashing(2, 32, single, 1432, safety_bits=2, exact_dim_cap=24)
+    ok_c, _, run_c = simulate_with_exact_cap(monkeypatch, 0, single, 1432, 2)
+    ok_e, _, run_e = simulate_with_exact_cap(monkeypatch, 24, single, 1432, 2)
     assert run_c.to_text() == run_e.to_text()
     assert not ok_c and run_c.phase_decode_status == "ambiguous"
     assert ok_e and run_e.phase_decode_status == "map"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from catpurify import oracle
 from catpurify.errors import CapacityError
 from catpurify.labels import CatLabel, all_labels, correction_for, mxor
 from catpurify.oracle import (
@@ -204,6 +205,7 @@ def test_conjugation_rules_tolerance_1e12():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_conjugation_negative_control():
-    report = verify_conjugation_rules(rules=[(("X", "I"), ("X", "I"))])
+def test_conjugation_negative_control(monkeypatch):
+    monkeypatch.setattr(oracle, "CONJUGATION_RULES", [(("X", "I"), ("X", "I"))])
+    report = verify_conjugation_rules()
     assert not report.ok
