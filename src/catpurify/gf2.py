@@ -2,9 +2,12 @@
 
 Rows are stored as little-endian ``uint64`` words: unknown ``i`` lives in
 word ``i >> 6``, bit ``i & 63``.  The solver produces the affine solution
-coset of a parity system; the decoders pick a maximum-posterior element
-under an i.i.d. Bernoulli prior on the unknowns, exhaustively for small
-cosets and certified against a known truth for large ones.
+coset of a parity system by Gauss-Jordan elimination in blocks of eight
+rows, each applied through one table of the XOR combinations of its rows
+(the Method of Four Russians; ``hashing`` moves lineage rows through the
+same tables).  The decoders pick a maximum-posterior element under an
+i.i.d. Bernoulli prior on the unknowns, exhaustively for small cosets and
+certified against a known truth for large ones.
 """
 
 from __future__ import annotations
@@ -112,6 +115,27 @@ class AffineCoset:
         return not v.any()
 
 
+# Rows per elimination block, and rounds per lineage group in ``hashing``:
+# a block is applied through one table of the 2^8 XOR combinations of its
+# rows, which each row or state indexes with one byte.
+BLOCK_ROWS = 8
+
+
+def _xor_selected(rows: np.ndarray, selectors: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """For each column i of the 0/1 ``selectors`` (k, n), the XOR of the
+    packed rows b whose ``selectors[b, i]`` is set; k <= ``BLOCK_ROWS``.
+    Row b is itself column ``own[b]``, which may select only rows before
+    b: the row first takes their XOR, a unitriangular solve on the way.
+    The 2^k combinations are built by doubling and each column reads its
+    own as one byte (the Method of Four Russians)."""
+    places = np.arange(len(rows), dtype=selectors.dtype)[:, None]
+    idx = np.bitwise_or.reduce(selectors << places, axis=0)
+    table = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
+    for b, row in enumerate(rows):
+        np.bitwise_xor(table[: 1 << b], row ^ table[idx[own[b]]], out=table[1 << b : 2 << b])
+    return table[idx]
+
+
 class GF2System:
     """Accumulates parity rows over a fixed set of unknowns and solves them
     for ``n_sides`` right-hand sides sharing the matrix."""
@@ -149,23 +173,46 @@ class GF2System:
         rows = np.concatenate(
             [np.concatenate(self._rows), _pack_rows(np.concatenate(self._rhs))], axis=1
         )
-        n_rows = rows.shape[0]
-        # Gauss-Jordan by rows: each nonzero row pivots on its lowest set
-        # bit, which is then cleared from every other row.  The pivot row
-        # is zero below its pivot word, so only the words from there on
-        # change.
+        n_rows, width = rows.shape
+        unknowns = (1 << (words << 6)) - 1
+        # Blocked Gauss-Jordan, rows taken in order: a block's rows pivot
+        # among themselves on Python ints, each on its lowest set bit, then
+        # one table gather clears the block's pivot columns from every other
+        # row.  A row's pivot is the one it would get row by row, and the
+        # reduced form is unique, so the cosets are too.
         pivot_of_row = np.full(n_rows, -1, dtype=np.int64)
-        for i in range(n_rows):
-            col = _lowest_bit(rows[i, :words])
-            if col < 0:
+        for start in range(0, n_rows, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n_rows)
+            raw = np.ascontiguousarray(rows[start:stop], dtype="<u8").tobytes()
+            block = [int.from_bytes(raw[k : k + width * 8], "little")
+                     for k in range(0, len(raw), width * 8)]
+            pivots: dict[int, int] = {}  # block position -> pivot column
+            for i, row in enumerate(block):
+                for j, col in pivots.items():
+                    if row >> col & 1:
+                        row ^= block[j]
+                if row & unknowns:
+                    col = (row & -row).bit_length() - 1
+                    for j in pivots:
+                        if block[j] >> col & 1:
+                            block[j] ^= row
+                    pivots[i] = col
+                block[i] = row
+            if not pivots:
                 continue
-            word = col >> 6
-            hits = rows[:, word] & (np.uint64(1) << np.uint64(col & 63))
-            hits[i] = 0
-            hits = hits.nonzero()[0]
-            if hits.size:
-                rows[hits, word:] ^= rows[i, word:]
-            pivot_of_row[i] = col
+            rows[start:stop] = np.frombuffer(
+                b"".join(row.to_bytes(width * 8, "little") for row in block), dtype="<u8"
+            ).reshape(-1, width)
+            at = start + np.fromiter(pivots, dtype=np.int64)
+            cols = pivot_of_row[at] = np.fromiter(pivots.values(), dtype=np.int64)
+            # Every other row takes the pivot rows it carries a pivot bit
+            # of; the block's own rows are reduced already.  Pivot rows are
+            # zero below their pivot, so only the words from the lowest
+            # pivot's on change.
+            first = int(cols.min()) >> 6
+            carried = (rows.T[cols >> 6] >> (cols[:, None] & 63).astype(np.uint64)) & 1
+            carried[:, start:stop] = 0
+            rows[:, first:] ^= _xor_selected(rows[at, first:], carried, at)
         rhs = unpack_bits(rows[:, words:], self.n_sides)
         pivot_rows = np.flatnonzero(pivot_of_row >= 0)
         zero_rows = np.flatnonzero(pivot_of_row < 0)
@@ -317,12 +364,4 @@ def certified_map_decode(
         # caller records a mismatched (failed) decode.
         return DecodeResult("map", unpack_bits(probes[k], coset.n_unknowns), d)
     return DecodeResult("map", truth_bits.copy(), d)
-
-
-def _lowest_bit(row: np.ndarray) -> int:
-    for w in range(len(row)):
-        word = int(row[w])
-        if word:
-            return (w << 6) + (word & -word).bit_length() - 1
-    return -1
 

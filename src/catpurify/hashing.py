@@ -295,21 +295,33 @@ def _records(
 
 
 def _amplitude_backaction(
-    subsets: list[np.ndarray], m: int, init_phases: np.ndarray
+    subsets: list[np.ndarray], member_rows: np.ndarray, m: int, init_phases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lineage rows and true phases after the amplitude rounds, one round at
-    a time: each round XORs its target's phase into every source.  Lineage
-    row i packs the initial phases whose XOR is state i's phase; the true
-    phases track the same labels directly, as an independent route."""
-    lineage = gf2.identity_rows(m)
+    """Lineage rows and true phases after the amplitude rounds, whose packed
+    membership rows are ``member_rows``: each round XORs its target's phase
+    into every source.  Lineage row i packs the initial phases whose XOR is
+    state i's phase.  The true phases follow the same labels one round at a
+    time, as an independent route; the lineage moves in groups of
+    ``gf2.BLOCK_ROWS`` rounds."""
     true_phases = init_phases.copy()
     for members in subsets:
-        target, sources = int(members[0]), members[1:]
-        true_phases[sources] ^= true_phases[target]
+        true_phases[members[1:]] ^= true_phases[members[0]]
+    lineage = gf2.identity_rows(m)
+    targets = _targets(subsets)
+    for start in range(0, targets.size, gf2.BLOCK_ROWS):
+        group = targets[start : start + gf2.BLOCK_ROWS]
+        # Row b: the sources of the group's round b.
+        sources = gf2.unpack_bits(member_rows[start : start + gf2.BLOCK_ROWS], m)
+        sources[np.arange(group.size), group] = 0
         # Every lineage bit of a state sits at or below its own index
-        # (targets are subset minima), so words past the target's are zero.
-        span = gf2.n_words(target + 1)
-        lineage[sources, :span] ^= lineage[target, :span]
+        # (targets are subset minima), so words past the last target's are
+        # zero.
+        span = gf2.n_words(int(group.max()) + 1)
+        # Each state takes the rows of the group's rounds it was a source
+        # of.  A target was a source only of rounds before its own, so its
+        # row is complete, as its round reads it, before the later rounds
+        # need it.
+        lineage[:, :span] ^= gf2._xor_selected(lineage[group, :span], sources, group)
     return lineage, true_phases
 
 
@@ -330,9 +342,10 @@ def simulate_hashing(
     already-decoded amplitudes.  Success means the decoded labels of every
     surviving state match the hidden truth.
 
-    Degenerate blocks that cannot supply the requested rounds (e.g. m = 1
-    with nonzero entropy) fail with reason 'ambiguous', since the system
-    stays underdetermined.
+    A block that cannot supply the planned rounds of both phases (e.g.
+    m = 1 with nonzero entropy) fails with reason 'exhausted'.  Otherwise a
+    failed trial is 'ambiguous' when a decode ties or finds no solution,
+    and 'wrong-decode' when the decoded labels differ from the truth.
     """
     if single.n_parties != n_parties:
         raise DimensionError("distribution and simulation disagree on N")
@@ -379,7 +392,7 @@ def simulate_hashing(
     amp_rows, _, amp_rhs, amp_parities = _records(
         subsets_a, targets_a, init_amps, side_bits, side_truth
     )
-    lineage, true_phases = _amplitude_backaction(subsets_a, m, init_phases)
+    lineage, true_phases = _amplitude_backaction(subsets_a, amp_rows, m, init_phases)
     phase_members, phase_rows, phase_rhs, phase_parities = _records(
         subsets_b, targets_b, true_phases, np.ones(1, dtype=np.int64), init_phases[None], lineage
     )
@@ -444,7 +457,7 @@ def simulate_hashing(
     run.decode_mode = "/".join(sorted(modes)) if modes else "none"
 
     if not feasible or decoded_amps is None or survivor_phase_belief is None:
-        run.failure_reason = "ambiguous"
+        run.failure_reason = "ambiguous" if feasible else "exhausted"
         return False, run.empirical_yield, run
 
     amp_ok = bool(np.array_equal(decoded_amps[live_at_b], init_amps[live_at_b]))

@@ -51,3 +51,48 @@ def flatten_joint(passed, n_parties, n_states):
             idx = (idx << n_parties) | code
         out[idx] = value
     return out
+
+
+def row_by_row_cosets(rows, rhs, n_unknowns, n_sides):
+    """Row-by-row Gauss-Jordan reference for ``GF2System.solve``.
+
+    ``rows`` are Python int bitmasks over the unknowns and ``rhs`` int
+    bitmasks over the sides, one per row.  Rows are taken in order; each
+    nonzero row pivots on its lowest set bit, which is then cleared from
+    every other row.  Returns one entry per side: None when a zero row
+    keeps a nonzero right-hand side, otherwise ``(particular, basis,
+    free_cols)`` with the particular solution and each basis vector as an
+    int bitmask, basis vector k carrying free column ``free_cols[k]``.
+    """
+    rows, rhs = list(rows), list(rhs)
+    pivot_of_row = [-1] * len(rows)
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+        col = (row & -row).bit_length() - 1
+        for k in range(len(rows)):
+            if k != i and rows[k] >> col & 1:
+                rows[k] ^= row
+                rhs[k] ^= rhs[i]
+        pivot_of_row[i] = col
+    pivots = [(col, i) for i, col in enumerate(pivot_of_row) if col >= 0]
+    pivot_cols = {col for col, _ in pivots}
+    free_cols = [c for c in range(n_unknowns) if c not in pivot_cols]
+    basis = []
+    for free in free_cols:
+        vec = 1 << free
+        for col, i in pivots:
+            if rows[i] >> free & 1:
+                vec |= 1 << col
+        basis.append(vec)
+    cosets = []
+    for side in range(n_sides):
+        if any(col < 0 and rhs[i] >> side & 1 for i, col in enumerate(pivot_of_row)):
+            cosets.append(None)
+            continue
+        particular = 0
+        for col, i in pivots:
+            if rhs[i] >> side & 1:
+                particular |= 1 << col
+        cosets.append((particular, basis, free_cols))
+    return cosets

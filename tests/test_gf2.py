@@ -16,6 +16,7 @@ from catpurify.gf2 import (
     row_weight,
     unpack_bits,
 )
+from oracles import row_by_row_cosets
 
 
 def random_system(rng, n, k, truth):
@@ -190,6 +191,68 @@ def row_to_int(row):
 
 def int_to_bits(x, n):
     return np.array([(x >> i) & 1 for i in range(n)], dtype=np.uint8)
+
+
+def assert_solve_matches_row_by_row(n, rows, rhs, n_sides):
+    """``GF2System.solve`` against the row-by-row reference, on rows and
+    right-hand sides given as int bitmasks."""
+    system = GF2System(n, n_sides)
+    if rows:
+        packed = np.array([pack_bits(int_to_bits(row, n)) for row in rows])
+        bits = np.array([int_to_bits(value, n_sides) for value in rhs])
+        system.add_row(packed, bits)
+    expected = row_by_row_cosets(rows, rhs, n, n_sides)
+    cosets = system.solve()
+    assert len(cosets) == n_sides
+    for coset, reference in zip(cosets, expected):
+        assert (coset is None) == (reference is None)
+        if coset is not None:
+            particular, basis, free_cols = reference
+            assert row_to_int(coset.particular) == particular
+            assert [row_to_int(vec) for vec in coset.basis] == basis
+            assert coset.free_cols.tolist() == free_cols
+    return cosets
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_blocked_solve_matches_row_by_row_reference(n):
+    rng = np.random.default_rng(n)
+
+    def random_mask(density):
+        return sum(1 << c for c in np.flatnonzero(rng.random(n) < density).tolist())
+
+    shapes = set()
+    for n_rows in (0, 1, 7, 8, 9, 17, n, n + 9):
+        for density in (0.5, 0.05):
+            for n_sides in (1, 2, 3):
+                rows = [random_mask(density) for _ in range(n_rows)]
+                if n_rows >= 9:
+                    # An all-zero row in the first block, and a duplicate
+                    # of row 1 in the second.
+                    rows[3], rows[8] = 0, rows[1]
+                truth = random_mask(0.5)
+                # Side 0 is measured from a truth; the others are free bits,
+                # so they are inconsistent whenever a row is dependent.
+                rhs = [(bin(row & truth).count("1") & 1)
+                       | int(rng.integers(0, 1 << n_sides)) & ~1 for row in rows]
+                cosets = assert_solve_matches_row_by_row(n, rows, rhs, n_sides)
+                assert cosets[0] is not None
+                shapes.add(("full" if cosets[0].dim == 0 else "partial",
+                            any(c is None for c in cosets)))
+    assert {("full", False), ("partial", False), ("partial", True)} <= shapes
+
+
+def test_blocked_solve_clears_both_ways_inside_a_block():
+    # Rows 8-10 form the second block: row 9 holds row 8's pivot 67, and
+    # after clearing it pivots on 64, below 67; row 10 pivots on 70, which
+    # is then cleared from rows 8 and 9, right-hand sides included.  The
+    # first block's rows carry each of bits 64-70, so the table gather
+    # changes them too.
+    first = [(1 << 2 * k) | (1 << 64 + k % 7) for k in range(8)]
+    block = [(1 << 67) | (1 << 70), (1 << 64) | (1 << 67), 1 << 70]
+    rhs = [k % 4 for k in range(8)] + [0, 1, 3]
+    cosets = assert_solve_matches_row_by_row(72, first + block, rhs, 2)
+    assert not ({64, 67, 70} & set(cosets[0].free_cols.tolist()))
 
 
 @st.composite

@@ -291,14 +291,23 @@ def test_safety_monotonicity_weak_form():
     assert all(a >= b for a, b in zip(failures, failures[1:]))
 
 
-def test_block_too_small_for_rounds_is_ambiguous():
+def test_block_too_small_for_rounds_is_exhausted():
     success, _, run = simulate_hashing(2, 1, werner_single(2, 0.8), seed=0, safety_bits=0)
     assert not success
-    assert run.failure_reason == "ambiguous"
+    assert run.failure_reason == "exhausted"
     success, empirical_yield, _ = simulate_hashing(
         2, 1, werner_single(2, 1.0), seed=0, safety_bits=0
     )
     assert success and empirical_yield == 1.0
+
+
+@pytest.mark.parametrize("seed,statuses", [(4, ("ambiguous", "map")), (5, ("map", "ambiguous"))])
+def test_tied_decode_is_ambiguous(seed, statuses):
+    # Both phases get their planned rounds; one exhaustive decode ties.
+    success, _, run = simulate_hashing(2, 24, werner_single(2, 0.95), seed=seed, safety_bits=2)
+    assert not success
+    assert (run.amp_decode_status, run.phase_decode_status, run.decode_mode) == (*statuses, "exact")
+    assert run.failure_reason == "ambiguous"
 
 
 def test_solver_cap_enforced():
@@ -473,7 +482,10 @@ def run_digest(n, m, f, safety_bits, seeds):
         ok, empirical_yield, run = simulate_hashing(n, m, single, seed=seed, safety_bits=safety_bits)
         np.testing.assert_array_equal(HashingRun.parse_truth(run.to_text()), run.initial_codes)
         h.update(v1_text(run).encode())
-        h.update(repr((ok, empirical_yield, run.failure_reason, run.amp_decode_status,
+        # The digests were recorded when an exhausted block shared the
+        # reason of a tied decode.
+        reason = "ambiguous" if run.failure_reason == "exhausted" else run.failure_reason
+        h.update(repr((ok, empirical_yield, reason, run.amp_decode_status,
                        run.phase_decode_status, run.decode_mode)).encode())
         for arr in (run.decoded_amps, run.decoded_survivor_phases):
             h.update(b"-" if arr is None else arr.dtype.str.encode() + arr.tobytes())
@@ -599,7 +611,7 @@ def bulk_bookkeeping(subsets_a, subsets_b, m, codes, n):
     # The amplitude system's rows are its membership rows, held once.
     assert amp_rows is amp_members
     np.testing.assert_array_equal(rhs, (amp_parities[:, None] & side_bits) != 0)
-    lineage, phases = _amplitude_backaction(subsets_a, m, init_phases)
+    lineage, phases = _amplitude_backaction(subsets_a, amp_members, m, init_phases)
     phase_members, phase_rows, phase_rhs, phase_parities = phase_records(
         subsets_b, lineage, phases, init_phases)
     np.testing.assert_array_equal(phase_rhs[:, 0], phase_parities)
@@ -612,9 +624,12 @@ def bulk_bookkeeping(subsets_a, subsets_b, m, codes, n):
 def test_bulk_bookkeeping_matches_per_round_reference(n):
     rng = np.random.default_rng(n)
     cases = [(1, 3, 3), (2, 2, 2), (2, 0, 0), (5, 0, 4), (5, 4, 0), (64, 40, 30), (65, 70, 70)]
+    # The lineage moves in groups of 8 amplitude rounds: one short group,
+    # one full, one full and one more, and two full ones and one more.
+    cases += [(40, 1, 5), (40, 7, 5), (40, 8, 5), (40, 9, 5), (40, 17, 5)]
     cases += [(int(rng.integers(1, 130)), int(rng.integers(0, 60)), int(rng.integers(0, 60)))
               for _ in range(12)]
-    shapes = set()
+    shapes, rounds_a = set(), set()
     for seed, (m, planned_a, planned_b) in enumerate(cases):
         draw = np.random.default_rng([n, seed])
         subsets_a, subsets_b = _draw_subsets(draw, m, (planned_a, planned_b))
@@ -622,8 +637,25 @@ def test_bulk_bookkeeping_matches_per_round_reference(n):
         expected = reference_bookkeeping(subsets_a, subsets_b, m, codes, n)
         assert bulk_bookkeeping(subsets_a, subsets_b, m, codes, n) == expected
         shapes.add((len(subsets_a) == 0, len(subsets_b) == 0))
+        rounds_a.add(len(subsets_a))
     # Both phases run empty, and each runs empty while the other does not.
     assert shapes == {(False, False), (True, True), (False, True), (True, False)}
+    assert {1, 7, 8, 9, 17} <= rounds_a
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bulk_bookkeeping_chains_targets_within_a_group(n):
+    # Round r measures state r and reads r + 1, the next round's target, so
+    # each target was a source earlier in its own group of 8; r + 12 ties
+    # the groups together through states no round measures.
+    m = 24
+    subsets_a = [np.array([r, r + 1, r + 12]) for r in range(10)]
+    subsets_b = [np.array([10, 11, 22, 23])]
+    codes = np.random.default_rng(n).integers(0, 1 << n, size=m)
+    expected = reference_bookkeeping(subsets_a, subsets_b, m, codes, n)
+    assert bulk_bookkeeping(subsets_a, subsets_b, m, codes, n) == expected
+    # State 9's phase gathers those of states 0-9.
+    assert expected[2][9] == (1 << 10) - 1
 
 
 def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
@@ -672,7 +704,8 @@ def test_bulk_bookkeeping_peaks_within_the_chunk_cap(monkeypatch):
     codes = draw.integers(0, 1 << n, size=m)
     init_phases = (codes >> (n - 1)).astype(np.uint8)
     init_amps = codes & ((1 << (n - 1)) - 1)
-    lineage, phases = _amplitude_backaction(subsets_a, m, init_phases)
+    amp_members = amplitude_records(subsets_a, init_amps, n)[0]
+    lineage, phases = _amplitude_backaction(subsets_a, amp_members, m, init_phases)
     passes = (
         lambda: amplitude_records(subsets_a, init_amps, n),
         lambda: phase_records(subsets_b, lineage, phases, init_phases),
@@ -692,6 +725,27 @@ def test_bulk_bookkeeping_peaks_within_the_chunk_cap(monkeypatch):
     monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", 1 << 40)
     for run_pass in passes:
         assert peak_over_outputs(run_pass) > 4 * ROUND_CHUNK_BYTES
+
+
+def test_backaction_peaks_within_the_chunk_cap():
+    # Traced numpy allocations of the amplitude back-action over its
+    # outputs.  The lineage moves a group of 8 rounds at a time, through one
+    # byte per state and group: an (m x rounds) selector array would be
+    # 1.4 MB here.
+    m, n = 2000, 3
+    draw = np.random.default_rng(1000)
+    subsets_a, _ = _draw_subsets(draw, m, (700, 0))
+    assert len(subsets_a) == 700
+    codes = draw.integers(0, 1 << n, size=m)
+    amp_members = amplitude_records(subsets_a, codes & ((1 << (n - 1)) - 1), n)[0]
+    init_phases = (codes >> (n - 1)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        outputs = _amplitude_backaction(subsets_a, amp_members, m, init_phases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(out.nbytes for out in outputs) <= ROUND_CHUNK_BYTES + (64 << 10)
 
 
 def test_bulk_passes_reject_a_state_read_after_it_was_measured():
@@ -767,7 +821,7 @@ def test_two_state_pure_block_runs_one_round(capsys):
     # m=2 supplies one amplitude round and no phase round, so the phase
     # passes get no input at all.
     _, _, run = simulate_hashing(2, 2, werner_single(2, 1.0), seed=0)
-    assert (run.rounds_a, run.rounds_b, run.failure_reason) == (1, 0, "ambiguous")
+    assert (run.rounds_a, run.rounds_b, run.failure_reason) == (1, 0, "exhausted")
     assert main(["simulate-hashing", "-m", "2", "-f", "1.0", "--trials", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1:] == ["0,0,0.5,1,0,1", "1,0,0.5,1,0,1", "summary,0,0.5,,,"]
