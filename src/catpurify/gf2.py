@@ -1,13 +1,14 @@
 """Bit-packed GF(2) linear algebra for parity decoding.
 
 Rows are stored as little-endian ``uint64`` words: unknown ``i`` lives in
-word ``i >> 6``, bit ``i & 63``.  The solver produces the affine solution
-coset of a parity system by Gauss-Jordan elimination in blocks of eight
-rows, each applied through one table of the XOR combinations of its rows
-(the Method of Four Russians; ``hashing`` moves lineage rows through the
-same tables).  The decoders pick a maximum-posterior element under an
-i.i.d. Bernoulli prior on the unknowns, exhaustively for small cosets and
-certified against a known truth for large ones.
+word ``i >> 6``, bit ``i & 63``, an order only this module knows; other
+modules use ``to_ints``/``from_ints``.  The solver produces the affine
+solution coset of a parity system by Gauss-Jordan elimination in blocks of
+eight rows, each finished by one table of the XOR combinations of its
+pivot rows (the Method of Four Russians; ``hashing`` moves lineage rows
+through the same table step).  The decoders pick a maximum-posterior
+element under an i.i.d. Bernoulli prior on the unknowns, exhaustively for
+small cosets and certified against a known truth for large ones.
 """
 
 from __future__ import annotations
@@ -27,18 +28,13 @@ def n_words(n_bits: int) -> int:
     return (n_bits + 63) >> 6
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """0/1 values along the last axis -> packed rows of explicit
-    little-endian ``uint64`` words."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    out = np.zeros(bits.shape[:-1] + (n_words(bits.shape[-1]) * 8,), dtype=np.uint8)
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """0/1 values along the last axis -> packed row, or stack of rows, of
+    explicit little-endian ``uint64`` words."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1, bitorder="little")
+    out = np.zeros(packed.shape[:-1] + (n_words(np.shape(bits)[-1]) * 8,), dtype=np.uint8)
     out[..., : packed.shape[-1]] = packed
     return out.view("<u8").astype(np.uint64, copy=False)
-
-
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Bit array (0/1 per unknown) -> packed uint64 row."""
-    return _pack_rows(np.asarray(bits, dtype=np.uint8))
 
 
 def pack_indices(
@@ -52,7 +48,7 @@ def pack_indices(
     lengths = np.diff(segments, append=indices.size)
     bits = np.zeros((len(segments), n_words(n_bits) << 6), dtype=np.uint8)
     bits[np.repeat(np.arange(len(segments)), lengths), indices] = 1
-    rows = _pack_rows(bits)
+    rows = pack_bits(bits)
     return rows[0] if starts is None else rows
 
 
@@ -74,6 +70,23 @@ def unpack_bits(rows: np.ndarray, n_bits: int) -> np.ndarray:
     """Packed row or stack of rows -> first ``n_bits`` bits as 0/1 ``uint8``."""
     as_bytes = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
     return np.unpackbits(as_bytes, axis=-1, bitorder="little")[..., :n_bits]
+
+
+def to_ints(rows: np.ndarray) -> list[int]:
+    """Stack of packed rows -> one Python int per row, unknown i as bit i."""
+    raw = np.ascontiguousarray(rows, dtype="<u8").tobytes()
+    width = rows.shape[-1] * 8
+    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+
+
+def from_ints(values: list[int], n_bits: int) -> np.ndarray:
+    """Python ints -> stack of packed rows over ``n_bits`` unknowns; a
+    value with a bit at or past ``n_bits``, or a negative one, is refused."""
+    if any(value >> n_bits for value in values):
+        raise ValueError(f"row value has a bit at or past {n_bits}")
+    width = n_words(n_bits) * 8
+    raw = b"".join(value.to_bytes(width, "little") for value in values)
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, width // 8)
 
 
 def row_weight(rows: np.ndarray) -> np.ndarray:
@@ -121,13 +134,13 @@ class AffineCoset:
 BLOCK_ROWS = 8
 
 
-def _xor_selected(rows: np.ndarray, selectors: np.ndarray, own: np.ndarray) -> np.ndarray:
+def xor_selected(rows: np.ndarray, selectors: np.ndarray, own: np.ndarray) -> np.ndarray:
     """For each column i of the 0/1 ``selectors`` (k, n), the XOR of the
     packed rows b whose ``selectors[b, i]`` is set; k <= ``BLOCK_ROWS``.
     Row b is itself column ``own[b]``, which may select only rows before
-    b: the row first takes their XOR, a unitriangular solve on the way.
-    The 2^k combinations are built by doubling and each column reads its
-    own as one byte (the Method of Four Russians)."""
+    b: the row first takes their XOR, a unitriangular solve on the way
+    (lineage update or back-substitution).  The 2^k combinations are built
+    by doubling, each column reading its own as one byte (Four Russians)."""
     places = np.arange(len(rows), dtype=selectors.dtype)[:, None]
     idx = np.bitwise_or.reduce(selectors << places, axis=0)
     table = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
@@ -153,6 +166,9 @@ class GF2System:
         """One parity constraint, or a stack of them; ``rhs_bits`` carries
         each row's value for every right-hand side in parallel."""
         rows = np.array(row, dtype=np.uint64, ndmin=2)
+        spare = ~(~np.uint64(0) >> np.uint64(-self.n_unknowns & 63))  # past the last unknown
+        if rows.shape[1:] != (n_words(self.n_unknowns),) or (rows[:, -1:] & spare).any():
+            raise ValueError(f"rows must be packed over exactly {self.n_unknowns} unknowns")
         rhs = np.asarray(rhs_bits, dtype=np.uint8)
         if rhs.size != len(rows) * self.n_sides:
             raise ValueError(f"expected {len(rows) * self.n_sides} rhs bits, got {rhs.size}")
@@ -171,48 +187,40 @@ class GF2System:
         words = n_words(n)
         # The right-hand sides ride along as extra words of each row.
         rows = np.concatenate(
-            [np.concatenate(self._rows), _pack_rows(np.concatenate(self._rhs))], axis=1
+            [np.concatenate(self._rows), pack_bits(np.concatenate(self._rhs))], axis=1
         )
         n_rows, width = rows.shape
         unknowns = (1 << (words << 6)) - 1
-        # Blocked Gauss-Jordan, rows taken in order: a block's rows pivot
-        # among themselves on Python ints, each on its lowest set bit, then
-        # one table gather clears the block's pivot columns from every other
-        # row.  A row's pivot is the one it would get row by row, and the
-        # reduced form is unique, so the cosets are too.
+        # Blocked Gauss-Jordan, rows taken in order: a block's rows reduce
+        # forward by its earlier pivot rows on Python ints, each pivoting on
+        # its lowest set bit as it would row by row.  One table gather, fed
+        # the pivot rows latest first, back-substitutes them and clears their
+        # columns from every other row.  The reduced form is unique, so the
+        # cosets are too.
         pivot_of_row = np.full(n_rows, -1, dtype=np.int64)
         for start in range(0, n_rows, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n_rows)
-            raw = np.ascontiguousarray(rows[start:stop], dtype="<u8").tobytes()
-            block = [int.from_bytes(raw[k : k + width * 8], "little")
-                     for k in range(0, len(raw), width * 8)]
+            block = to_ints(rows[start : start + BLOCK_ROWS])
             pivots: dict[int, int] = {}  # block position -> pivot column
             for i, row in enumerate(block):
                 for j, col in pivots.items():
                     if row >> col & 1:
                         row ^= block[j]
                 if row & unknowns:
-                    col = (row & -row).bit_length() - 1
-                    for j in pivots:
-                        if block[j] >> col & 1:
-                            block[j] ^= row
-                    pivots[i] = col
+                    pivots[i] = (row & -row).bit_length() - 1
                 block[i] = row
             if not pivots:
                 continue
-            rows[start:stop] = np.frombuffer(
-                b"".join(row.to_bytes(width * 8, "little") for row in block), dtype="<u8"
-            ).reshape(-1, width)
-            at = start + np.fromiter(pivots, dtype=np.int64)
-            cols = pivot_of_row[at] = np.fromiter(pivots.values(), dtype=np.int64)
-            # Every other row takes the pivot rows it carries a pivot bit
-            # of; the block's own rows are reduced already.  Pivot rows are
+            rows[start : start + len(block)] = from_ints(block, width << 6)
+            at = start + np.fromiter(reversed(pivots), dtype=np.int64)
+            cols = pivot_of_row[at] = np.fromiter(reversed(pivots.values()), dtype=np.int64)
+            # A pivot row carries no earlier pivot's column, so as its own
+            # column it selects only the later pivot rows.  Pivot rows are
             # zero below their pivot, so only the words from the lowest
             # pivot's on change.
             first = int(cols.min()) >> 6
             carried = (rows.T[cols >> 6] >> (cols[:, None] & 63).astype(np.uint64)) & 1
-            carried[:, start:stop] = 0
-            rows[:, first:] ^= _xor_selected(rows[at, first:], carried, at)
+            carried[np.arange(len(at)), at] = 0
+            rows[:, first:] ^= xor_selected(rows[at, first:], carried, at)
         rhs = unpack_bits(rows[:, words:], self.n_sides)
         pivot_rows = np.flatnonzero(pivot_of_row >= 0)
         zero_rows = np.flatnonzero(pivot_of_row < 0)
@@ -251,7 +259,7 @@ def _coset_basis(
         bits = np.zeros((cols.size, n), dtype=np.uint8)
         bits[np.arange(cols.size), cols] = 1
         bits[:, pivot_cols] = carried.T
-        basis[start : start + cols.size] = _pack_rows(bits)
+        basis[start : start + cols.size] = pack_bits(bits)
     basis.flags.writeable = False
     return basis
 

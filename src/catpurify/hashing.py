@@ -127,9 +127,7 @@ class HashingRun:
         targets = iter(self.consumed)
         for tag, rows, measured in (("A", self.amp_rows, self.amp_measured),
                                     ("B", self.phase_rows, self.phase_measured)):
-            for r, (row, value) in enumerate(zip(rows, measured.tolist())):
-                bits = gf2.unpack_bits(row, self.block_size)
-                mask = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+            for r, (mask, value) in enumerate(zip(gf2.to_ints(rows), measured.tolist())):
                 lines.append(f"{tag} {r} {mask:x} {next(targets)} {value:x}")
         return "\n".join(lines) + "\n"
 
@@ -139,7 +137,7 @@ class HashingRun:
         for line in text.splitlines():
             if line.startswith("truth="):
                 codes = line[len("truth="):].split(",")
-                return np.array([int(c, 16) for c in codes if c], dtype=np.int64)
+                return np.array([int(c, 16) for c in codes], dtype=np.int64)
         raise ValueError("transcript has no truth= line")
 
     @staticmethod
@@ -156,12 +154,9 @@ class HashingRun:
                 m = int(dict(part.split("=") for part in parts)["block_size"])
         if m is None:
             raise ValueError("transcript has no parameter line")
-        n_bytes = (m + 7) // 8
         phases = []
         for rounds in fields.values():
-            masks = b"".join(int(mask, 16).to_bytes(n_bytes, "little") for mask, _, _ in rounds)
-            bits = np.unpackbits(np.frombuffer(masks, np.uint8), bitorder="little")
-            rows = gf2.pack_bits(bits.reshape(len(rounds), n_bytes * 8)[:, :m])
+            rows = gf2.from_ints([int(mask, 16) for mask, _, _ in rounds], m)
             targets = np.array([int(target) for _, target, _ in rounds], dtype=np.int64)
             measured = np.array([int(value, 16) for _, _, value in rounds], dtype=np.int64)
             phases.append((rows, targets, measured))
@@ -321,7 +316,7 @@ def _amplitude_backaction(
         # of.  A target was a source only of rounds before its own, so its
         # row is complete, as its round reads it, before the later rounds
         # need it.
-        lineage[:, :span] ^= gf2._xor_selected(lineage[group, :span], sources, group)
+        lineage[:, :span] ^= gf2.xor_selected(lineage[group, :span], sources, group)
     return lineage, true_phases
 
 

@@ -256,24 +256,18 @@ def find_knee() -> float | None:
     already optimal at ``DEFAULT_MAX_ROUNDS``, by a sweep in steps of 0.005
     then bisection to within 1e-4; None when absent."""
     sweep_step, tol = 0.005, 1e-4
-
-    def hashes_immediately(f: float) -> bool:
-        return recurrence_then_hashing(f)[1] == 0
-
-    prev = 0.5 + sweep_step
-    if hashes_immediately(prev):
-        return prev
-    f = prev + sweep_step
-    while f < 1.0:
-        if hashes_immediately(f):
-            lo, hi = prev, f
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if hashes_immediately(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        prev = f
-        f += sweep_step
-    return None
+    # Sweep points summed one step at a time, left to right.
+    points = np.add.accumulate(np.r_[0.5 + sweep_step, np.full(100, sweep_step)])
+    points = points[points < 1.0]
+    hits = np.flatnonzero(recurrence_grid(points, DEFAULT_MAX_ROUNDS)[1] == 0)
+    if not hits.size:
+        return None
+    # A hit at the first point leaves nothing to bisect.
+    lo, hi = float(points[max(hits[0] - 1, 0)]), float(points[hits[0]])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if recurrence_then_hashing(mid)[1] == 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi

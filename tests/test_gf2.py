@@ -10,10 +10,12 @@ from catpurify.gf2 import (
     GF2System,
     _enumerate_coset,
     decode_map,
+    from_ints,
     n_words,
     pack_bits,
     pack_indices,
     row_weight,
+    to_ints,
     unpack_bits,
 )
 from oracles import row_by_row_cosets
@@ -172,6 +174,25 @@ def test_stacked_rows_give_the_row_by_row_cosets(n, n_sides):
                     np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
+@pytest.mark.parametrize("n,bad_bit", [(10, 20), (70, 104), (64, None), (130, 191)])
+def test_add_row_refuses_rows_not_packed_over_the_unknowns(n, bad_bit):
+    system = GF2System(n, n_sides=1)
+    good = pack_indices(np.array([0, n - 1]), n)
+    malformed = [good[:-1], np.concatenate([good, good[:1]])]
+    if bad_bit is not None:
+        # A bit past the last unknown, in the last word.
+        malformed.append(good | pack_indices(np.array([bad_bit]), n_words(n) << 6))
+    for row in malformed:
+        # As one row, and as the last row of a stack.
+        stack = np.stack([np.resize(good, row.shape), row])
+        for rows, rhs in ((row, [1]), (stack, [0, 1])):
+            with pytest.raises(ValueError, match=f"packed over exactly {n} unknowns"):
+                system.add_row(rows, np.array(rhs, dtype=np.uint8))
+    assert system.n_rows == 0
+    system.add_row(np.stack([good, good]), np.array([1, 1], dtype=np.uint8))
+    assert system.solve()[0].dim == n - 1
+
+
 def test_stacked_rows_need_every_rhs_bit():
     system = GF2System(8, n_sides=2)
     rows = pack_indices(np.array([0, 1, 1, 2]), 8, np.array([0, 2]))
@@ -313,4 +334,15 @@ def test_pack_round_trip_property(n, data):
     np.testing.assert_array_equal(unpack_bits(packed, n), bits)
     np.testing.assert_array_equal(pack_indices(np.flatnonzero(bits), n), packed)
     assert row_weight(packed) == int(bits.sum())
+    # The int pair round-trips a stack, in row_to_int's bit order.
+    stack = np.stack([packed, ~packed & pack_bits(np.ones(n, dtype=np.uint8))])
+    values = to_ints(stack)
+    assert values == [row_to_int(row) for row in stack]
+    rows = from_ints(values, n)
+    assert rows.dtype == np.uint64 and rows.shape == (2, n_words(n))
+    np.testing.assert_array_equal(rows, stack)
+    assert from_ints([], n).shape == (0, n_words(n))
+    for bad in (values[0] | 1 << n, -1):
+        with pytest.raises(ValueError, match=f"bit at or past {n}"):
+            from_ints([values[1], bad], n)
 

@@ -278,6 +278,18 @@ def test_transcript_parse_rejects_a_missing_line():
         HashingRun.parse_rounds("".join(l for l in lines if not l.startswith("n_parties=")))
 
 
+def test_transcript_parse_rejects_corrupt_fields():
+    text = simulate_hashing(2, 10, werner_single(2, 0.9), seed=0, safety_bits=2)[2].to_text()
+    first = next(line for line in text.splitlines() if line.startswith("A 0 "))
+    mask = first.split()[2]
+    # A mask naming state 12 of 10, and one wider than the block.
+    for bad in ("1" + mask.rjust(3, "0"), "1" + mask.rjust(10, "0")):
+        with pytest.raises(ValueError, match="bit at or past 10"):
+            HashingRun.parse_rounds(text.replace(first, first.replace(f" {mask} ", f" {bad} ")))
+    with pytest.raises(ValueError):
+        HashingRun.parse_truth("truth=0,,1\n")
+
+
 def test_safety_monotonicity_weak_form():
     # Observed failure counts must be non-increasing in the safety margin.
     single = werner_single(2, 0.92)
