@@ -89,6 +89,12 @@ def from_ints(values: list[int], n_bits: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, width // 8)
 
 
+def _column_bits(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Bits at columns ``cols`` of a packed row, or of each row of a stack,
+    as 0/1 ``uint64`` along the last axis."""
+    return (rows[..., cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
+
+
 def row_weight(rows: np.ndarray) -> np.ndarray:
     """Set bits of a packed row, or of each row of a stack, as unsigned counts."""
     return np.bitwise_count(rows).sum(axis=-1)
@@ -122,8 +128,7 @@ class AffineCoset:
         the free bits of ``packed ^ particular`` select the only
         combination that can cancel it."""
         v = packed ^ self.particular
-        cols = self.free_cols
-        picked = ((v[cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)).astype(bool)
+        picked = _column_bits(v, self.free_cols).astype(bool)
         v ^= np.bitwise_xor.reduce(self.basis, axis=0, where=picked[:, None])
         return not v.any()
 
@@ -218,7 +223,7 @@ class GF2System:
             # zero below their pivot, so only the words from the lowest
             # pivot's on change.
             first = int(cols.min()) >> 6
-            carried = (rows.T[cols >> 6] >> (cols[:, None] & 63).astype(np.uint64)) & 1
+            carried = _column_bits(rows, cols).T
             carried[np.arange(len(at)), at] = 0
             rows[:, first:] ^= xor_selected(rows[at, first:], carried, at)
         rhs = unpack_bits(rows[:, words:], self.n_sides)
@@ -255,10 +260,9 @@ def _coset_basis(
     basis = np.empty((free_cols.size, n_words(n)), dtype=np.uint64)
     for start in range(0, free_cols.size, _BASIS_CHUNK):
         cols = free_cols[start : start + _BASIS_CHUNK]
-        carried = (reduced[:, cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
         bits = np.zeros((cols.size, n), dtype=np.uint8)
         bits[np.arange(cols.size), cols] = 1
-        bits[:, pivot_cols] = carried.T
+        bits[:, pivot_cols] = _column_bits(reduced, cols).T
         basis[start : start + cols.size] = pack_bits(bits)
     basis.flags.writeable = False
     return basis

@@ -11,17 +11,18 @@ labels by GF(2) elimination with a maximum-posterior completion.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensemble import (
-    SingleDistribution, bit_marginals, check_fidelities, entropy_rows, shannon_entropy,
+    SingleDistribution, bit_marginals, check_fidelities, entropy_rows,
 )
 from .errors import CapacityError, DimensionError, InternalInvariantError
 from . import gf2
-from .labels import amp_bit, amp_mask, phase_bit
+from .labels import amp_bit, amp_mask, check_parties, phase_bit
 
 
 def binary_entropy(x: float) -> float:
@@ -70,12 +71,28 @@ def two_party_hashing_yield(single: SingleDistribution) -> float:
     hash phase and amplitude information together."""
     if single.n_parties != 2:
         raise DimensionError("two-party hashing needs a two-party distribution")
-    return 1.0 - shannon_entropy(single.probs)
+    return float(two_party_hashing_yields(single.probs[None])[0])
 
 
 def two_party_hashing_yields(probs: np.ndarray) -> np.ndarray:
     """``two_party_hashing_yield`` for each row of a (G, 4) array."""
     return 1.0 - entropy_rows(probs)
+
+
+# The lines of a transcript, as ``HashingRun.to_text`` writes them.
+_HEADER = "catpurify-hashing-run v2"
+_PARAMETERS = re.compile(r"n_parties=(\d+) block_size=(\d+) seed=(\d+) safety_bits=(\d+)", re.A)
+_TRUTH = re.compile(r"truth=([0-9a-f]+(?:,[0-9a-f]+)*)")
+_ROUND = re.compile(r"([AB]) (\d+) ([0-9a-f]+) (\d+) ([0-9a-f]+)", re.A)
+
+
+def _fields(pattern: re.Pattern, line: str, what: str) -> tuple[str, ...]:
+    """The fields of one transcript line, or ``ValueError`` naming ``what``
+    was expected."""
+    match = pattern.fullmatch(line)
+    if match is None:
+        raise ValueError(f"expected {what}, got {line!r}")
+    return match.groups()
 
 
 @dataclass
@@ -119,7 +136,7 @@ class HashingRun:
         comma-separated, then one line per round with its index, the subset
         bitmask in hex, the target and the measured bits."""
         lines = [
-            "catpurify-hashing-run v2",
+            _HEADER,
             f"n_parties={self.n_parties} block_size={self.block_size} "
             f"seed={self.seed} safety_bits={self.safety_bits}",
             "truth=" + ",".join(f"{c:x}" for c in self.initial_codes.tolist()),
@@ -131,36 +148,51 @@ class HashingRun:
                 lines.append(f"{tag} {r} {mask:x} {next(targets)} {value:x}")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def parse_truth(text: str) -> np.ndarray:
-        """Recover the hidden initial codes from a serialized transcript."""
-        for line in text.splitlines():
-            if line.startswith("truth="):
-                codes = line[len("truth="):].split(",")
-                return np.array([int(c, 16) for c in codes], dtype=np.int64)
-        raise ValueError("transcript has no truth= line")
-
-    @staticmethod
-    def parse_rounds(text: str) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Recover the round records of a serialized transcript: for phase A
-        and then phase B, the packed membership rows, the targets and the
-        measured values, as ``HashingRun`` holds them."""
-        m, fields = None, {"A": [], "B": []}
-        for line in text.splitlines():
-            parts = line.split()
-            if parts and parts[0] in fields:
-                fields[parts[0]].append(parts[2:])
-            elif line.startswith("n_parties="):
-                m = int(dict(part.split("=") for part in parts)["block_size"])
-        if m is None:
-            raise ValueError("transcript has no parameter line")
-        phases = []
-        for rounds in fields.values():
-            rows = gf2.from_ints([int(mask, 16) for mask, _, _ in rounds], m)
-            targets = np.array([int(target) for _, target, _ in rounds], dtype=np.int64)
-            measured = np.array([int(value, 16) for _, _, value in rounds], dtype=np.int64)
-            phases.append((rows, targets, measured))
-        return phases[0], phases[1]
+    @classmethod
+    def from_text(cls, text: str) -> HashingRun:
+        """The one inverse of ``to_text``: ``from_text(t).to_text() == t``,
+        with the record fields equal to the run's and the outcome fields at
+        their defaults.  The lines are read once, in order; a field that
+        disagrees with the header or with how rounds are drawn raises
+        ``ValueError``."""
+        lines = iter(text.splitlines())
+        header, params, truth = (next(lines, "") for _ in range(3))
+        if header != _HEADER:
+            raise ValueError(f"expected the header {_HEADER!r}, got {header!r}")
+        n, m, seed, safety_bits = map(int, _fields(_PARAMETERS, params, "the parameter line"))
+        check_parties(n)
+        codes = [int(c, 16) for c in _fields(_TRUTH, truth, "the truth line")[0].split(",")]
+        if len(codes) != m or max(codes) >> n:
+            raise ValueError(f"truth line must hold {m} codes below 2^{n}")
+        masks, values, consumed = {"A": [], "B": []}, {"A": [], "B": []}, []
+        measured = 0  # the targets so far, as a mask
+        for line in lines:
+            tag, index, mask, target, value = _fields(_ROUND, line, "a round line")
+            index, mask, target, value = int(index), int(mask, 16), int(target), int(value, 16)
+            lowest = mask & -mask
+            if tag == "A" and masks["B"]:
+                raise ValueError(f"phase A round {line!r} after phase B")
+            if index != len(values[tag]):
+                raise ValueError(f"round {line!r} should have index {len(values[tag])}")
+            if mask == lowest or lowest.bit_length() - 1 != target:
+                raise ValueError(f"round {line!r} must target the lowest of two or more states")
+            if mask & measured:
+                raise ValueError(f"round {line!r} holds a state measured in an earlier round")
+            if value >> (n - 1 if tag == "A" else 1):
+                raise ValueError(f"round {line!r} measured a value too wide for phase {tag}")
+            masks[tag].append(mask)
+            values[tag].append(value)
+            consumed.append(target)
+            measured |= lowest
+        return cls(
+            n_parties=n, block_size=m, seed=seed, safety_bits=safety_bits,
+            initial_codes=np.array(codes, dtype=np.int64),
+            amp_rows=gf2.from_ints(masks["A"], m),
+            amp_measured=np.array(values["A"], dtype=np.int64),
+            phase_rows=gf2.from_ints(masks["B"], m),
+            phase_measured=np.array(values["B"], dtype=np.int64),
+            consumed=consumed,
+        )
 
 
 def _default_safety_bits(m: int) -> int:

@@ -9,6 +9,8 @@ cat-diagonal mixtures can be simulated without touching state vectors.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DimensionError
@@ -32,7 +34,10 @@ def amp_bit(j: int, n_parties: int) -> int:
 
 
 def check_parties(n_parties: int) -> None:
-    """A cat state needs at least 2 parties."""
+    """A cat state needs a whole number of parties, at least 2;
+    ``math.inf`` stands for the many-party limit."""
+    if not (isinstance(n_parties, numbers.Integral) or n_parties == math.inf):
+        raise ValueError(f"party count must be an integer, got {n_parties!r}")
     if n_parties < 2:
         raise ValueError(f"need at least 2 parties, got {n_parties}")
 

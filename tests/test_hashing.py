@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import itertools
 import tracemalloc
@@ -156,13 +157,15 @@ def test_separate_string_hashing_never_beats_joint():
         ) + 1e-12
 
 
-def transcript_rounds(text: str, m: int):
-    """Each phase of a serialized transcript of an m-state block, as
-    (members, target, measured) per round."""
+def transcript_rounds(parsed: HashingRun):
+    """Each phase of a run read back by ``from_text``, as (members, target,
+    measured) per round."""
+    targets = iter(parsed.consumed)
     return [
-        [(np.flatnonzero(bits), int(target), int(measured))
-         for bits, target, measured in zip(unpack_bits(rows, m), targets, measured_values)]
-        for rows, targets, measured_values in HashingRun.parse_rounds(text)
+        [(np.flatnonzero(bits), next(targets), int(measured))
+         for bits, measured in zip(unpack_bits(rows, parsed.block_size), measured_values)]
+        for rows, measured_values in ((parsed.amp_rows, parsed.amp_measured),
+                                      (parsed.phase_rows, parsed.phase_measured))
     ]
 
 
@@ -170,13 +173,13 @@ def replay_transcript(run: HashingRun):
     """Independent replay of the serialized transcript: re-derive every
     parity from the initial labels and the recorded wiring, checking the
     measured bits as it goes."""
-    text = run.to_text()
+    parsed = HashingRun.from_text(run.to_text())
     n = run.n_parties
-    codes = HashingRun.parse_truth(text)
+    codes = parsed.initial_codes
     amp_mask = (1 << (n - 1)) - 1
     phases = ((codes >> (n - 1)) & 1).astype(int)
     amps = (codes & amp_mask).astype(int)
-    amp_rounds, phase_rounds = transcript_rounds(text, run.block_size)
+    amp_rounds, phase_rounds = transcript_rounds(parsed)
     for members, target, measured in amp_rounds:
         parity = int(np.bitwise_xor.reduce(amps[members]))
         assert parity == measured
@@ -243,10 +246,35 @@ def test_transcript_truth_round_trip(n_parties):
         )
         text = run.to_text()
         assert text.startswith("catpurify-hashing-run v2\n")
-        np.testing.assert_array_equal(HashingRun.parse_truth(text), run.initial_codes)
+        np.testing.assert_array_equal(HashingRun.from_text(text).initial_codes, run.initial_codes)
         if n_parties == 5 and seed == 3:
             assert run.initial_codes.max() > 0xF
             assert text.splitlines()[2] == "truth=0,0,13,6,0,0,0,0"
+
+
+RECORD_FIELDS = (
+    "n_parties", "block_size", "seed", "safety_bits", "initial_codes",
+    "amp_rows", "amp_measured", "phase_rows", "phase_measured", "consumed",
+)
+
+
+def assert_round_trip(run: HashingRun) -> HashingRun:
+    """``from_text`` inverts ``to_text``: the text comes back byte for byte,
+    every record field equals the run's and the outcome fields keep their
+    defaults.  Returns the run read back."""
+    text = run.to_text()
+    parsed = HashingRun.from_text(text)
+    assert parsed.to_text() == text
+    for name in RECORD_FIELDS:
+        got, want = getattr(parsed, name), getattr(run, name)
+        assert np.shape(got) == np.shape(want), name
+        np.testing.assert_array_equal(got, want)
+    for field in dataclasses.fields(HashingRun):
+        if field.name not in RECORD_FIELDS:
+            assert getattr(parsed, field.name) == field.default, field.name
+    for rows in (parsed.amp_rows, parsed.phase_rows):
+        assert rows.dtype == np.uint64 and rows.shape[1] == gf2.n_words(run.block_size)
+    return parsed
 
 
 def test_transcript_round_trip():
@@ -257,25 +285,19 @@ def test_transcript_round_trip():
     empty = set()
     for n, (m, f, safety_bits) in itertools.product((2, 3, 4), cases):
         _, _, run = simulate_hashing(n, m, werner_single(n, f), seed=2, safety_bits=safety_bits)
-        amp, phase = HashingRun.parse_rounds(run.to_text())
-        targets = np.array(run.consumed, dtype=np.int64)
-        for (rows, parsed_targets, measured), original in zip((amp, phase), (
-            (run.amp_rows, targets[:run.rounds_a], run.amp_measured),
-            (run.phase_rows, targets[run.rounds_a:], run.phase_measured),
-        )):
-            assert rows.dtype == np.uint64 and rows.shape == (len(measured), gf2.n_words(m))
-            for got, want in zip((rows, parsed_targets, measured), original):
-                np.testing.assert_array_equal(got, want)
+        assert_round_trip(run)
         empty.add((run.rounds_a == 0, run.rounds_b == 0))
     assert empty == {(True, True), (False, True), (False, False)}
 
 
 def test_transcript_parse_rejects_a_missing_line():
     lines = simulate_hashing(2, 8, werner_single(2, 0.9), seed=0)[2].to_text().splitlines(True)
-    with pytest.raises(ValueError, match="no truth= line"):
-        HashingRun.parse_truth("".join(l for l in lines if not l.startswith("truth=")))
-    with pytest.raises(ValueError, match="no parameter line"):
-        HashingRun.parse_rounds("".join(l for l in lines if not l.startswith("n_parties=")))
+    with pytest.raises(ValueError, match="^expected the truth line, got 'A 0 "):
+        HashingRun.from_text("".join(l for l in lines if not l.startswith("truth=")))
+    with pytest.raises(ValueError, match="^expected the parameter line, got 'truth="):
+        HashingRun.from_text("".join(l for l in lines if not l.startswith("n_parties=")))
+    with pytest.raises(ValueError, match="^expected the truth line, got ''$"):
+        HashingRun.from_text("".join(lines[:2]))
 
 
 def test_transcript_parse_rejects_corrupt_fields():
@@ -285,9 +307,69 @@ def test_transcript_parse_rejects_corrupt_fields():
     # A mask naming state 12 of 10, and one wider than the block.
     for bad in ("1" + mask.rjust(3, "0"), "1" + mask.rjust(10, "0")):
         with pytest.raises(ValueError, match="bit at or past 10"):
-            HashingRun.parse_rounds(text.replace(first, first.replace(f" {mask} ", f" {bad} ")))
-    with pytest.raises(ValueError):
-        HashingRun.parse_truth("truth=0,,1\n")
+            HashingRun.from_text(text.replace(first, first.replace(f" {mask} ", f" {bad} ")))
+    with pytest.raises(ValueError, match="^expected the truth line, got 'truth=0,,0,"):
+        HashingRun.from_text(text.replace("truth=0,0,", "truth=0,,0,"))
+
+
+# The N=2, m=10, seed 0 transcript with 2 safety bits, which each case below
+# edits by replacing one substring.
+REFUSAL_TEXT = """\
+catpurify-hashing-run v2
+n_parties=2 block_size=10 seed=0 safety_bits=2
+truth=0,0,0,0,0,1,0,0,0,2
+A 0 32a 1 1
+A 1 45 0 0
+A 2 330 4 1
+A 3 2a0 5 1
+A 4 144 2 0
+A 5 340 6 0
+B 0 288 3 1
+B 1 380 7 1
+B 2 300 8 1
+"""
+
+
+@pytest.mark.parametrize("old,new,message", [
+    pytest.param("A 1 45", "A 7 45", "^round 'A 7 45 0 0' should have index 1$", id="index"),
+    pytest.param("B 0 288", "Z 0 288", "^expected a round line, got 'Z 0 288 3 1'$", id="tag"),
+    pytest.param("A 5 340 6 0\nB 0 288 3 1\n", "B 0 288 3 1\nA 5 340 6 0\n",
+                 "^phase A round 'A 5 340 6 0' after phase B$", id="phase-order"),
+    pytest.param("A 1 45 0 0", "A 1 32a 1 1",
+                 "^round 'A 1 32a 1 1' holds a state measured in an earlier round$",
+                 id="targeted-twice"),
+    pytest.param("B 2 300 8", "B 2 302 1",
+                 "^round 'B 2 302 1 1' holds a state measured in an earlier round$",
+                 id="phase-b-reads-a-target"),
+    pytest.param(" block_size=10", "", "^expected the parameter line, got 'n_parties=2 seed=0 ",
+                 id="no-block-size"),
+    pytest.param(",0,2\n", ",0,9\n", "^truth line must hold 10 codes below 2\\^2$", id="wide-code"),
+    pytest.param(",0,2\n", ",2\n", "^truth line must hold 10 codes below 2\\^2$", id="code-count"),
+    pytest.param("run v2", "run v1",
+                 "^expected the header 'catpurify-hashing-run v2', got 'catpurify-hashing-run v1'$",
+                 id="v1-header"),
+    pytest.param("A 0 32a 1", "A 0 32a 3",
+                 "^round 'A 0 32a 3 1' must target the lowest of two or more states$", id="target"),
+    pytest.param("A 0 32a 1", "A 0 32a " + "9" * 30,
+                 "^round 'A 0 32a 9{30} 1' must target the lowest of two or more states$",
+                 id="huge-target"),
+    pytest.param("A 1 45 0", "A 1 1 0",
+                 "^round 'A 1 1 0 0' must target the lowest of two or more states$",
+                 id="one-member"),
+    pytest.param("A 1 45 0", "A 1 0 0",
+                 "^round 'A 1 0 0 0' must target the lowest of two or more states$",
+                 id="no-member"),
+    pytest.param("A 0 32a 1 1", "A 0 32a 1 ff",
+                 "^round 'A 0 32a 1 ff' measured a value too wide for phase A$", id="wide-a"),
+    pytest.param("B 0 288 3 1", "B 0 288 3 2",
+                 "^round 'B 0 288 3 2' measured a value too wide for phase B$", id="wide-b"),
+])
+def test_from_text_refuses_corrupt_input(old, new, message):
+    run = simulate_hashing(2, 10, werner_single(2, 0.9), seed=0, safety_bits=2)[2]
+    assert assert_round_trip(run).to_text() == REFUSAL_TEXT
+    assert REFUSAL_TEXT.count(old) == 1
+    with pytest.raises(ValueError, match=message):
+        HashingRun.from_text(REFUSAL_TEXT.replace(old, new))
 
 
 def test_safety_monotonicity_weak_form():
@@ -351,10 +433,22 @@ def test_single_party_refused():
         simulate_hashing(1, 4, werner_single(1, 0.9), 0)
 
 
+def test_party_count_must_be_an_integer():
+    message = r"^party count must be an integer, got 2\.5$"
+    with pytest.raises(ValueError, match=message):
+        werner_hashing_yield(2.5, 0.9)
+    with pytest.raises(ValueError, match=message):
+        werner_single(2.5, 0.9)
+    # numpy integers and the many-party limit pass.
+    assert werner_single(np.int64(3), 0.9).n_parties == 3
+    assert werner_hashing_yield(np.int64(3), 0.9) == werner_hashing_yield(3, 0.9)
+    assert werner_hashing_yield(float("inf"), 0.9) == werner_hashing_yield_limit(0.9)
+
+
 def consistent_amp_candidates(run: HashingRun):
     """All amplitude strings (N=2) consistent with the serialized parities."""
     m = run.block_size
-    amp_rounds, _ = transcript_rounds(run.to_text(), m)
+    amp_rounds, _ = transcript_rounds(HashingRun.from_text(run.to_text()))
     consistent = []
     for bits in itertools.product((0, 1), repeat=m):
         cand = np.array(bits, dtype=np.uint8)
@@ -492,7 +586,7 @@ def run_digest(n, m, f, safety_bits, seeds):
     single = werner_single(n, f)
     for seed in seeds:
         ok, empirical_yield, run = simulate_hashing(n, m, single, seed=seed, safety_bits=safety_bits)
-        np.testing.assert_array_equal(HashingRun.parse_truth(run.to_text()), run.initial_codes)
+        assert_round_trip(run)
         h.update(v1_text(run).encode())
         # The digests were recorded when an exhausted block shared the
         # reason of a tied decode.
