@@ -2,8 +2,9 @@
 
 Three subcommands: ``yield-curve`` sweeps fidelities to CSV, ``verify``
 runs the state-vector oracle checks, ``simulate-hashing`` runs seeded
-Monte Carlo hashing trials.  Output is deterministic byte-for-byte for a
-fixed configuration; exit codes are 0 (ok), 2 (usage/config), 3
+Monte Carlo hashing trials, on up to one forked process per usable CPU.
+Output is deterministic byte-for-byte for a fixed configuration, however
+many CPUs are usable; exit codes are 0 (ok), 2 (usage/config), 3
 (capacity), 4 (internal invariant violation).
 
 Every option is declared once, in ``build_parser``.  A ``--config`` file of
@@ -16,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
+import os
 import sys
 from collections.abc import Iterable, Sequence
 
@@ -41,6 +44,11 @@ EXIT_INTERNAL = 4
 # Output rows formatted and written at a time, so output memory does not
 # grow with the row count.
 WRITE_BLOCK_ROWS = 4096
+
+# Pool tasks per worker for ``simulate-hashing``'s trials: trials are
+# grouped so that the parent handles a few tasks however many trials there
+# are, while a worker left idle at the end waits for at most one task.
+TASKS_PER_WORKER = 8
 
 # Values a config file may give a switch such as ``self-test``.
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -183,35 +191,62 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else 1
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _trial_workers(trials: int, cpus: int) -> int:
+    """Processes for ``trials`` independent trials on ``cpus`` CPUs: one
+    per trial, up to one per CPU."""
+    return min(trials, cpus)
+
+
+def _trial(n_parties: int, block_size: int, single, safety_bits: int | None,
+           seed: int) -> tuple:
+    """One Monte Carlo trial's CSV fields, unformatted: seed, success,
+    yield, phase A and phase B rounds, states consumed.  A module-level
+    function, so that a pool sends it to its workers by name."""
+    success, empirical_yield, run = simulate_hashing(
+        n_parties, block_size, single, seed, safety_bits=safety_bits
+    )
+    return seed, int(success), empirical_yield, run.rounds_a, run.rounds_b, len(run.consumed)
+
+
+def _map_trials(trial, seeds: range) -> list[tuple]:
+    """``trial`` of every seed, in seed order, on up to one forked process
+    per usable CPU.  Forked workers start from this process's modules as
+    they stand.  With one worker, or where the platform cannot fork, the
+    map runs here and imports no multiprocessing.  A trial's exception is
+    raised here, the first in seed order, after the running trials finish
+    and the pool shuts down."""
+    workers = _trial_workers(len(seeds), _usable_cpus())
+    if workers == 1 or not hasattr(os, "fork"):
+        return list(map(trial, seeds))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        chunk = -(-len(seeds) // (TASKS_PER_WORKER * workers))
+        return list(pool.map(trial, seeds, chunksize=chunk))
+
+
 def cmd_simulate_hashing(args: argparse.Namespace) -> int:
     single = werner_single(args.parties, args.fidelity)
+    trials = _map_trials(
+        functools.partial(_trial, args.parties, args.block_size, single, args.safety_bits),
+        range(args.seed, args.seed + args.trials),
+    )
     lines = [["seed", "success", "empirical_yield", "rounds_a", "rounds_b", "consumed"]]
-    successes = 0
-    yields = []
-    for k in range(args.trials):
-        seed = args.seed + k
-        success, empirical_yield, run = simulate_hashing(
-            args.parties,
-            args.block_size,
-            single,
-            seed,
-            safety_bits=args.safety_bits,
-        )
-        successes += int(success)
-        yields.append(empirical_yield)
-        lines.append(
-            [
-                str(seed),
-                str(int(success)),
-                _fmt(empirical_yield),
-                str(run.rounds_a),
-                str(run.rounds_b),
-                str(len(run.consumed)),
-            ]
-        )
-        # Free this trial's arrays before the next trial allocates its own.
-        del run
-    mean_yield = sum(yields) / len(yields)
+    for seed, success, empirical_yield, rounds_a, rounds_b, consumed in trials:
+        lines.append([str(seed), str(success), _fmt(empirical_yield),
+                      str(rounds_a), str(rounds_b), str(consumed)])
+    successes = sum(trial[1] for trial in trials)
+    mean_yield = sum(trial[2] for trial in trials) / len(trials)
     lines.append(
         ["summary", _fmt(successes / args.trials), _fmt(mean_yield), "", "", ""]
     )

@@ -36,7 +36,7 @@ def check_fidelities(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
     alpha|target><target| + (1-alpha)*I/2^N must lie in [0, 1] up to 1e-12.
     Returns the fidelities as floats; the first one breaking the rule
     raises.  ``n_parties`` may be ``math.inf``, the many-party limit."""
-    check_parties(n_parties)
+    n_parties = check_parties(n_parties)
     dim_inv = 2.0 ** -n_parties
     f = np.asarray(fidelities, dtype=float)
     alpha = (f - dim_inv) / (1.0 - dim_inv)
@@ -54,7 +54,7 @@ class SingleDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        check_parties(self.n_parties)
+        self.n_parties = check_parties(self.n_parties)
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != (1 << self.n_parties,):
             raise DimensionError("probability vector length must be 2^N")
@@ -105,6 +105,7 @@ def werner_single(n_parties: int, fidelity: float) -> SingleDistribution:
 def werner_rows(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
     """``werner_single``'s probability vector for each fidelity, as the
     rows of a (G, 2^N) array, under ``check_fidelities``'s rule."""
+    n_parties = check_parties(n_parties)
     f = check_fidelities(n_parties, fidelities)
     # 2^N labels fit the cap exactly when N is below the cap's bit length;
     # checking N first never builds (or prints) a huge 2^N.

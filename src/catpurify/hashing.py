@@ -53,6 +53,7 @@ def werner_hashing_yield(n_parties: int, fidelity: float) -> float:
 def werner_hashing_yields(n_parties: int, fidelities: np.ndarray) -> np.ndarray:
     """``werner_hashing_yield`` at each fidelity, under
     ``check_fidelities``'s rule."""
+    n_parties = check_parties(n_parties)
     f = check_fidelities(n_parties, fidelities)
     # A fidelity within the tolerance above 1 leaves negative dust in the
     # marginal; snap it to zero, as ``werner_rows`` does.
@@ -374,6 +375,7 @@ def simulate_hashing(
     failed trial is 'ambiguous' when a decode ties or finds no solution,
     and 'wrong-decode' when the decoded labels differ from the truth.
     """
+    n_parties = check_parties(n_parties)
     if single.n_parties != n_parties:
         raise DimensionError("distribution and simulation disagree on N")
     m = block_size_m

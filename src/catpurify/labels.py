@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 from .errors import DimensionError
@@ -33,13 +34,20 @@ def amp_bit(j: int, n_parties: int) -> int:
     return 1 << (n_parties - 2 - j)
 
 
-def check_parties(n_parties: int) -> None:
+def check_parties(n_parties: int) -> int:
     """A cat state needs a whole number of parties, at least 2;
-    ``math.inf`` stands for the many-party limit."""
-    if not (isinstance(n_parties, numbers.Integral) or n_parties == math.inf):
+    ``math.inf`` stands for the many-party limit.  Returns the count as a
+    Python int (or ``math.inf``), so that a narrow numpy integer cannot
+    wrap in ``1 << N`` or ``1 - N`` further on."""
+    if isinstance(n_parties, numbers.Integral):
+        n_parties = operator.index(n_parties)
+    elif n_parties == math.inf:
+        n_parties = math.inf
+    else:
         raise ValueError(f"party count must be an integer, got {n_parties!r}")
     if n_parties < 2:
         raise ValueError(f"need at least 2 parties, got {n_parties}")
+    return n_parties
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,7 @@ class CatLabel:
     amplitudes: tuple[int, ...]
 
     def __post_init__(self):
-        check_parties(self.n_parties)
+        object.__setattr__(self, "n_parties", check_parties(self.n_parties))
         if self.phase not in (0, 1):
             raise ValueError(f"phase must be a bit, got {self.phase!r}")
         if len(self.amplitudes) != self.n_parties - 1:

@@ -1,10 +1,17 @@
 import argparse
 import hashlib
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from catpurify import cli, gf2
 from catpurify.cli import _fmt, build_parser, main
 from catpurify.hashing import werner_hashing_yield_limit
 from catpurify.strategy import METHODS
@@ -466,3 +473,128 @@ def test_out_of_range_grid_names_first_point(capsys, n, methods, grid, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {message}\n"
+
+
+# Trials run on min(trials, usable CPUs) forked processes; the CPU count is
+# forced through the one helper that reads it.
+def force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+
+def sim_argv(*extra):
+    return ["simulate-hashing", "-N", "3", "-m", "64", "-f", "0.9", "--seed", "30", *extra]
+
+
+def test_worker_count_is_bounded_by_trials_and_cpus():
+    assert cli._trial_workers(1, 2) == 1
+    assert cli._trial_workers(1, 4096) == 1
+    for trials in (2, 3, 7, 10, 5000):
+        for cpus in (1, 2, 3, 4096):
+            assert cli._trial_workers(trials, cpus) == min(trials, cpus)
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    assert 1 <= cli._usable_cpus() <= os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
+# 40 trials on 2 workers go three to a task.
+@pytest.mark.parametrize("trials", ["1", "2", "3", "7", "40"])
+def test_pooled_stdout_matches_one_cpu(monkeypatch, capsys, trials):
+    outs = []
+    for cpus in (1, 2):
+        force_cpus(monkeypatch, cpus)
+        assert run_cli(sim_argv("--trials", trials)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == int(trials) + 2
+    assert multiprocessing.active_children() == []
+
+
+def trial_pids(monkeypatch, capsys, trials):
+    """The processes that ran each trial, reported through the yield column."""
+    def simulate(n_parties, m, single, seed, safety_bits=None):
+        return True, float(os.getpid()), SimpleNamespace(rounds_a=0, rounds_b=0, consumed=[])
+
+    monkeypatch.setattr(cli, "simulate_hashing", simulate)
+    assert run_cli(sim_argv("--trials", str(trials))) == 0
+    return {int(line.split(",")[2]) for line in capsys.readouterr().out.splitlines()[1:-1]}
+
+
+def test_pooled_trials_run_in_at_most_cpus_children(monkeypatch, capsys):
+    force_cpus(monkeypatch, 2)
+    pids = trial_pids(monkeypatch, capsys, 6)
+    assert 1 <= len(pids) <= 2 and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_trials_run_in_process_where_the_platform_cannot_fork(monkeypatch, capsys):
+    force_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    assert trial_pids(monkeypatch, capsys, 6) == {os.getpid()}
+
+
+def test_one_worker_imports_no_multiprocessing():
+    # One trial runs in-process even with 4096 CPUs reported.
+    code = (
+        "import sys\n"
+        "from catpurify import cli\n"
+        "cli._usable_cpus = lambda: 4096\n"
+        f"assert cli.main({sim_argv('--trials', '1')!r}) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-hashing", "-N", "40", "-m", "2"],
+    # The solver cap is checked inside each trial, so in the workers.
+    ["simulate-hashing", "-N", "3", "-m", "10000"],
+])
+def test_pooled_capacity_error_matches_one_trial(monkeypatch, capsys, argv):
+    force_cpus(monkeypatch, 2)
+    errs = []
+    for trials in ("1", "3"):
+        assert run_cli(argv + ["--trials", trials]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs[0] == errs[1] and errs[0].startswith("capacity error: ")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("broken", [{31}, {31, 32}])
+def test_pooled_invariant_failure_names_the_first_failing_trial(monkeypatch, capsys, broken):
+    # Seed 31 (the second trial) drifts its phase lineage and seed 32 its
+    # amplitude rows; seed 30 runs clean.  The first failure in seed
+    # order is reported, once, and nothing is written.
+    real_simulate, real_identity, real_pack = cli.simulate_hashing, gf2.identity_rows, gf2.pack_indices
+    drifts = {
+        31: (gf2, "identity_rows", lambda n_bits: np.roll(real_identity(n_bits), 1, axis=0)),
+        32: (gf2, "pack_indices", lambda indices, n_bits, starts=None: real_pack(
+            np.minimum(np.asarray(indices) + 1, n_bits - 1), n_bits, starts)),
+    }
+
+    def simulate(n_parties, m, single, seed, safety_bits=None):
+        with monkeypatch.context() as patch:
+            if seed in broken:
+                patch.setattr(*drifts[seed])
+            return real_simulate(n_parties, m, single, seed, safety_bits=safety_bits)
+
+    monkeypatch.setattr(cli, "simulate_hashing", simulate)
+    force_cpus(monkeypatch, 2)
+    assert run_cli(sim_argv("--trials", "3")) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal invariant violated: phase parity bookkeeping drifted\n"
+    assert multiprocessing.active_children() == []

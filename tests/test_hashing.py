@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from catpurify.gf2 import (
     unpack_bits,
 )
 from catpurify.cli import main
-from catpurify.labels import amp_bit
+from catpurify.labels import CatLabel, amp_bit
+from catpurify.strategy import METHODS, MethodSpec
 from catpurify.hashing import (
     ROUND_CHUNK_BYTES,
     SELECTOR_CHUNK,
@@ -443,6 +445,27 @@ def test_party_count_must_be_an_integer():
     assert werner_single(np.int64(3), 0.9).n_parties == 3
     assert werner_hashing_yield(np.int64(3), 0.9) == werner_hashing_yield(3, 0.9)
     assert werner_hashing_yield(float("inf"), 0.9) == werner_hashing_yield_limit(0.9)
+
+
+@pytest.mark.parametrize("narrow", [np.uint8, np.int8, np.int16])
+def test_narrow_numpy_party_counts_match_python_ints(narrow):
+    # 1 - N, -N and 1 << N would wrap in the narrow type; the count is
+    # taken as a Python int at each entry point.
+    mp_hash = METHODS["mp-hash"].kernel
+    fidelities = np.array([0.6, 0.9, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2, 3, 7, 8, 12):
+            assert werner_hashing_yield(narrow(n), 0.9) == werner_hashing_yield(n, 0.9)
+            single = werner_single(narrow(n), 0.9)
+            assert type(single.n_parties) is int
+            assert np.array_equal(single.probs, werner_single(n, 0.9).probs)
+            assert np.array_equal(mp_hash(MethodSpec("mp-hash"), narrow(n), fidelities),
+                                  mp_hash(MethodSpec("mp-hash"), n, fidelities))
+            assert CatLabel(narrow(n), 1, (1,) * (n - 1)).encode() == (1 << n) - 1
+        run = simulate_hashing(narrow(3), 16, werner_single(3, 0.9), seed=4)[2]
+    assert run.to_text() == simulate_hashing(3, 16, werner_single(3, 0.9), seed=4)[2].to_text()
+    assert werner_hashing_yield(narrow(3), 0.9) == pytest.approx(0.3680, abs=1e-4)
 
 
 def consistent_amp_candidates(run: HashingRun):
