@@ -5,7 +5,9 @@ runs the state-vector oracle checks, ``simulate-hashing`` runs seeded
 Monte Carlo hashing trials, on up to one forked process per usable CPU.
 Output is deterministic byte-for-byte for a fixed configuration, however
 many CPUs are usable; exit codes are 0 (ok), 2 (usage/config), 3
-(capacity), 4 (internal invariant violation).
+(capacity), 4 (internal invariant violation).  Number cells are ``%.12g``
+(``CELL``); rows are formatted and written ``WRITE_BLOCK_ROWS`` at a time,
+each block by one ``%`` of its row format repeated.
 
 Every option is declared once, in ``build_parser``.  A ``--config`` file of
 ``key=value`` lines is read as ``--key=value`` flags placed before the
@@ -21,7 +23,7 @@ import functools
 import itertools
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -45,6 +47,14 @@ EXIT_INTERNAL = 4
 # grow with the row count.
 WRITE_BLOCK_ROWS = 4096
 
+# The one cell spec of a float: C printf ``%.12g``, the same correctly
+# rounded text as ``format(x, ".12g")``.  Row formats are built from it, so
+# a block of rows is formatted by one ``%`` of its row format repeated.
+CELL = "%.12g"
+_fmt = CELL.__mod__
+
+_DELIMITERS = {"csv": ",", "tsv": "\t"}
+
 # Pool tasks per worker for ``simulate-hashing``'s trials: trials are
 # grouped so that the parent handles a few tasks however many trials there
 # are, while a worker left idle at the end waits for at most one task.
@@ -52,9 +62,6 @@ TASKS_PER_WORKER = 8
 
 # Values a config file may give a switch such as ``self-test``.
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-_fmt = "{:.12g}".format
 
 
 def _int_at_least(low: int):
@@ -130,17 +137,14 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     return parser.parse_args(argv[:at] + _config_flags(args.parser, args.config) + argv[at:])
 
 
-def _write_rows(rows: Iterable[Sequence[str]], args: argparse.Namespace) -> None:
-    """Write ``rows``, header first, as delimited LF lines,
-    ``WRITE_BLOCK_ROWS`` of them per write."""
-    delimiter = "," if args.format == "csv" else "\t"
-    rows = iter(rows)
+def _write_rows(blocks: Iterable[str], args: argparse.Namespace) -> None:
+    """Write ``blocks`` of LF-terminated rows, header first, one write per
+    block; the next block is made once the last one is written."""
     with (
         open(args.out, "w", encoding="utf-8", newline="\n") if args.out
         else contextlib.nullcontext(sys.stdout)
     ) as fh:
-        while block := list(itertools.islice(rows, WRITE_BLOCK_ROWS)):
-            fh.write("".join(delimiter.join(row) + "\n" for row in block))
+        fh.writelines(blocks)
 
 
 def cmd_yield_curve(args: argparse.Namespace) -> int:
@@ -152,18 +156,22 @@ def cmd_yield_curve(args: argparse.Namespace) -> int:
     if not methods:
         raise ValueError("no methods requested")
     curve = yield_curve(args.parties, *args.f_range, methods)
+    delimiter = _DELIMITERS[args.format]
+    n_cols = 1 + 2 * len(curve.raw)
+    row = delimiter.join([CELL] * n_cols) + "\n"
 
-    def rows():
-        yield ["fidelity"] + [f"{mid}_{col}" for mid in curve.raw for col in ("raw", "clamped")]
+    def blocks():
+        header = ["fidelity"] + [f"{mid}_{col}" for mid in curve.raw for col in ("raw", "clamped")]
+        yield delimiter.join(header) + "\n"
         for start in range(0, curve.grid.size, WRITE_BLOCK_ROWS):
             block = slice(start, start + WRITE_BLOCK_ROWS)
             columns = [curve.grid[block]]
             for raw in curve.raw.values():
                 # The clamped column floors the raw yield at 0 for display.
                 columns += [raw[block], np.maximum(raw[block], 0.0)]
-            yield from zip(*(map(_fmt, column.tolist()) for column in columns))
+            yield row * columns[0].size % tuple(np.column_stack(columns).ravel().tolist())
 
-    _write_rows(rows(), args)
+    _write_rows(blocks(), args)
     return EXIT_OK
 
 
@@ -241,16 +249,22 @@ def cmd_simulate_hashing(args: argparse.Namespace) -> int:
         functools.partial(_trial, args.parties, args.block_size, single, args.safety_bits),
         range(args.seed, args.seed + args.trials),
     )
-    lines = [["seed", "success", "empirical_yield", "rounds_a", "rounds_b", "consumed"]]
-    for seed, success, empirical_yield, rounds_a, rounds_b, consumed in trials:
-        lines.append([str(seed), str(success), _fmt(empirical_yield),
-                      str(rounds_a), str(rounds_b), str(consumed)])
     successes = sum(trial[1] for trial in trials)
     mean_yield = sum(trial[2] for trial in trials) / len(trials)
-    lines.append(
-        ["summary", _fmt(successes / args.trials), _fmt(mean_yield), "", "", ""]
-    )
-    _write_rows(lines, args)
+    delimiter = _DELIMITERS[args.format]
+    row = delimiter.join(["%s", "%s", CELL, "%s", "%s", "%s"]) + "\n"
+
+    def blocks():
+        yield delimiter.join(
+            ["seed", "success", "empirical_yield", "rounds_a", "rounds_b", "consumed"]
+        ) + "\n"
+        for start in range(0, len(trials), WRITE_BLOCK_ROWS):
+            block = trials[start : start + WRITE_BLOCK_ROWS]
+            yield row * len(block) % tuple(itertools.chain.from_iterable(block))
+        summary = ["summary", _fmt(successes / args.trials), _fmt(mean_yield), "", "", ""]
+        yield delimiter.join(summary) + "\n"
+
+    _write_rows(blocks(), args)
     return EXIT_OK
 
 
@@ -288,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command in (curve, sim):
         command.add_argument("--out", help="output file (default: stdout)")
-        command.add_argument("--format", choices=("csv", "tsv"), default="csv")
+        command.add_argument("--format", choices=tuple(_DELIMITERS), default="csv")
     for command, func in (
         (curve, cmd_yield_curve),
         (verify, cmd_verify),

@@ -245,10 +245,11 @@ class GF2System:
         return cosets
 
 
-# Free columns per chunk of the basis build.  Its temporaries are then a
-# (pivots x 32) word matrix and a (32 x n) byte matrix; a dense
-# (free x n) build costs several MB at m = 2000.
-_BASIS_CHUNK = 32
+# Free columns per chunk of the basis build.  Its temporaries are then the
+# (pivots x free) bits of the reduced rows at the free columns, read once,
+# and a (256 x n) byte matrix; a dense (free x n) build costs several MB at
+# m = 2000.
+_BASIS_CHUNK = 256
 
 
 def _coset_basis(
@@ -257,12 +258,13 @@ def _coset_basis(
     """Read-only packed basis of the null space of the reduced rows: row k
     sets free column ``free_cols[k]`` and the pivot column of every reduced
     row that carries it."""
+    carried = unpack_bits(reduced, n)[:, free_cols]
     basis = np.empty((free_cols.size, n_words(n)), dtype=np.uint64)
     for start in range(0, free_cols.size, _BASIS_CHUNK):
         cols = free_cols[start : start + _BASIS_CHUNK]
         bits = np.zeros((cols.size, n), dtype=np.uint8)
         bits[np.arange(cols.size), cols] = 1
-        bits[:, pivot_cols] = _column_bits(reduced, cols).T
+        bits[:, pivot_cols] = carried[:, start : start + cols.size].T
         basis[start : start + cols.size] = pack_bits(bits)
     basis.flags.writeable = False
     return basis

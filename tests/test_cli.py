@@ -10,11 +10,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catpurify import cli, gf2
-from catpurify.cli import _fmt, build_parser, main
+from catpurify.cli import CELL, _DELIMITERS, _fmt, build_parser, main
 from catpurify.hashing import werner_hashing_yield_limit
-from catpurify.strategy import METHODS
+from catpurify.strategy import METHODS, MethodSpec, yield_curve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -125,6 +127,69 @@ def test_yield_curve_clamped_column_floors_raw(capsys):
     cells = [line.split(",") for line in lines[1:]]
     assert all(clamped == _fmt(max(float(raw), 0.0)) for _, raw, clamped in cells)
     assert any(float(raw) < 0.0 for _, raw, _ in cells)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_cell_is_python_g12_format(x):
+    assert _fmt(x) == format(x, ".12g")
+
+
+@pytest.mark.parametrize("delimiter", _DELIMITERS.values())
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1, max_size=5))
+def test_block_of_rows_is_the_rows_cell_by_cell(delimiter, rows):
+    # One ``%`` over a block of rows writes what formatting every cell on
+    # its own and joining it would.
+    row_format = delimiter.join([CELL] * 3) + "\n"
+    block = row_format * len(rows) % tuple(x for row in rows for x in row)
+    assert block == "".join(delimiter.join(format(x, ".12g") for x in row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("fmt", _DELIMITERS)
+def test_blocks_of_three_rows_join_seamlessly(monkeypatch, tmp_path, capsys, fmt):
+    # Grids of 1 to 7 points end inside, and exactly at, a block boundary.
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 3)
+    delimiter = _DELIMITERS[fmt]
+    methods = [MethodSpec.from_id("rec-hash"), MethodSpec.from_id("2p-hash")]
+    for points in range(1, 8):
+        grid = f"0.5:{0.5 + 0.05 * (points - 1):.2f}:0.05"
+        curve = yield_curve(2, *cli._f_range(grid), methods)
+        assert curve.grid.size == points
+        expected = ["fidelity,rec-hash_raw,rec-hash_clamped,2p-hash_raw,2p-hash_clamped"]
+        for k, f in enumerate(curve.grid.tolist()):
+            cells = [f]
+            for raw in curve.raw.values():
+                cells += [float(raw[k]), max(float(raw[k]), 0.0)]
+            expected.append(",".join(map(_fmt, cells)))
+        expected = "".join(line.replace(",", delimiter) + "\n" for line in expected)
+        argv = ["yield-curve", "--methods", "rec-hash,2p-hash", "--f", grid, "--format", fmt]
+        out = tmp_path / f"curve{points}.{fmt}"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == out.read_text() == expected
+
+
+@pytest.mark.parametrize("fmt", _DELIMITERS)
+def test_trial_blocks_of_three_rows_join_seamlessly(monkeypatch, tmp_path, capsys, fmt):
+    monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 3)
+    force_cpus(monkeypatch, 1)
+    delimiter = _DELIMITERS[fmt]
+    single = cli.werner_single(2, 0.9)
+    for trials in range(1, 8):
+        rows = [cli._trial(2, 8, single, 2, seed) for seed in range(5, 5 + trials)]
+        expected = ["seed,success,empirical_yield,rounds_a,rounds_b,consumed"]
+        expected += [",".join([str(seed), str(ok), _fmt(y), str(a), str(b), str(c)])
+                     for seed, ok, y, a, b, c in rows]
+        expected.append(",".join(["summary", _fmt(sum(row[1] for row in rows) / trials),
+                                  _fmt(sum(row[2] for row in rows) / trials), "", "", ""]))
+        expected = "".join(line.replace(",", delimiter) + "\n" for line in expected)
+        argv = ["simulate-hashing", "-N", "2", "-m", "8", "-f", "0.9", "--safety-bits", "2",
+                "--seed", "5", "--trials", str(trials), "--format", fmt]
+        out = tmp_path / f"sim{trials}.{fmt}"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == out.read_text() == expected
 
 
 def test_method_list_matches_help_and_readme():
@@ -410,6 +475,15 @@ STDOUT_DIGESTS = [
     (["yield-curve", "-N", "2", "--methods", "rec-hash", "--f", "0.25:1:0.0001",
       "--max-rounds", "2000"],
      "0dde1faec10e30645710a61f2810727d13d5c5f5ea572ee5c28a5e4e00ab0c1d"),
+    # The benchmark's N=4 and N=8 sweeps, and the N=3 sweep as TSV,
+    # recorded while every cell was still formatted on its own.
+    (["yield-curve", "-N", "4", "--methods", "mp-hash", "--f", "0.5:1.0:0.0001"],
+     "8fd62556f925691e83a31d0467fdf3a4aa8b4bdd4ab20259ecfdc541d7e3e24a"),
+    (["yield-curve", "-N", "8", "--methods", "mp-hash", "--f", "0.5:1.0:0.0001"],
+     "1850235ce6c4431789ea5f25ebd4fe5cd3026ccbb124db8bdea2360225ff3dc6"),
+    (["yield-curve", "-N", "3", "--methods", "mp-hash", "--f", "0.5:1.0:0.0001",
+      "--format", "tsv"],
+     "e62422e9e008652b40e49947de0243b2cd8a2b23ea88b682749f879280e9db89"),
 ]
 
 

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from catpurify.errors import CapacityError
 from catpurify.gf2 import (
+    _BASIS_CHUNK,
     GF2System,
+    _coset_basis,
     _enumerate_coset,
     decode_map,
     from_ints,
@@ -274,6 +276,30 @@ def test_blocked_solve_clears_both_ways_inside_a_block():
     rhs = [k % 4 for k in range(8)] + [0, 1, 3]
     cosets = assert_solve_matches_row_by_row(72, first + block, rhs, 2)
     assert not ({64, 67, 70} & set(cosets[0].free_cols.tolist()))
+
+
+@pytest.mark.parametrize("n,n_pivots", [(70, 70), (70, 25), (65, 0), (1, 0), (600, 100)])
+def test_coset_basis_rows_follow_the_reduced_rows(n, n_pivots):
+    # Reduced rows in any pivot order: row i sets its pivot column, no
+    # other pivot column, and random free columns.  Basis row k must set
+    # free column k and exactly the pivots of the rows that carry it.
+    # The cases cover dimension 0, n not a multiple of 64, no pivots, and
+    # a dimension (500) spanning more than one chunk of the build.
+    rng = np.random.default_rng(n + n_pivots)
+    pivot_cols = rng.permutation(n)[:n_pivots]
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivot_cols] = False
+    free_cols = np.flatnonzero(is_free)
+    bits = (rng.random((n_pivots, n)) < 0.5).astype(np.uint8)
+    bits[:, pivot_cols] = np.eye(n_pivots, dtype=np.uint8)
+    basis = _coset_basis(pack_bits(bits), pivot_cols, free_cols, n)
+    assert basis.shape == (free_cols.size, n_words(n)) and not basis.flags.writeable
+    if n == 600:
+        assert free_cols.size > _BASIS_CHUNK
+    for k, col in enumerate(free_cols.tolist()):
+        expected = {col} | set(pivot_cols[bits[:, col] == 1].tolist())
+        assert set(np.flatnonzero(unpack_bits(basis[k], n)).tolist()) == expected
+    assert not (unpack_bits(basis, n).astype(int) @ bits.T.astype(int) % 2).any()
 
 
 @st.composite
