@@ -6,9 +6,12 @@ modules use ``to_ints``/``from_ints``.  The solver produces the affine
 solution coset of a parity system by Gauss-Jordan elimination in blocks of
 eight rows, each finished by one table of the XOR combinations of its
 pivot rows (the Method of Four Russians; ``hashing`` moves lineage rows
-through the same table step).  The decoders pick a maximum-posterior
-element under an i.i.d. Bernoulli prior on the unknowns, exhaustively for
-small cosets and certified against a known truth for large ones.
+through the same table step).  ``hashing`` eliminates only its phase
+system; it reads its amplitude cosets off the lineage, whose rows have one
+bit per amplitude round, and ``scatter_columns`` spreads such rows onto
+the unknowns.  The decoders pick a maximum-posterior element under an
+i.i.d. Bernoulli prior on the unknowns, exhaustively for small cosets and
+certified against a known truth for large ones.
 """
 
 from __future__ import annotations
@@ -56,6 +59,14 @@ def xor_segments(rows: np.ndarray, indices: np.ndarray, starts: np.ndarray) -> n
     """XOR of the packed rows ``rows[indices[starts[k]:starts[k + 1]]]`` for
     each segment k; every segment must be nonempty."""
     return np.bitwise_xor.reduceat(rows.take(indices, axis=0), starts, axis=0)
+
+
+def scatter_columns(rows: np.ndarray, cols: np.ndarray, n_bits: int) -> np.ndarray:
+    """Stack of packed rows over ``cols.size`` bits -> the same rows packed
+    over ``n_bits`` unknowns, bit k moved to column ``cols[k]``."""
+    bits = np.zeros((len(rows), n_words(n_bits) << 6), dtype=np.uint8)
+    bits[:, cols] = unpack_bits(rows, cols.size)
+    return pack_bits(bits)
 
 
 def identity_rows(n_bits: int) -> np.ndarray:

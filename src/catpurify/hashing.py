@@ -5,7 +5,10 @@ mixtures: one shared random hash determines all amplitude strings in
 parallel, a second (reversed-direction) hash determines the phase string.
 ``simulate_hashing`` runs the protocol at finite block size with explicit
 safety rounds, records every measured subset parity, and decodes the hidden
-labels by GF(2) elimination with a maximum-posterior completion.
+labels with a maximum-posterior completion of each solution coset.  The
+amplitude cosets are read off the phase lineage, which keeps one bit per
+amplitude round, and checked against the recorded parities; the phase
+coset comes from GF(2) elimination.
 """
 
 from __future__ import annotations
@@ -274,7 +277,8 @@ def _targets(subsets: list[np.ndarray]) -> np.ndarray:
 
 def _records(
     subsets: list[np.ndarray], targets: np.ndarray, values: np.ndarray,
-    side_bits: np.ndarray, side_truth: np.ndarray, lineage: np.ndarray | None = None,
+    side_bits: np.ndarray, side_truth: np.ndarray,
+    lineage: np.ndarray | None = None, targets_a: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Packed membership rows, system rows over the initial labels,
     right-hand sides (one column per side) and measured values of one
@@ -285,12 +289,15 @@ def _records(
     state's value.  That premise is checked, and so is each right-hand side
     against the row's dot product with each side's initial bits
     ``side_truth``.  Without ``lineage`` the values are the initial labels
-    and the rows are the membership rows themselves (the amplitude phase);
-    with it, a row is the XOR of its members' lineage rows (the phase
-    string, one side).
+    and the rows are the membership rows themselves (the amplitude phase).
+    With it (the phase string, one side), the members are states no
+    amplitude round measured, so a row is its membership row XOR the XOR
+    of its members' lineage rows, spread from the amplitude rounds onto
+    their targets ``targets_a``.
     """
     n_rounds, m = len(subsets), values.size
     words = gf2.n_words(m)
+    narrow = 0 if lineage is None else lineage.shape[1]
     label = "amplitude" if lineage is None else "phase"
     packed_truth = gf2.pack_bits(side_truth)
     # The first round that measures each state, or n_rounds if none does.
@@ -302,12 +309,14 @@ def _records(
     parities = np.empty(n_rounds, dtype=values.dtype)
     # Per member a run holds three int64 values (its index, its row in
     # pack_indices and its measuring round), its value and its lineage row
-    # if any; per round it unpacks one byte per bit.
-    member_bytes = 24 + values.itemsize + (0 if lineage is None else words * lineage.itemsize)
-    for rounds, indices, starts in _member_runs(subsets, member_bytes, words << 6):
+    # if any; per round it unpacks one byte per bit of a row and of a
+    # lineage row.
+    member_bytes = 24 + values.itemsize + narrow * 8
+    for rounds, indices, starts in _member_runs(subsets, member_bytes, (words + narrow) << 6):
         run_rows = members[rounds] = gf2.pack_indices(indices, m, starts)
         if lineage is not None:
-            run_rows = rows[rounds] = gf2.xor_segments(lineage, indices, starts)
+            spread = gf2.scatter_columns(gf2.xor_segments(lineage, indices, starts), targets_a, m)
+            run_rows = rows[rounds] = run_rows ^ spread
         run_parities = parities[rounds] = np.bitwise_xor.reduceat(values[indices], starts)
         run_rhs = rhs[rounds] = (run_parities[:, None] & side_bits) != 0
         # A round measures its own first member, so the earliest measuring
@@ -327,30 +336,92 @@ def _amplitude_backaction(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lineage rows and true phases after the amplitude rounds, whose packed
     membership rows are ``member_rows``: each round XORs its target's phase
-    into every source.  Lineage row i packs the initial phases whose XOR is
-    state i's phase.  The true phases follow the same labels one round at a
-    time, as an independent route; the lineage moves in groups of
-    ``gf2.BLOCK_ROWS`` rounds."""
+    into every source.  A state's phase is then the XOR of the initial
+    phases of some rounds' targets, and its own unless it is a target, so
+    the lineage keeps one bit per round, in round order: bit r of row i is
+    set when state i's phase holds that of round r's target (a target's
+    row holds its own round).  The true phases follow the same labels one
+    round at a time, as an independent route; the lineage moves in groups
+    of ``gf2.BLOCK_ROWS`` rounds."""
     true_phases = init_phases.copy()
     for members in subsets:
         true_phases[members[1:]] ^= true_phases[members[0]]
-    lineage = gf2.identity_rows(m)
     targets = _targets(subsets)
+    lineage = np.zeros((m, gf2.n_words(targets.size)), dtype=np.uint64)
+    lineage[targets] = gf2.identity_rows(targets.size)
     for start in range(0, targets.size, gf2.BLOCK_ROWS):
         group = targets[start : start + gf2.BLOCK_ROWS]
         # Row b: the sources of the group's round b.
         sources = gf2.unpack_bits(member_rows[start : start + gf2.BLOCK_ROWS], m)
         sources[np.arange(group.size), group] = 0
-        # Every lineage bit of a state sits at or below its own index
-        # (targets are subset minima), so words past the last target's are
-        # zero.
-        span = gf2.n_words(int(group.max()) + 1)
+        # No round has yet moved a bit of a later round, so words past the
+        # group's last round are zero.
+        span = gf2.n_words(start + group.size)
         # Each state takes the rows of the group's rounds it was a source
         # of.  A target was a source only of rounds before its own, so its
         # row is complete, as its round reads it, before the later rounds
         # need it.
         lineage[:, :span] ^= gf2.xor_selected(lineage[group, :span], sources, group)
     return lineage, true_phases
+
+
+def _amplitude_cosets(
+    lineage: np.ndarray, targets: np.ndarray, rhs: np.ndarray, m: int
+) -> list[gf2.AffineCoset]:
+    """The solution coset of the amplitude rounds for each side, read off
+    the lineage instead of eliminated.
+
+    Round r's row sets its target, which no earlier round measured, and
+    otherwise only states still live, so the rows pivot on their targets
+    and the free columns are the states no round measured.  The lineage
+    is the transpose of the inverse of the rounds' amplitude map, so a
+    state's full lineage row (its own bit, unless it is a target, and its
+    lineage bits spread onto the rounds' targets) is the solution that
+    reads 1 in that state's final amplitude and 0 in every other and every
+    measured parity.  Free state c's row is thus basis vector c, and side
+    j's particular solution is the XOR of the rows of the targets whose
+    round measured 1 on side j: the cosets ``GF2System.solve`` gives, the
+    reduced form being unique."""
+    free_cols = np.delete(np.arange(m), targets)
+    free_cols.flags.writeable = False
+    basis = gf2.identity_rows(m)[free_cols]
+    # Spread the free states' rows in chunks whose unpacked bits, over the
+    # m states and the rounds, fit within ROUND_CHUNK_BYTES.
+    chunk = max(1, ROUND_CHUNK_BYTES // ((basis.shape[1] + lineage.shape[1]) << 6))
+    for start in range(0, free_cols.size, chunk):
+        cols = free_cols[start : start + chunk]
+        basis[start : start + chunk] ^= gf2.scatter_columns(lineage[cols], targets, m)
+    basis.flags.writeable = False
+    target_rows = lineage[targets]
+    particulars = gf2.scatter_columns(
+        np.array([np.bitwise_xor.reduce(target_rows[side == 1], axis=0) for side in rhs.T]),
+        targets, m,
+    )
+    return [gf2.AffineCoset(m, particular, basis, free_cols) for particular in particulars]
+
+
+# Random combinations of the rows that each amplitude coset's basis is
+# checked against: a basis row off the null space passes each with
+# probability 1/2.
+CHECK_COMBINATIONS = 16
+
+
+def _check_amplitude_cosets(
+    cosets: list[gf2.AffineCoset], rows: np.ndarray, rhs: np.ndarray, rng: np.random.Generator
+) -> None:
+    """Raise ``InternalInvariantError`` unless every particular solution
+    meets every recorded parity ``rows`` x = ``rhs``, checked exactly, and
+    the shared basis meets the homogeneous rows, checked on
+    ``CHECK_COMBINATIONS`` random combinations of them drawn from ``rng``
+    (Freivalds)."""
+    particulars = np.array([coset.particular for coset in cosets])
+    combinations = (np.bitwise_xor.reduce(rows[picked], axis=0)
+                    for picked in rng.random((CHECK_COMBINATIONS, len(rows))) < 0.5)
+    if not (
+        np.array_equal(gf2.dot_bit(rows[:, None], particulars), rhs)
+        and not any(gf2.dot_bit(cosets[0].basis, row).any() for row in combinations)
+    ):
+        raise InternalInvariantError("amplitude coset misses its recorded parities")
 
 
 def simulate_hashing(
@@ -411,8 +482,8 @@ def simulate_hashing(
     amp_feasible = len(subsets_a) == planned_a
     feasible = amp_feasible and len(subsets_b) == planned_b
 
-    # Both phases' records, before either system is solved.  Phase rounds:
-    # the measured state acts as the XOR source, so the subset's phase bits
+    # Both phases' records, before either is decoded.  Phase rounds: the
+    # measured state acts as the XOR source, so the subset's phase bits
     # accumulate in it while its amplitude bits leak into the other members,
     # untracked: success checks the decoded amplitudes of every state live
     # there against the initial ones.  The phase string is the one-side case
@@ -423,7 +494,8 @@ def simulate_hashing(
     )
     lineage, true_phases = _amplitude_backaction(subsets_a, amp_rows, m, init_phases)
     phase_members, phase_rows, phase_rhs, phase_parities = _records(
-        subsets_b, targets_b, true_phases, np.ones(1, dtype=np.int64), init_phases[None], lineage
+        subsets_b, targets_b, true_phases, np.ones(1, dtype=np.int64), init_phases[None],
+        lineage, targets_a,
     )
     del subsets_a, subsets_b
     run = HashingRun(
@@ -437,16 +509,13 @@ def simulate_hashing(
     probe_rng = np.random.default_rng([seed, 0x5AFE])
     modes = set()
 
-    def solve_and_decode(
-        rows: np.ndarray, rhs: np.ndarray, priors: list[float], truth: np.ndarray
+    def decode(
+        cosets: list[gf2.AffineCoset | None], priors: list[float], truth: np.ndarray
     ) -> tuple[str, list[np.ndarray] | None]:
-        """Solve one shared matrix for every side's right-hand side and
-        decode each coset: the last side's status, and every side's bits or
-        None at the first side that fails."""
-        system = gf2.GF2System(m, n_sides=len(priors))
-        system.add_row(rows, rhs)
+        """Decode each side's coset: the last side's status, and every
+        side's bits or None at the first side that fails."""
         decoded = []
-        for coset, prior_one, truth_bits in zip(system.solve(), priors, truth):
+        for coset, prior_one, truth_bits in zip(cosets, priors, truth):
             result = gf2.decode_map(coset, prior_one)
             if result.status == "intractable":
                 result = gf2.certified_map_decode(coset, prior_one, truth_bits, probe_rng)
@@ -458,11 +527,17 @@ def simulate_hashing(
             decoded.append(result.bits)
         return result.status, decoded
 
-    # Decode the amplitude strings before the phase string needs them.
+    # Decode the amplitude strings before the phase string needs them.  The
+    # amplitude cosets come off the lineage, so they are checked against
+    # the recorded parities on a stream of their own.
     decoded_amps = None
     if amp_feasible:
-        run.amp_decode_status, amp_bits = solve_and_decode(
-            amp_rows, amp_rhs, [float(x) for x in p_amps], side_truth
+        amp_cosets = _amplitude_cosets(lineage, targets_a, amp_rhs, m)
+        _check_amplitude_cosets(
+            amp_cosets, amp_rows, amp_rhs, np.random.default_rng([seed, 0xC4EC])
+        )
+        run.amp_decode_status, amp_bits = decode(
+            amp_cosets, [float(x) for x in p_amps], side_truth
         )
         if amp_bits is not None:
             decoded_amps = side_bits @ np.array(amp_bits, dtype=np.int64)
@@ -472,15 +547,21 @@ def simulate_hashing(
     run.survivors = survivors
     run.empirical_yield = survivors.size / m
 
-    # Decode the initial phase string, then read off each survivor's
-    # current phase through its recorded lineage.
+    # Solve and decode the initial phase string, then read off each
+    # survivor's current phase through its lineage row: its own initial
+    # phase and those of its rounds' targets.
     survivor_phase_belief = None
     if feasible:
-        run.phase_decode_status, phase_bits = solve_and_decode(
-            phase_rows, phase_rhs, [float(p_phase)], init_phases[None]
+        system = gf2.GF2System(m)
+        system.add_row(phase_rows, phase_rhs)
+        run.phase_decode_status, phase_bits = decode(
+            system.solve(), [float(p_phase)], init_phases[None]
         )
         if phase_bits is not None:
-            belief = gf2.dot_bit(lineage[survivors], gf2.pack_bits(phase_bits[0]))
+            initial = phase_bits[0]
+            belief = initial[survivors] ^ gf2.dot_bit(
+                lineage[survivors], gf2.pack_bits(initial[targets_a])
+            )
             survivor_phase_belief = belief.astype(np.uint8)
             run.decoded_survivor_phases = survivor_phase_belief
     run.decode_mode = "/".join(sorted(modes)) if modes else "none"

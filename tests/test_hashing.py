@@ -24,11 +24,13 @@ from catpurify.gf2 import (
 from catpurify.cli import main
 from catpurify.labels import CatLabel, amp_bit
 from catpurify.strategy import METHODS, MethodSpec
+from oracles import row_by_row_cosets
 from catpurify.hashing import (
     ROUND_CHUNK_BYTES,
     SELECTOR_CHUNK,
     HashingRun,
     _amplitude_backaction,
+    _amplitude_cosets,
     _draw_subsets,
     _records,
     _targets,
@@ -726,9 +728,20 @@ def amplitude_records(subsets, init_amps, n):
     return _records(subsets, _targets(subsets), init_amps, side_bits, side_truth)
 
 
-def phase_records(subsets, lineage, phases, init_phases):
+def phase_records(subsets, lineage, targets_a, phases, init_phases):
     return _records(subsets, _targets(subsets), phases, np.ones(1, dtype=np.int64),
-                    init_phases[None], lineage)
+                    init_phases[None], lineage, targets_a)
+
+
+def full_lineage(lineage, targets_a, m):
+    """The lineage rows over the m initial phases: a state's own bit,
+    unless an amplitude round measured it, and its bits spread from the
+    rounds onto their targets."""
+    assert lineage.shape == (m, gf2.n_words(targets_a.size))
+    rows = gf2.scatter_columns(lineage, targets_a, m)
+    live = np.delete(np.arange(m), targets_a)
+    rows[live] ^= gf2.identity_rows(m)[live]
+    return rows
 
 
 def bulk_bookkeeping(subsets_a, subsets_b, m, codes, n):
@@ -741,10 +754,14 @@ def bulk_bookkeeping(subsets_a, subsets_b, m, codes, n):
     assert amp_rows is amp_members
     np.testing.assert_array_equal(rhs, (amp_parities[:, None] & side_bits) != 0)
     lineage, phases = _amplitude_backaction(subsets_a, amp_members, m, init_phases)
+    # The lineage keeps one bit per amplitude round.
+    targets_a = _targets(subsets_a)
+    assert lineage.shape[1] == gf2.n_words(len(subsets_a))
     phase_members, phase_rows, phase_rhs, phase_parities = phase_records(
-        subsets_b, lineage, phases, init_phases)
+        subsets_b, lineage, targets_a, phases, init_phases)
     np.testing.assert_array_equal(phase_rhs[:, 0], phase_parities)
-    return (packed_as_ints(amp_rows), amp_parities.tolist(), packed_as_ints(lineage),
+    return (packed_as_ints(amp_rows), amp_parities.tolist(),
+            packed_as_ints(full_lineage(lineage, targets_a, m)),
             phases.tolist(), packed_as_ints(phase_members), packed_as_ints(phase_rows),
             phase_parities.tolist())
 
@@ -787,6 +804,52 @@ def test_bulk_bookkeeping_chains_targets_within_a_group(n):
     assert expected[2][9] == (1 << 10) - 1
 
 
+# (m, planned amplitude rounds): none; phases that run short, as a block
+# of m states runs at most m - 1 rounds; 63 to 65 rounds, around a word
+# boundary of the lineage; and the README size.
+LINEAGE_COSET_CASES = [
+    (1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2), (3, 3), (40, 0), (40, 17), (40, 60),
+    (64, 30), (64, 63), (65, 64), (65, 70), (256, 63), (256, 64), (256, 65), (256, 93),
+    (2000, 652),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_amplitude_cosets_equal_the_eliminated_ones(n):
+    # The cosets read off the lineage are the ones the elimination and the
+    # row-by-row reference give the amplitude rows, byte for byte.
+    short = set()
+    for seed, (m, planned_a) in enumerate(LINEAGE_COSET_CASES):
+        draw = np.random.default_rng([n, seed, 0xC0])
+        (subsets_a,) = _draw_subsets(draw, m, (planned_a,))
+        codes = draw.integers(0, 1 << n, size=m)
+        init_amps = codes & ((1 << (n - 1)) - 1)
+        rows, _, rhs, _ = amplitude_records(subsets_a, init_amps, n)
+        lineage, _ = _amplitude_backaction(
+            subsets_a, rows, m, (codes >> (n - 1)).astype(np.uint8))
+        assert lineage.shape == (m, gf2.n_words(len(subsets_a)))
+        cosets = _amplitude_cosets(lineage, _targets(subsets_a), rhs, m)
+        hashing._check_amplitude_cosets(cosets, rows, rhs, np.random.default_rng(seed))
+        system = GF2System(m, n - 1)
+        system.add_row(rows, rhs)
+        for got, want in zip(cosets, system.solve(), strict=True):
+            assert got.n_unknowns == want.n_unknowns == m
+            for field in ("particular", "basis", "free_cols"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                assert a.flags.writeable == b.flags.writeable
+        # The reference takes side j's right-hand side as bit j.
+        sides = (rhs.astype(np.int64) << np.arange(n - 1)).sum(axis=1)
+        reference = row_by_row_cosets(packed_as_ints(rows), sides.tolist(), m, n - 1)
+        for got, (particular, basis, free_cols) in zip(cosets, reference, strict=True):
+            assert packed_as_ints(got.particular[None]) == [particular]
+            assert packed_as_ints(got.basis) == basis
+            assert got.free_cols.tolist() == free_cols
+        if len(subsets_a) < planned_a:
+            short.add(m)
+    assert short == {1, 2, 3, 40, 65}
+
+
 def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
     gathers = []
     pack_indices_real, xor_segments_real = gf2.pack_indices, gf2.xor_segments
@@ -800,18 +863,20 @@ def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
         return rows
 
     def counting_xor(rows, indices, starts):
-        # Phase B packs each run first.  Its members hold a lineage row, a
-        # phase and three int64 values instead.
+        # Phase B packs each run first.  Its members hold a lineage row, one
+        # bit per amplitude round, a phase and three int64 values instead,
+        # and each round also unpacks one byte per lineage bit.
         gathers[-1][1] += indices.size * (rows.shape[1] * 8 + 25 - 32)
+        gathers[-1][1] += len(starts) * rows.shape[1] * 64
         return xor_segments_real(rows, indices, starts)
 
     monkeypatch.setattr(gf2, "pack_indices", counting_pack)
     monkeypatch.setattr(gf2, "xor_segments", counting_xor)
     single = werner_single(3, 0.9)
-    # At m=2000 a phase round gathers about 180 KB of lineage rows.  At
-    # m=300 the early phase rounds gather more than 6,000 bytes each, so
+    # At m=2000 a phase round gathers about 80 KB of lineage rows.  At
+    # m=300 the early phase rounds gather more than 4,000 bytes each, so
     # they run alone, over the cap.
-    for m, cap in ((2000, ROUND_CHUNK_BYTES), (300, 6000)):
+    for m, cap in ((2000, ROUND_CHUNK_BYTES), (300, 4000)):
         gathers.clear()
         monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", cap)
         _, _, run = simulate_hashing(3, m, single, seed=1000, safety_bits=20)
@@ -835,9 +900,10 @@ def test_bulk_bookkeeping_peaks_within_the_chunk_cap(monkeypatch):
     init_amps = codes & ((1 << (n - 1)) - 1)
     amp_members = amplitude_records(subsets_a, init_amps, n)[0]
     lineage, phases = _amplitude_backaction(subsets_a, amp_members, m, init_phases)
+    targets_a = _targets(subsets_a)
     passes = (
         lambda: amplitude_records(subsets_a, init_amps, n),
-        lambda: phase_records(subsets_b, lineage, phases, init_phases),
+        lambda: phase_records(subsets_b, lineage, targets_a, phases, init_phases),
     )
 
     def peak_over_outputs(run_pass):
@@ -883,7 +949,9 @@ def test_bulk_passes_reject_a_state_read_after_it_was_measured():
     # subsets give parities that agree with the rows, so only the premise
     # check can catch them.
     m = 6
-    lineage = gf2.identity_rows(m)
+    # With no amplitude rounds the lineage has no columns, and the phase
+    # rows are the membership rows.
+    lineage, targets_a = np.zeros((m, 0), dtype=np.uint64), np.zeros(0, dtype=np.int64)
     phases = np.array([1, 0, 1, 1, 0, 0], dtype=np.uint8)
     amps = np.array([1, 1, 0, 0, 1, 1])
     reread = [[[0, 2], [0, 3, 4]], [[1, 2], [0, 1, 5]], [[2, 3], [0, 4], [1, 2, 5]]]
@@ -892,7 +960,7 @@ def test_bulk_passes_reject_a_state_read_after_it_was_measured():
         subsets = [np.array(members) for members in rounds]
         for label, build in (
             ("amplitude", lambda: amplitude_records(subsets, amps, 2)),
-            ("phase", lambda: phase_records(subsets, lineage, phases, phases)),
+            ("phase", lambda: phase_records(subsets, lineage, targets_a, phases, phases)),
         ):
             if rounds in fresh:
                 build()
@@ -903,7 +971,8 @@ def test_bulk_passes_reject_a_state_read_after_it_was_measured():
 
 
 def simulate_until_invariant_fails(capsys):
-    code = main(["simulate-hashing", "-N", "2", "-m", "64", "-f", "0.9",
+    # Both phases reach their planned rounds, so both are decoded.
+    code = main(["simulate-hashing", "-N", "2", "-m", "64", "-f", "0.97",
                  "--trials", "3", "--seed", "21"])
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -930,9 +999,9 @@ def test_phase_check_fires_on_drifted_lineage(monkeypatch, capsys):
 
 
 def test_coset_check_fires_on_a_flipped_parity(monkeypatch, capsys):
-    # A system whose first recorded parity is flipped no longer holds the
-    # truth; at m=64 the first coset is too large to enumerate, so the
-    # certified decoder checks it.
+    # The phase system is the one that is eliminated.  With its first
+    # recorded parity flipped it no longer holds the truth; at m=64 its
+    # coset is too large to enumerate, so the certified decoder checks it.
     real = gf2.GF2System.add_row
 
     def flip_first(self, rows, rhs_bits):
@@ -944,6 +1013,44 @@ def test_coset_check_fires_on_a_flipped_parity(monkeypatch, capsys):
     code, err = simulate_until_invariant_fails(capsys)
     assert code == 4
     assert err == "internal invariant violated: hidden truth fell outside the solution coset\n"
+
+
+def drift_amplitude_cosets(monkeypatch, drift):
+    """Build the amplitude cosets from inputs that ``drift`` changed in
+    place, leaving the records they are checked against as recorded."""
+    real = hashing._amplitude_cosets
+
+    def drifted(lineage, targets, rhs, m):
+        lineage, rhs = lineage.copy(), rhs.copy()
+        drift(lineage, rhs, m)
+        return real(lineage, targets, rhs, m)
+
+    monkeypatch.setattr(hashing, "_amplitude_cosets", drifted)
+
+
+def test_amplitude_coset_check_fires_on_a_flipped_parity(monkeypatch, capsys):
+    # The particular solutions then meet a parity other than the one
+    # recorded.
+    def flip(lineage, rhs, m):
+        rhs[0, 0] ^= 1
+
+    drift_amplitude_cosets(monkeypatch, flip)
+    code, err = simulate_until_invariant_fails(capsys)
+    assert code == 4
+    assert err == "internal invariant violated: amplitude coset misses its recorded parities\n"
+
+
+def test_amplitude_coset_check_fires_on_a_drifted_lineage_bit(monkeypatch, capsys):
+    # State m-1 is never a subset minimum, so its lineage row is a basis
+    # vector; one more round's bit takes it off the null space, which only
+    # the random row combinations can see.
+    def drift(lineage, rhs, m):
+        lineage[m - 1, 0] ^= np.uint64(1)
+
+    drift_amplitude_cosets(monkeypatch, drift)
+    code, err = simulate_until_invariant_fails(capsys)
+    assert code == 4
+    assert err == "internal invariant violated: amplitude coset misses its recorded parities\n"
 
 
 def test_two_state_pure_block_runs_one_round(capsys):
