@@ -6,10 +6,11 @@ modules use ``to_ints``/``from_ints``.  The solver produces the affine
 solution coset of a parity system by Gauss-Jordan elimination in blocks of
 eight rows, each finished by one table of the XOR combinations of its
 pivot rows (the Method of Four Russians; ``hashing`` moves lineage rows
-through the same table step).  ``hashing`` eliminates only its phase
-system; it reads its amplitude cosets off the lineage, whose rows have one
-bit per amplitude round, and ``scatter_columns`` spreads such rows onto
-the unknowns.  The decoders pick a maximum-posterior element under an
+through the same table step).  ``pivot_cosets`` lays out every coset:
+``GF2System.solve`` feeds it the reduced rows, and ``hashing``, which
+eliminates only its phase system, the lineage, whose rows have one bit
+per amplitude round (``scatter_columns`` spreads such rows onto the
+unknowns).  The decoders pick a maximum-posterior element under an
 i.i.d. Bernoulli prior on the unknowns, exhaustively for small cosets and
 certified against a known truth for large ones.
 """
@@ -166,44 +167,45 @@ def xor_selected(rows: np.ndarray, selectors: np.ndarray, own: np.ndarray) -> np
 
 
 class GF2System:
-    """Accumulates parity rows over a fixed set of unknowns and solves them
-    for ``n_sides`` right-hand sides sharing the matrix."""
+    """Accumulates parity rows over a fixed set of unknowns, each with its
+    right-hand side bit, and solves them."""
 
-    def __init__(self, n_unknowns: int, n_sides: int = 1):
+    def __init__(self, n_unknowns: int):
         if n_unknowns > GF2_SOLVER_CAP:
             raise CapacityError(f"{n_unknowns} unknowns exceeds the solver cap {GF2_SOLVER_CAP}")
         self.n_unknowns = n_unknowns
-        self.n_sides = n_sides
         # Blocks of rows, and of their right-hand sides, as added.
         self._rows = [np.empty((0, n_words(n_unknowns)), dtype=np.uint64)]
-        self._rhs = [np.empty((0, n_sides), dtype=np.uint8)]
+        self._rhs = [np.empty(0, dtype=np.uint8)]
 
     def add_row(self, row: np.ndarray, rhs_bits: np.ndarray) -> None:
-        """One parity constraint, or a stack of them; ``rhs_bits`` carries
-        each row's value for every right-hand side in parallel."""
+        """One parity constraint, or a stack of them; ``rhs_bits`` holds
+        each row's right-hand side, 0 or 1."""
         rows = np.array(row, dtype=np.uint64, ndmin=2)
         spare = ~(~np.uint64(0) >> np.uint64(-self.n_unknowns & 63))  # past the last unknown
         if rows.shape[1:] != (n_words(self.n_unknowns),) or (rows[:, -1:] & spare).any():
             raise ValueError(f"rows must be packed over exactly {self.n_unknowns} unknowns")
-        rhs = np.asarray(rhs_bits, dtype=np.uint8)
-        if rhs.size != len(rows) * self.n_sides:
-            raise ValueError(f"expected {len(rows) * self.n_sides} rhs bits, got {rhs.size}")
+        rhs = np.asarray(rhs_bits)
+        if rhs.size != len(rows):
+            raise ValueError(f"expected {len(rows)} rhs bits, got {rhs.size}")
+        # Checked before the cast: packing reads any nonzero byte, even 2, as 1.
+        if ((rhs != 0) & (rhs != 1)).any():
+            raise ValueError("rhs bits must be 0 or 1")
         self._rows.append(rows)
-        self._rhs.append(rhs.reshape(len(rows), self.n_sides))
+        self._rhs.append(rhs.astype(np.uint8).reshape(len(rows)))
 
     @property
     def n_rows(self) -> int:
         return sum(len(rows) for rows in self._rows)
 
-    def solve(self) -> list[AffineCoset | None]:
-        """Reduce once and return one coset per right-hand side (None for an
-        inconsistent side, which cannot happen for parities measured from a
-        real assignment)."""
+    def solve(self) -> AffineCoset | None:
+        """The solution coset, or None for an inconsistent system (which
+        parities measured from a real assignment never are)."""
         n = self.n_unknowns
         words = n_words(n)
-        # The right-hand sides ride along as extra words of each row.
+        # The right-hand side rides along as an extra word of each row.
         rows = np.concatenate(
-            [np.concatenate(self._rows), pack_bits(np.concatenate(self._rhs))], axis=1
+            [np.concatenate(self._rows), pack_bits(np.concatenate(self._rhs)[:, None])], axis=1
         )
         n_rows, width = rows.shape
         unknowns = (1 << (words << 6)) - 1
@@ -237,48 +239,50 @@ class GF2System:
             carried = _column_bits(rows, cols).T
             carried[np.arange(len(at)), at] = 0
             rows[:, first:] ^= xor_selected(rows[at, first:], carried, at)
-        rhs = unpack_bits(rows[:, words:], self.n_sides)
+        rhs = unpack_bits(rows[:, words:], 1)[:, 0]
+        if rhs[pivot_of_row < 0].any():
+            return None
         pivot_rows = np.flatnonzero(pivot_of_row >= 0)
-        zero_rows = np.flatnonzero(pivot_of_row < 0)
         pivot_cols = pivot_of_row[pivot_rows]
-        is_free = np.ones(n, dtype=bool)
-        is_free[pivot_cols] = False
-        free_cols = np.flatnonzero(is_free)
-        free_cols.flags.writeable = False
-        basis = _coset_basis(rows[pivot_rows, :words], pivot_cols, free_cols, n)
-        cosets: list[AffineCoset | None] = []
-        for side in range(self.n_sides):
-            if zero_rows.size and np.any(rhs[zero_rows, side]):
-                cosets.append(None)
-                continue
-            particular = pack_indices(pivot_cols[rhs[pivot_rows, side] == 1], n)
-            cosets.append(AffineCoset(n, particular, basis, free_cols))
-        return cosets
+        free_cols = np.delete(np.arange(n), pivot_cols)
+        carried = pack_bits(unpack_bits(rows[pivot_rows, :words], n)[:, free_cols].T)
+        (coset,) = pivot_cosets(rhs[None, pivot_rows], carried, pivot_cols, free_cols, n)
+        return coset
 
 
-# Free columns per chunk of the basis build.  Its temporaries are then the
-# (pivots x free) bits of the reduced rows at the free columns, read once,
-# and a (256 x n) byte matrix; a dense (free x n) build costs several MB at
-# m = 2000.
+# Free columns per chunk of the basis build.  Its temporaries are then that
+# chunk's carried bits and a (256 x n) byte matrix; a dense (free x n) build
+# costs several MB at m = 2000.
 _BASIS_CHUNK = 256
 
 
-def _coset_basis(
-    reduced: np.ndarray, pivot_cols: np.ndarray, free_cols: np.ndarray, n: int
-) -> np.ndarray:
-    """Read-only packed basis of the null space of the reduced rows: row k
-    sets free column ``free_cols[k]`` and the pivot column of every reduced
-    row that carries it."""
-    carried = unpack_bits(reduced, n)[:, free_cols]
+def pivot_cosets(
+    pivot_bits: np.ndarray, carried: np.ndarray, pivot_cols: np.ndarray, free_cols: np.ndarray,
+    n: int,
+) -> list[AffineCoset]:
+    """The solution cosets over ``n`` unknowns of a system in reduced form,
+    one per right-hand side, sharing one basis.
+
+    Pivot i is column ``pivot_cols[i]``; every other column is listed in
+    ``free_cols``.  Row s of the 0/1 ``pivot_bits`` (sides x pivots) holds
+    side s's bits over the pivots, and its particular solution sets the
+    pivot columns they name.  Packed row k of ``carried`` (free x pivots)
+    names the pivots that carry free column ``free_cols[k]``, and basis
+    row k sets that column and those pivots' columns.  The basis and
+    ``free_cols`` are made read-only."""
+    bits = np.zeros((len(pivot_bits), n), dtype=np.uint8)
+    bits[:, pivot_cols] = pivot_bits
+    particulars = pack_bits(bits)
     basis = np.empty((free_cols.size, n_words(n)), dtype=np.uint64)
     for start in range(0, free_cols.size, _BASIS_CHUNK):
         cols = free_cols[start : start + _BASIS_CHUNK]
         bits = np.zeros((cols.size, n), dtype=np.uint8)
         bits[np.arange(cols.size), cols] = 1
-        bits[:, pivot_cols] = carried[:, start : start + cols.size].T
+        bits[:, pivot_cols] = unpack_bits(carried[start : start + cols.size], pivot_cols.size)
         basis[start : start + cols.size] = pack_bits(bits)
     basis.flags.writeable = False
-    return basis
+    free_cols.flags.writeable = False
+    return [AffineCoset(n, particular, basis, free_cols) for particular in particulars]
 
 
 @dataclass

@@ -8,7 +8,7 @@ safety rounds, records every measured subset parity, and decodes the hidden
 labels with a maximum-posterior completion of each solution coset.  The
 amplitude cosets are read off the phase lineage, which keeps one bit per
 amplitude round, and checked against the recorded parities; the phase
-coset comes from GF(2) elimination.
+coset comes from GF(2) elimination.  ``gf2.pivot_cosets`` lays out both.
 """
 
 from __future__ import annotations
@@ -383,21 +383,11 @@ def _amplitude_cosets(
     round measured 1 on side j: the cosets ``GF2System.solve`` gives, the
     reduced form being unique."""
     free_cols = np.delete(np.arange(m), targets)
-    free_cols.flags.writeable = False
-    basis = gf2.identity_rows(m)[free_cols]
-    # Spread the free states' rows in chunks whose unpacked bits, over the
-    # m states and the rounds, fit within ROUND_CHUNK_BYTES.
-    chunk = max(1, ROUND_CHUNK_BYTES // ((basis.shape[1] + lineage.shape[1]) << 6))
-    for start in range(0, free_cols.size, chunk):
-        cols = free_cols[start : start + chunk]
-        basis[start : start + chunk] ^= gf2.scatter_columns(lineage[cols], targets, m)
-    basis.flags.writeable = False
     target_rows = lineage[targets]
-    particulars = gf2.scatter_columns(
-        np.array([np.bitwise_xor.reduce(target_rows[side == 1], axis=0) for side in rhs.T]),
-        targets, m,
+    sides = np.array([np.bitwise_xor.reduce(target_rows[side == 1], axis=0) for side in rhs.T])
+    return gf2.pivot_cosets(
+        gf2.unpack_bits(sides, targets.size), lineage[free_cols], targets, free_cols, m
     )
-    return [gf2.AffineCoset(m, particular, basis, free_cols) for particular in particulars]
 
 
 # Random combinations of the rows that each amplitude coset's basis is
@@ -555,7 +545,7 @@ def simulate_hashing(
         system = gf2.GF2System(m)
         system.add_row(phase_rows, phase_rhs)
         run.phase_decode_status, phase_bits = decode(
-            system.solve(), [float(p_phase)], init_phases[None]
+            [system.solve()], [float(p_phase)], init_phases[None]
         )
         if phase_bits is not None:
             initial = phase_bits[0]

@@ -54,7 +54,9 @@ def flatten_joint(passed, n_parties, n_states):
 
 
 def row_by_row_cosets(rows, rhs, n_unknowns, n_sides):
-    """Row-by-row Gauss-Jordan reference for ``GF2System.solve``.
+    """Row-by-row Gauss-Jordan reference for the cosets ``gf2.pivot_cosets``
+    lays out: those of ``GF2System.solve``, one side per system, and of
+    ``hashing._amplitude_cosets``, several sides sharing the rows.
 
     ``rows`` are Python int bitmasks over the unknowns and ``rhs`` int
     bitmasks over the sides, one per row.  Rows are taken in order; each

@@ -9,13 +9,13 @@ from catpurify.errors import CapacityError
 from catpurify.gf2 import (
     _BASIS_CHUNK,
     GF2System,
-    _coset_basis,
     _enumerate_coset,
     decode_map,
     from_ints,
     n_words,
     pack_bits,
     pack_indices,
+    pivot_cosets,
     row_weight,
     to_ints,
     unpack_bits,
@@ -24,7 +24,7 @@ from oracles import row_by_row_cosets
 
 
 def random_system(rng, n, k, truth):
-    system = GF2System(n, n_sides=1)
+    system = GF2System(n)
     rows = []
     for _ in range(k):
         sel = rng.random(n) < 0.5
@@ -68,7 +68,7 @@ def test_decode_matches_brute_force(seed):
         k = int(rng.integers(0, n + 3))
         truth = (rng.random(n) < prior_one).astype(np.uint8)
         system, rows = random_system(rng, n, k, truth)
-        coset = system.solve()[0]
+        coset = system.solve()
         assert coset is not None
         assert coset.contains(pack_bits(truth))
         result = decode_map(coset, prior_one)
@@ -84,11 +84,11 @@ def test_decode_full_rank_unique():
     rng = np.random.default_rng(7)
     n = 20
     truth = (rng.random(n) < 0.3).astype(np.uint8)
-    system = GF2System(n, n_sides=1)
+    system = GF2System(n)
     # Unit rows pin every variable.
     for i in range(n):
         system.add_row(pack_indices(np.array([i]), n), np.array([truth[i]], dtype=np.uint8))
-    coset = system.solve()[0]
+    coset = system.solve()
     assert coset.dim == 0
     result = decode_map(coset, 0.3)
     assert result.status == "unique"
@@ -96,8 +96,8 @@ def test_decode_full_rank_unique():
 
 
 def test_decode_degenerate_prior():
-    system = GF2System(6, n_sides=1)
-    coset = system.solve()[0]
+    system = GF2System(6)
+    coset = system.solve()
     result = decode_map(coset, 0.0)
     assert result.status == "degenerate"
     assert result.bits.sum() == 0
@@ -105,62 +105,65 @@ def test_decode_degenerate_prior():
     assert result.bits.sum() == 6
     # The forced string must lie in the coset: x0 + x1 = 1 excludes both.
     system.add_row(pack_indices(np.array([0, 1]), 6), np.array([1], dtype=np.uint8))
-    coset = system.solve()[0]
+    coset = system.solve()
     for prior_one in (0.0, 1.0):
         assert decode_map(coset, prior_one).status == "ambiguous"
 
 
 def test_decode_half_prior_is_ambiguous():
-    system = GF2System(3, n_sides=1)
+    system = GF2System(3)
     system.add_row(pack_indices(np.array([0, 1]), 3), np.array([0], dtype=np.uint8))
-    coset = system.solve()[0]
+    coset = system.solve()
     assert decode_map(coset, 0.5).status == "ambiguous"
 
 
 def test_decode_intractable_above_cap():
-    system = GF2System(40, n_sides=1)
+    system = GF2System(40)
     system.add_row(pack_indices(np.array([0, 1]), 40), np.array([1], dtype=np.uint8))
-    coset = system.solve()[0]
+    coset = system.solve()
     assert decode_map(coset, 0.2).status == "intractable"
 
 
 def test_shared_matrix_multiple_sides():
+    # One matrix measured from two truths: each system holds its own truth,
+    # and the two reduce to the same basis.
     rng = np.random.default_rng(3)
     n = 12
     truths = [(rng.random(n) < 0.25).astype(np.uint8) for _ in range(2)]
-    system = GF2System(n, n_sides=2)
+    systems = [GF2System(n), GF2System(n)]
     for i in range(n):
         sel = rng.random(n) < 0.5
         idxs = np.nonzero(sel)[0]
-        rhs = np.array([int(t[sel].sum() & 1) for t in truths], dtype=np.uint8)
-        system.add_row(pack_indices(idxs, n), rhs)
-    cosets = system.solve()
-    assert len(cosets) == 2
+        for system, t in zip(systems, truths):
+            system.add_row(pack_indices(idxs, n), np.array([int(t[sel].sum() & 1)]))
+    cosets = [system.solve() for system in systems]
     for coset, truth in zip(cosets, truths):
         assert coset.contains(pack_bits(truth))
+    for field in ("basis", "free_cols"):
+        np.testing.assert_array_equal(getattr(cosets[0], field), getattr(cosets[1], field))
 
 
 def test_inconsistent_side_reports_none():
-    system = GF2System(4, n_sides=1)
+    system = GF2System(4)
     system.add_row(pack_indices(np.array([0, 1]), 4), np.array([0], dtype=np.uint8))
     system.add_row(pack_indices(np.array([0, 1]), 4), np.array([1], dtype=np.uint8))
-    assert system.solve()[0] is None
+    assert system.solve() is None
     result = decode_map(None, 0.2)
     assert (result.status, result.bits, result.coset_dim) == ("ambiguous", None, -1)
 
 
-@pytest.mark.parametrize("n,n_sides", [(5, 1), (70, 2), (130, 3)])
-def test_stacked_rows_give_the_row_by_row_cosets(n, n_sides):
+@pytest.mark.parametrize("n,n_stacks", [(5, 1), (70, 2), (130, 3)])
+def test_stacked_rows_give_the_row_by_row_cosets(n, n_stacks):
     rng = np.random.default_rng(n)
     for n_rows in (0, 1, 2, n // 2, n + 4):
         segments = [np.flatnonzero(rng.random(n) < 0.5) for _ in range(n_rows)]
-        rhs = rng.integers(0, 2, size=(n_rows, n_sides), dtype=np.uint8)
-        one_by_one, stacked = GF2System(n, n_sides), GF2System(n, n_sides)
-        for idxs, bits in zip(segments, rhs):
-            one_by_one.add_row(pack_indices(idxs, n), bits)
-        # Two stacks, the first possibly empty, built by the segment packer.
-        split = n_rows // 3
-        for part in (slice(0, split), slice(split, n_rows)):
+        rhs = rng.integers(0, 2, size=n_rows, dtype=np.uint8)
+        one_by_one, stacked = GF2System(n), GF2System(n)
+        for idxs, bit in zip(segments, rhs):
+            one_by_one.add_row(pack_indices(idxs, n), [bit])
+        # Stacks built by the segment packer, the first ones possibly empty.
+        ends = [n_rows * k // (n_stacks + 1) for k in range(1, n_stacks)] + [n_rows]
+        for part in map(slice, [0] + ends[:-1], ends):
             sizes = [seg.size for seg in segments[part]]
             starts = np.cumsum([0] + sizes[:-1]) if sizes else np.zeros(0, dtype=np.int64)
             indices = np.concatenate([np.zeros(0, dtype=np.int64)] + segments[part])
@@ -169,16 +172,16 @@ def test_stacked_rows_give_the_row_by_row_cosets(n, n_sides):
                 np.testing.assert_array_equal(row, pack_indices(seg, n))
             stacked.add_row(rows, rhs[part])
         assert stacked.n_rows == one_by_one.n_rows == n_rows
-        for a, b in zip(stacked.solve(), one_by_one.solve(), strict=True):
-            assert (a is None) == (b is None)
-            if a is not None:
-                for field in ("particular", "basis", "free_cols"):
-                    np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        a, b = stacked.solve(), one_by_one.solve()
+        assert (a is None) == (b is None)
+        if a is not None:
+            for field in ("particular", "basis", "free_cols"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
 @pytest.mark.parametrize("n,bad_bit", [(10, 20), (70, 104), (64, None), (130, 191)])
 def test_add_row_refuses_rows_not_packed_over_the_unknowns(n, bad_bit):
-    system = GF2System(n, n_sides=1)
+    system = GF2System(n)
     good = pack_indices(np.array([0, n - 1]), n)
     malformed = [good[:-1], np.concatenate([good, good[:1]])]
     if bad_bit is not None:
@@ -192,15 +195,29 @@ def test_add_row_refuses_rows_not_packed_over_the_unknowns(n, bad_bit):
                 system.add_row(rows, np.array(rhs, dtype=np.uint8))
     assert system.n_rows == 0
     system.add_row(np.stack([good, good]), np.array([1, 1], dtype=np.uint8))
-    assert system.solve()[0].dim == n - 1
+    assert system.solve().dim == n - 1
 
 
 def test_stacked_rows_need_every_rhs_bit():
-    system = GF2System(8, n_sides=2)
+    system = GF2System(8)
     rows = pack_indices(np.array([0, 1, 1, 2]), 8, np.array([0, 2]))
-    with pytest.raises(ValueError, match="expected 4 rhs bits, got 2"):
-        system.add_row(rows, np.array([1, 0], dtype=np.uint8))
+    for rhs in ([1], [1, 0, 1]):
+        with pytest.raises(ValueError, match=f"expected 2 rhs bits, got {len(rhs)}"):
+            system.add_row(rows, np.array(rhs, dtype=np.uint8))
     assert system.n_rows == 0
+
+
+def test_add_row_refuses_rhs_values_that_are_not_bits():
+    # Cast to uint8 and packed, 2 would read as 1, 256 as 0 and -1 as 1;
+    # none of them is a bit.
+    system = GF2System(3)
+    for rhs in ([2], [-1], [256], [0.5], [0, 2]):
+        rows = pack_indices(np.zeros(len(rhs), dtype=np.int64), 3, np.arange(len(rhs)))
+        with pytest.raises(ValueError, match="rhs bits must be 0 or 1"):
+            system.add_row(rows, np.array(rhs))
+    assert system.n_rows == 0
+    system.add_row(pack_indices(np.array([0]), 3), np.array([True]))
+    assert unpack_bits(system.solve().particular, 3).tolist() == [1, 0, 0]
 
 
 def test_solver_cap():
@@ -216,25 +233,21 @@ def int_to_bits(x, n):
     return np.array([(x >> i) & 1 for i in range(n)], dtype=np.uint8)
 
 
-def assert_solve_matches_row_by_row(n, rows, rhs, n_sides):
-    """``GF2System.solve`` against the row-by-row reference, on rows and
-    right-hand sides given as int bitmasks."""
-    system = GF2System(n, n_sides)
+def assert_solve_matches_row_by_row(n, rows, rhs):
+    """``GF2System.solve`` against the row-by-row reference, on rows given
+    as int bitmasks with one right-hand side bit each."""
+    system = GF2System(n)
     if rows:
-        packed = np.array([pack_bits(int_to_bits(row, n)) for row in rows])
-        bits = np.array([int_to_bits(value, n_sides) for value in rhs])
-        system.add_row(packed, bits)
-    expected = row_by_row_cosets(rows, rhs, n, n_sides)
-    cosets = system.solve()
-    assert len(cosets) == n_sides
-    for coset, reference in zip(cosets, expected):
-        assert (coset is None) == (reference is None)
-        if coset is not None:
-            particular, basis, free_cols = reference
-            assert row_to_int(coset.particular) == particular
-            assert [row_to_int(vec) for vec in coset.basis] == basis
-            assert coset.free_cols.tolist() == free_cols
-    return cosets
+        system.add_row(np.array([pack_bits(int_to_bits(row, n)) for row in rows]), rhs)
+    (reference,) = row_by_row_cosets(rows, rhs, n, 1)
+    coset = system.solve()
+    assert (coset is None) == (reference is None)
+    if coset is not None:
+        particular, basis, free_cols = reference
+        assert row_to_int(coset.particular) == particular
+        assert [row_to_int(vec) for vec in coset.basis] == basis
+        assert coset.free_cols.tolist() == free_cols
+    return coset
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
@@ -247,21 +260,21 @@ def test_blocked_solve_matches_row_by_row_reference(n):
     shapes = set()
     for n_rows in (0, 1, 7, 8, 9, 17, n, n + 9):
         for density in (0.5, 0.05):
-            for n_sides in (1, 2, 3):
-                rows = [random_mask(density) for _ in range(n_rows)]
-                if n_rows >= 9:
-                    # An all-zero row in the first block, and a duplicate
-                    # of row 1 in the second.
-                    rows[3], rows[8] = 0, rows[1]
-                truth = random_mask(0.5)
-                # Side 0 is measured from a truth; the others are free bits,
-                # so they are inconsistent whenever a row is dependent.
-                rhs = [(bin(row & truth).count("1") & 1)
-                       | int(rng.integers(0, 1 << n_sides)) & ~1 for row in rows]
-                cosets = assert_solve_matches_row_by_row(n, rows, rhs, n_sides)
-                assert cosets[0] is not None
-                shapes.add(("full" if cosets[0].dim == 0 else "partial",
-                            any(c is None for c in cosets)))
+            rows = [random_mask(density) for _ in range(n_rows)]
+            if n_rows >= 9:
+                # An all-zero row in the first block, and a duplicate of
+                # row 1 in the second.
+                rows[3], rows[8] = 0, rows[1]
+            truth = random_mask(0.5)
+            # One right-hand side measured from a truth, and one of free
+            # bits, inconsistent with odds 1/2 per dependent row.
+            measured = [bin(row & truth).count("1") & 1 for row in rows]
+            coset = assert_solve_matches_row_by_row(n, rows, measured)
+            assert coset is not None
+            free = rng.integers(0, 2, size=n_rows).tolist()
+            inconsistent = assert_solve_matches_row_by_row(n, rows, free) is None
+            kind = "full" if coset.dim == 0 else "partial"
+            shapes |= {(kind, False), (kind, inconsistent)}
     assert {("full", False), ("partial", False), ("partial", True)} <= shapes
 
 
@@ -273,16 +286,18 @@ def test_blocked_solve_clears_both_ways_inside_a_block():
     # changes them too.
     first = [(1 << 2 * k) | (1 << 64 + k % 7) for k in range(8)]
     block = [(1 << 67) | (1 << 70), (1 << 64) | (1 << 67), 1 << 70]
-    rhs = [k % 4 for k in range(8)] + [0, 1, 3]
-    cosets = assert_solve_matches_row_by_row(72, first + block, rhs, 2)
-    assert not ({64, 67, 70} & set(cosets[0].free_cols.tolist()))
+    for side in range(2):
+        rhs = [value >> side & 1 for value in [k % 4 for k in range(8)] + [0, 1, 3]]
+        coset = assert_solve_matches_row_by_row(72, first + block, rhs)
+        assert not ({64, 67, 70} & set(coset.free_cols.tolist()))
 
 
 @pytest.mark.parametrize("n,n_pivots", [(70, 70), (70, 25), (65, 0), (1, 0), (600, 100)])
 def test_coset_basis_rows_follow_the_reduced_rows(n, n_pivots):
     # Reduced rows in any pivot order: row i sets its pivot column, no
     # other pivot column, and random free columns.  Basis row k must set
-    # free column k and exactly the pivots of the rows that carry it.
+    # free column k and exactly the pivots of the rows that carry it, and
+    # each of three sides' particulars exactly the pivots its bits name.
     # The cases cover dimension 0, n not a multiple of 64, no pivots, and
     # a dimension (500) spanning more than one chunk of the build.
     rng = np.random.default_rng(n + n_pivots)
@@ -292,60 +307,63 @@ def test_coset_basis_rows_follow_the_reduced_rows(n, n_pivots):
     free_cols = np.flatnonzero(is_free)
     bits = (rng.random((n_pivots, n)) < 0.5).astype(np.uint8)
     bits[:, pivot_cols] = np.eye(n_pivots, dtype=np.uint8)
-    basis = _coset_basis(pack_bits(bits), pivot_cols, free_cols, n)
+    pivot_bits = rng.integers(0, 2, size=(3, n_pivots), dtype=np.uint8)
+    cosets = pivot_cosets(pivot_bits, pack_bits(bits[:, free_cols].T), pivot_cols, free_cols, n)
+    assert len(cosets) == 3
+    basis = cosets[0].basis
     assert basis.shape == (free_cols.size, n_words(n)) and not basis.flags.writeable
+    assert not free_cols.flags.writeable
     if n == 600:
         assert free_cols.size > _BASIS_CHUNK
     for k, col in enumerate(free_cols.tolist()):
         expected = {col} | set(pivot_cols[bits[:, col] == 1].tolist())
         assert set(np.flatnonzero(unpack_bits(basis[k], n)).tolist()) == expected
     assert not (unpack_bits(basis, n).astype(int) @ bits.T.astype(int) % 2).any()
+    for coset, side in zip(cosets, pivot_bits):
+        assert coset.n_unknowns == n
+        assert coset.basis is basis and coset.free_cols is free_cols
+        assert set(np.flatnonzero(unpack_bits(coset.particular, n)).tolist()) == set(
+            pivot_cols[side == 1].tolist())
 
 
 @st.composite
 def parity_systems(draw):
-    """(n, rows as bitmask ints, rhs per row per side); rhs bits are free,
-    so inconsistent sides occur."""
+    """(n, rows as bitmask ints, rhs bit per row); rhs bits are free, so
+    inconsistent systems occur."""
     n = draw(st.integers(1, 12))
-    n_sides = draw(st.integers(1, 3))
     n_rows = draw(st.integers(0, n + 3))
     rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n_rows, max_size=n_rows))
-    rhs = draw(st.lists(
-        st.lists(st.integers(0, 1), min_size=n_sides, max_size=n_sides),
-        min_size=n_rows, max_size=n_rows,
-    ))
-    return n, n_sides, rows, rhs
+    rhs = draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows))
+    return n, rows, rhs
 
 
 @settings(max_examples=150, deadline=None)
 @given(parity_systems(), st.lists(st.integers(0, (1 << 12) - 1), max_size=32))
 def test_solve_matches_brute_force(system_spec, probes):
-    n, n_sides, rows, rhs = system_spec
-    system = GF2System(n, n_sides=n_sides)
-    for mask, bits in zip(rows, rhs):
+    n, rows, rhs = system_spec
+    system = GF2System(n)
+    for mask, bit in zip(rows, rhs):
         idxs = [i for i in range(n) if (mask >> i) & 1]
-        system.add_row(pack_indices(np.array(idxs, dtype=np.int64), n), np.array(bits))
-    cosets = system.solve()
-    assert len(cosets) == n_sides
-    for side, coset in enumerate(cosets):
-        solutions = {
-            x for x in range(1 << n)
-            if all(bin(mask & x).count("1") % 2 == bits[side] for mask, bits in zip(rows, rhs))
-        }
-        if not solutions:
-            assert coset is None
-            continue
-        assert coset is not None
-        elements = [row_to_int(r) for r in _enumerate_coset(coset)]
-        assert len(elements) == 1 << coset.dim
-        assert set(elements) == solutions
-        # Basis row k carries free column k and no other free column.
-        free = set(coset.free_cols.tolist())
-        for col, vec in zip(coset.free_cols.tolist(), coset.basis):
-            support = set(np.flatnonzero(unpack_bits(vec, n)).tolist())
-            assert support & free == {col}
-        for x in list(solutions)[:8] + [p & ((1 << n) - 1) for p in probes]:
-            assert coset.contains(pack_bits(int_to_bits(x, n))) == (x in solutions)
+        system.add_row(pack_indices(np.array(idxs, dtype=np.int64), n), np.array([bit]))
+    coset = system.solve()
+    solutions = {
+        x for x in range(1 << n)
+        if all(bin(mask & x).count("1") % 2 == bit for mask, bit in zip(rows, rhs))
+    }
+    if not solutions:
+        assert coset is None
+        return
+    assert coset is not None
+    elements = [row_to_int(r) for r in _enumerate_coset(coset)]
+    assert len(elements) == 1 << coset.dim
+    assert set(elements) == solutions
+    # Basis row k carries free column k and no other free column.
+    free = set(coset.free_cols.tolist())
+    for col, vec in zip(coset.free_cols.tolist(), coset.basis):
+        support = set(np.flatnonzero(unpack_bits(vec, n)).tolist())
+        assert support & free == {col}
+    for x in list(solutions)[:8] + [p & ((1 << n) - 1) for p in probes]:
+        assert coset.contains(pack_bits(int_to_bits(x, n))) == (x in solutions)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import pathlib
 import tracemalloc
 import warnings
 
@@ -816,8 +817,9 @@ LINEAGE_COSET_CASES = [
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_amplitude_cosets_equal_the_eliminated_ones(n):
-    # The cosets read off the lineage are the ones the elimination and the
-    # row-by-row reference give the amplitude rows, byte for byte.
+    # The cosets read off the lineage are, byte for byte, the ones the
+    # elimination gives each side's amplitude rows, and the ones the
+    # row-by-row reference gives all sides at once.
     short = set()
     for seed, (m, planned_a) in enumerate(LINEAGE_COSET_CASES):
         draw = np.random.default_rng([n, seed, 0xC0])
@@ -830,9 +832,11 @@ def test_amplitude_cosets_equal_the_eliminated_ones(n):
         assert lineage.shape == (m, gf2.n_words(len(subsets_a)))
         cosets = _amplitude_cosets(lineage, _targets(subsets_a), rhs, m)
         hashing._check_amplitude_cosets(cosets, rows, rhs, np.random.default_rng(seed))
-        system = GF2System(m, n - 1)
-        system.add_row(rows, rhs)
-        for got, want in zip(cosets, system.solve(), strict=True):
+        assert len(cosets) == n - 1
+        for got, side in zip(cosets, rhs.T):
+            system = GF2System(m)
+            system.add_row(rows, side)
+            want = system.solve()
             assert got.n_unknowns == want.n_unknowns == m
             for field in ("particular", "basis", "free_cols"):
                 a, b = getattr(got, field), getattr(want, field)
@@ -848,6 +852,26 @@ def test_amplitude_cosets_equal_the_eliminated_ones(n):
         if len(subsets_a) < planned_a:
             short.add(m)
     assert short == {1, 2, 3, 40, 65}
+
+
+def test_one_constructor_lays_out_every_coset(monkeypatch):
+    # An N=3 trial builds its two amplitude cosets, then its phase coset,
+    # each set through gf2.pivot_cosets, and nothing else in the package
+    # builds an AffineCoset.
+    real, sides = gf2.pivot_cosets, []
+
+    def spy(pivot_bits, *args):
+        sides.append(len(pivot_bits))
+        return real(pivot_bits, *args)
+
+    monkeypatch.setattr(gf2, "pivot_cosets", spy)
+    _, _, run = simulate_hashing(3, 200, werner_single(3, 0.95), seed=1)
+    assert run.phase_decode_status != "skipped"
+    assert sides == [2, 1]
+    package = pathlib.Path(gf2.__file__).parent
+    calls = {path.name: path.read_text().count("AffineCoset(")
+             for path in package.glob("*.py")}
+    assert {name: count for name, count in calls.items() if count} == {"gf2.py": 1}
 
 
 def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
@@ -1006,7 +1030,7 @@ def test_coset_check_fires_on_a_flipped_parity(monkeypatch, capsys):
 
     def flip_first(self, rows, rhs_bits):
         flipped = np.array(rhs_bits, dtype=np.uint8)
-        flipped.reshape(-1)[: self.n_sides] ^= 1
+        flipped.reshape(-1)[0] ^= 1
         real(self, rows, flipped)
 
     monkeypatch.setattr(gf2.GF2System, "add_row", flip_first)
@@ -1130,11 +1154,11 @@ def test_certified_decode_matches_probe_loop(prior_one):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 150))
         truth = (rng.random(n) < prior_one).astype(np.uint8)
-        system = GF2System(n, n_sides=1)
+        system = GF2System(n)
         for _ in range(int(rng.integers(0, n))):
             sel = rng.random(n) < 0.5
             system.add_row(pack_indices(np.flatnonzero(sel), n), [int(truth[sel].sum() & 1)])
-        coset = system.solve()[0]
+        coset = system.solve()
         probe_rng, ref_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
         result = certified_map_decode(coset, prior_one, truth, probe_rng)
         status, bits = reference_certified_decode(coset, prior_one, truth, ref_rng)
