@@ -6,13 +6,14 @@ modules use ``to_ints``/``from_ints``.  The solver produces the affine
 solution coset of a parity system by Gauss-Jordan elimination in blocks of
 eight rows, each finished by one table of the XOR combinations of its
 pivot rows (the Method of Four Russians; ``hashing`` moves lineage rows
-through the same table step).  ``pivot_cosets`` lays out every coset:
-``GF2System.solve`` feeds it the reduced rows, and ``hashing``, which
-eliminates only its phase system, the lineage, whose rows have one bit
-per amplitude round (``scatter_columns`` spreads such rows onto the
-unknowns).  The decoders pick a maximum-posterior element under an
-i.i.d. Bernoulli prior on the unknowns, exhaustively for small cosets and
-certified against a known truth for large ones.
+through the same table step).  ``pivot_cosets`` lays out every coset
+from packed rows over the pivots, which ``scatter_columns``, the one
+widening, spreads onto the unknowns: ``GF2System.solve`` feeds it the
+reduced rows, and ``hashing``, which eliminates only its phase system,
+the lineage, whose rows have one bit per amplitude round.  The decoders
+pick a maximum-posterior element under an i.i.d. Bernoulli prior on the
+unknowns, exhaustively for small cosets and certified against a known
+truth for large ones.
 """
 
 from __future__ import annotations
@@ -65,16 +66,20 @@ def xor_segments(rows: np.ndarray, indices: np.ndarray, starts: np.ndarray) -> n
 def scatter_columns(rows: np.ndarray, cols: np.ndarray, n_bits: int) -> np.ndarray:
     """Stack of packed rows over ``cols.size`` bits -> the same rows packed
     over ``n_bits`` unknowns, bit k moved to column ``cols[k]``."""
-    bits = np.zeros((len(rows), n_words(n_bits) << 6), dtype=np.uint8)
+    bits = np.zeros((len(rows), n_bits), dtype=np.uint8)
     bits[:, cols] = unpack_bits(rows, cols.size)
     return pack_bits(bits)
+
+
+def _set_bit_per_row(rows: np.ndarray, cols: np.ndarray) -> None:
+    """Set bit ``cols[k]`` of packed row k, in place."""
+    rows[np.arange(cols.size), cols >> 6] |= np.uint64(1) << (cols & 63).astype(np.uint64)
 
 
 def identity_rows(n_bits: int) -> np.ndarray:
     """(n_bits, n_words) packed identity: row i has bit i set."""
     rows = np.zeros((n_bits, n_words(n_bits)), dtype=np.uint64)
-    idx = np.arange(n_bits)
-    rows[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
+    _set_bit_per_row(rows, np.arange(n_bits))
     return rows
 
 
@@ -246,8 +251,7 @@ class GF2System:
         pivot_cols = pivot_of_row[pivot_rows]
         free_cols = np.delete(np.arange(n), pivot_cols)
         carried = pack_bits(unpack_bits(rows[pivot_rows, :words], n)[:, free_cols].T)
-        (coset,) = pivot_cosets(rhs[None, pivot_rows], carried, pivot_cols, free_cols, n)
-        return coset
+        return pivot_cosets(pack_bits(rhs[None, pivot_rows]), carried, pivot_cols, free_cols, n)[0]
 
 
 # Free columns per chunk of the basis build.  Its temporaries are then that
@@ -257,29 +261,24 @@ _BASIS_CHUNK = 256
 
 
 def pivot_cosets(
-    pivot_bits: np.ndarray, carried: np.ndarray, pivot_cols: np.ndarray, free_cols: np.ndarray,
+    sides: np.ndarray, carried: np.ndarray, pivot_cols: np.ndarray, free_cols: np.ndarray,
     n: int,
 ) -> list[AffineCoset]:
     """The solution cosets over ``n`` unknowns of a system in reduced form,
     one per right-hand side, sharing one basis.
 
     Pivot i is column ``pivot_cols[i]``; every other column is listed in
-    ``free_cols``.  Row s of the 0/1 ``pivot_bits`` (sides x pivots) holds
-    side s's bits over the pivots, and its particular solution sets the
-    pivot columns they name.  Packed row k of ``carried`` (free x pivots)
-    names the pivots that carry free column ``free_cols[k]``, and basis
-    row k sets that column and those pivots' columns.  The basis and
-    ``free_cols`` are made read-only."""
-    bits = np.zeros((len(pivot_bits), n), dtype=np.uint8)
-    bits[:, pivot_cols] = pivot_bits
-    particulars = pack_bits(bits)
+    ``free_cols``.  Both inputs are packed rows over the pivots: row s of
+    ``sides`` names the pivot columns that side s's particular solution
+    sets, and row k of ``carried`` the pivots that carry free column
+    ``free_cols[k]``, which basis row k sets along with their columns.
+    The basis and ``free_cols`` are made read-only."""
+    particulars = scatter_columns(sides, pivot_cols, n)
     basis = np.empty((free_cols.size, n_words(n)), dtype=np.uint64)
     for start in range(0, free_cols.size, _BASIS_CHUNK):
-        cols = free_cols[start : start + _BASIS_CHUNK]
-        bits = np.zeros((cols.size, n), dtype=np.uint8)
-        bits[np.arange(cols.size), cols] = 1
-        bits[:, pivot_cols] = unpack_bits(carried[start : start + cols.size], pivot_cols.size)
-        basis[start : start + cols.size] = pack_bits(bits)
+        stop = start + _BASIS_CHUNK
+        basis[start:stop] = scatter_columns(carried[start:stop], pivot_cols, n)
+    _set_bit_per_row(basis, free_cols)
     basis.flags.writeable = False
     free_cols.flags.writeable = False
     return [AffineCoset(n, particular, basis, free_cols) for particular in particulars]

@@ -213,20 +213,19 @@ SELECTOR_CHUNK = 1 << 15
 
 def _draw_subsets(
     rng: np.random.Generator, m: int, round_counts: tuple[int, ...]
-) -> list[list[np.ndarray]]:
-    """The subsets of every phase, in order, for a block of m states.
+) -> Iterator[list[np.ndarray]]:
+    """Each phase's subsets for a block of m states, yielded as drawn.
 
     Each live state joins with probability 1/2, redrawn until the subset
     has at least two members; its minimum is measured and leaves the live
     set.  A phase ends early once fewer than two states are live.  The
     selectors come from ``rng.random`` in bulk and are used strictly in
     order, exactly the values one ``rng.random(live)`` call per draw would
-    give.  The last read runs past the selectors used, so the caller must
-    read nothing more from ``rng``.
+    give.  A read runs past the selectors used, so the caller must read
+    nothing more from ``rng``, between phases or after them.
     """
     live = np.arange(m)
     selectors = np.empty(0, dtype=bool)
-    phases = []
     for n_rounds in round_counts:
         subsets = []
         while len(subsets) < n_rounds and live.size >= 2:
@@ -242,8 +241,7 @@ def _draw_subsets(
                 first = int(sel.argmax())
                 live[first:-1] = live[first + 1:]
                 live = live[:-1]
-        phases.append(subsets)
-    return phases
+        yield subsets
 
 
 # Largest gather of the round bookkeeping, in bytes.  Rounds are handled in
@@ -385,9 +383,7 @@ def _amplitude_cosets(
     free_cols = np.delete(np.arange(m), targets)
     target_rows = lineage[targets]
     sides = np.array([np.bitwise_xor.reduce(target_rows[side == 1], axis=0) for side in rhs.T])
-    return gf2.pivot_cosets(
-        gf2.unpack_bits(sides, targets.size), lineage[free_cols], targets, free_cols, m
-    )
+    return gf2.pivot_cosets(sides, lineage[free_cols], targets, free_cols, m)
 
 
 # Random combinations of the rows that each amplitude coset's basis is
@@ -466,11 +462,11 @@ def simulate_hashing(
     planned_a = _round_count(m, h_amp, safety_bits)
     planned_b = _round_count(m, h_phase, safety_bits)
 
-    # Every subset depends only on rng and the live set, so both phases are
-    # drawn before any label is read.
-    subsets_a, subsets_b = _draw_subsets(rng, m, (planned_a, planned_b))
+    # Subsets depend only on rng and the live set.  A phase's member lists
+    # grow as m^2, so each phase's are dropped once its records are taken.
+    phases = _draw_subsets(rng, m, (planned_a, planned_b))
+    subsets_a = next(phases)
     amp_feasible = len(subsets_a) == planned_a
-    feasible = amp_feasible and len(subsets_b) == planned_b
 
     # Both phases' records, before either is decoded.  Phase rounds: the
     # measured state acts as the XOR source, so the subset's phase bits
@@ -478,16 +474,20 @@ def simulate_hashing(
     # untracked: success checks the decoded amplitudes of every state live
     # there against the initial ones.  The phase string is the one-side case
     # of the amplitude strings, read through the lineage.
-    targets_a, targets_b = _targets(subsets_a), _targets(subsets_b)
+    targets_a = _targets(subsets_a)
     amp_rows, _, amp_rhs, amp_parities = _records(
         subsets_a, targets_a, init_amps, side_bits, side_truth
     )
     lineage, true_phases = _amplitude_backaction(subsets_a, amp_rows, m, init_phases)
+    del subsets_a
+    subsets_b = next(phases)
+    feasible = amp_feasible and len(subsets_b) == planned_b
+    targets_b = _targets(subsets_b)
     phase_members, phase_rows, phase_rhs, phase_parities = _records(
         subsets_b, targets_b, true_phases, np.ones(1, dtype=np.int64), init_phases[None],
         lineage, targets_a,
     )
-    del subsets_a, subsets_b
+    del subsets_b, phases
     run = HashingRun(
         n_parties=n_parties, block_size=m, seed=seed, safety_bits=safety_bits,
         initial_codes=codes, amp_rows=amp_rows, amp_measured=amp_parities,

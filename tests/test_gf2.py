@@ -17,6 +17,7 @@ from catpurify.gf2 import (
     pack_indices,
     pivot_cosets,
     row_weight,
+    scatter_columns,
     to_ints,
     unpack_bits,
 )
@@ -292,14 +293,34 @@ def test_blocked_solve_clears_both_ways_inside_a_block():
         assert not ({64, 67, 70} & set(coset.free_cols.tolist()))
 
 
-@pytest.mark.parametrize("n,n_pivots", [(70, 70), (70, 25), (65, 0), (1, 0), (600, 100)])
+@pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 2000])
+def test_scatter_columns_moves_bit_k_to_column_k(n_bits):
+    # Against a per-bit reference built through from_ints.  The columns are
+    # unsorted, as solve's pivot columns arrive in row order; the cases
+    # include no columns, every column and no rows.
+    rng = np.random.default_rng(n_bits)
+    for n_cols, n_rows in [(0, 3), (n_bits, 0), (n_bits, 5), ((n_bits + 1) // 2, 7)]:
+        cols = rng.permutation(n_bits)[:n_cols]
+        bits = rng.integers(0, 2, size=(n_rows, n_cols))
+        rows = pack_bits(bits)
+        expected = from_ints(
+            [sum(int(bit) << int(col) for bit, col in zip(row, cols)) for row in bits], n_bits)
+        got = scatter_columns(rows, cols, n_bits)
+        assert got.dtype == np.uint64 and got.shape == (n_rows, n_words(n_bits))
+        np.testing.assert_array_equal(got, expected)
+        assert not any(value >> n_bits for value in to_ints(got))
+
+
+@pytest.mark.parametrize(
+    "n,n_pivots", [(70, 70), (70, 25), (65, 0), (1, 0), (600, 100), (2000, 652)])
 def test_coset_basis_rows_follow_the_reduced_rows(n, n_pivots):
     # Reduced rows in any pivot order: row i sets its pivot column, no
     # other pivot column, and random free columns.  Basis row k must set
     # free column k and exactly the pivots of the rows that carry it, and
-    # each of three sides' particulars exactly the pivots its bits name.
-    # The cases cover dimension 0, n not a multiple of 64, no pivots, and
-    # a dimension (500) spanning more than one chunk of the build.
+    # each of three sides' particulars exactly the pivots its packed bits
+    # name.  The cases cover dimension 0, n not a multiple of 64, no
+    # pivots, a dimension (500) spanning more than one chunk of the build,
+    # and the README trial's shape: 1348 free columns in six chunks.
     rng = np.random.default_rng(n + n_pivots)
     pivot_cols = rng.permutation(n)[:n_pivots]
     is_free = np.ones(n, dtype=bool)
@@ -308,13 +329,16 @@ def test_coset_basis_rows_follow_the_reduced_rows(n, n_pivots):
     bits = (rng.random((n_pivots, n)) < 0.5).astype(np.uint8)
     bits[:, pivot_cols] = np.eye(n_pivots, dtype=np.uint8)
     pivot_bits = rng.integers(0, 2, size=(3, n_pivots), dtype=np.uint8)
-    cosets = pivot_cosets(pivot_bits, pack_bits(bits[:, free_cols].T), pivot_cols, free_cols, n)
+    cosets = pivot_cosets(
+        pack_bits(pivot_bits), pack_bits(bits[:, free_cols].T), pivot_cols, free_cols, n)
     assert len(cosets) == 3
     basis = cosets[0].basis
     assert basis.shape == (free_cols.size, n_words(n)) and not basis.flags.writeable
     assert not free_cols.flags.writeable
     if n == 600:
         assert free_cols.size > _BASIS_CHUNK
+    if n == 2000:
+        assert -(-free_cols.size // _BASIS_CHUNK) == 6
     for k, col in enumerate(free_cols.tolist()):
         expected = {col} | set(pivot_cols[bits[:, col] == 1].tolist())
         assert set(np.flatnonzero(unpack_bits(basis[k], n)).tolist()) == expected

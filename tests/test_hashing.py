@@ -5,6 +5,7 @@ import itertools
 import pathlib
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -860,9 +861,9 @@ def test_one_constructor_lays_out_every_coset(monkeypatch):
     # builds an AffineCoset.
     real, sides = gf2.pivot_cosets, []
 
-    def spy(pivot_bits, *args):
-        sides.append(len(pivot_bits))
-        return real(pivot_bits, *args)
+    def spy(rows, *args):
+        sides.append(len(rows))
+        return real(rows, *args)
 
     monkeypatch.setattr(gf2, "pivot_cosets", spy)
     _, _, run = simulate_hashing(3, 200, werner_single(3, 0.95), seed=1)
@@ -872,6 +873,58 @@ def test_one_constructor_lays_out_every_coset(monkeypatch):
     calls = {path.name: path.read_text().count("AffineCoset(")
              for path in package.glob("*.py")}
     assert {name: count for name, count in calls.items() if count} == {"gf2.py": 1}
+
+
+def test_each_phase_is_drawn_after_the_last_one_is_dropped(monkeypatch):
+    # Member lists grow as m^2, so the trial holds one phase's at a time:
+    # phase A's back-action runs before phase B's first draw, no selector
+    # read of phase B finds a phase-A member array alive, and neither
+    # phase's arrays outlive its records into the coset builds.
+    real_draw, real_backaction, real_cosets = (
+        hashing._draw_subsets, hashing._amplitude_backaction, gf2.pivot_cosets)
+    events, drawn = [], []
+
+    def alive():
+        return sum(ref() is not None for ref in drawn)
+
+    class WatchedRng:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            events.append(("read", alive()))
+            return self.rng.random(size)
+
+    def draw(rng, m, round_counts):
+        phases = real_draw(WatchedRng(rng), m, round_counts)
+        for _ in round_counts:
+            events.append(("draw", alive()))
+            subsets = next(phases)
+            drawn.extend(weakref.ref(members) for members in subsets)
+            yield subsets
+            del subsets
+
+    def backaction(*args):
+        events.append(("backaction", alive()))
+        return real_backaction(*args)
+
+    def cosets(*args):
+        events.append(("cosets", alive()))
+        return real_cosets(*args)
+
+    monkeypatch.setattr(hashing, "_draw_subsets", draw)
+    monkeypatch.setattr(hashing, "_amplitude_backaction", backaction)
+    monkeypatch.setattr(gf2, "pivot_cosets", cosets)
+    _, _, run = simulate_hashing(2, 2000, werner_single(2, 0.9), seed=3)
+    assert run.phase_decode_status != "skipped"
+    stages = [name for name, _ in events if name != "read"]
+    assert stages == ["draw", "backaction", "draw", "cosets", "cosets"]
+    # The back-action still reads every phase-A member array.
+    assert ("backaction", run.rounds_a) in events
+    draw_b = max(i for i, (name, _) in enumerate(events) if name == "draw")
+    reads_b = [count for name, count in events[draw_b:] if name == "read"]
+    assert reads_b and not any(reads_b)
+    assert all(count == 0 for name, count in events if name == "cosets")
 
 
 def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
