@@ -6,7 +6,8 @@ modules use ``to_ints``/``from_ints``.  The solver produces the affine
 solution coset of a parity system by Gauss-Jordan elimination in blocks of
 eight rows, each finished by one table of the XOR combinations of its
 pivot rows (the Method of Four Russians; ``hashing`` moves lineage rows
-through the same table step).  ``pivot_cosets`` lays out every coset
+through the same table step, and ``mat_mul`` multiplies packed matrices
+through one table per byte).  ``pivot_cosets`` lays out every coset
 from packed rows over the pivots, which ``scatter_columns``, the one
 widening, spreads onto the unknowns: ``GF2System.solve`` feeds it the
 reduced rows, and ``hashing``, which eliminates only its phase system,
@@ -57,12 +58,6 @@ def pack_indices(
     return rows[0] if starts is None else rows
 
 
-def xor_segments(rows: np.ndarray, indices: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """XOR of the packed rows ``rows[indices[starts[k]:starts[k + 1]]]`` for
-    each segment k; every segment must be nonempty."""
-    return np.bitwise_xor.reduceat(rows.take(indices, axis=0), starts, axis=0)
-
-
 def scatter_columns(rows: np.ndarray, cols: np.ndarray, n_bits: int) -> np.ndarray:
     """Stack of packed rows over ``cols.size`` bits -> the same rows packed
     over ``n_bits`` unknowns, bit k moved to column ``cols[k]``."""
@@ -93,7 +88,7 @@ def to_ints(rows: np.ndarray) -> list[int]:
     """Stack of packed rows -> one Python int per row, unknown i as bit i."""
     raw = np.ascontiguousarray(rows, dtype="<u8").tobytes()
     width = rows.shape[-1] * 8
-    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+    return [int.from_bytes(raw[k * width : (k + 1) * width], "little") for k in range(len(rows))]
 
 
 def from_ints(values: list[int], n_bits: int) -> np.ndarray:
@@ -103,7 +98,7 @@ def from_ints(values: list[int], n_bits: int) -> np.ndarray:
         raise ValueError(f"row value has a bit at or past {n_bits}")
     width = n_words(n_bits) * 8
     raw = b"".join(value.to_bytes(width, "little") for value in values)
-    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, width // 8)
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(len(values), width // 8)
 
 
 def _column_bits(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -168,7 +163,51 @@ def xor_selected(rows: np.ndarray, selectors: np.ndarray, own: np.ndarray) -> np
     table = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
     for b, row in enumerate(rows):
         np.bitwise_xor(table[: 1 << b], row ^ table[idx[own[b]]], out=table[1 << b : 2 << b])
-    return table[idx]
+    return table.take(idx, axis=0)
+
+
+def mat_mul(a: np.ndarray, b: np.ndarray, max_bytes: int) -> np.ndarray:
+    """GF(2) product of two stacks of packed rows: row r is the XOR of the
+    rows ``b[i]`` whose bit i is set in ``a[r]``, which is packed over
+    ``len(b)`` bits.  Each byte of a row of ``a`` indexes a table of the
+    2^8 XOR combinations of eight rows of ``b`` (Four Russians), the XOR of
+    two tables of 2^4 built by doubling.  The tables are built a few bytes
+    at a time and gathered a few rows of ``a`` at a time, their
+    temporaries within about ``max_bytes`` unless one byte's table alone
+    is larger."""
+    width = b.shape[1]
+    out = np.zeros((len(a), width), dtype=np.uint64)
+    if not out.size:
+        return out
+    a_bytes = np.ascontiguousarray(a, dtype="<u8").view(np.uint8)
+    n_bytes = -(-len(b) // 8)
+    # Half the budget goes to the tables: per byte, its table, two
+    # half-byte tables and the eight rows they are built from.  The other
+    # half goes to the gathers: per byte and row of ``a``, the gathered row
+    # and its index, built in two steps.
+    step = max(1, max_bytes // (2 * 8 * (256 + 40) * width))
+    rows_step = max(1, max_bytes // (2 * 8 * step * (width + 3)))
+    for start in range(0, n_bytes, step):
+        stop = min(start + step, n_bytes)
+        group = np.zeros(((stop - start) * 8, width), dtype=np.uint64)
+        part = b[start * 8 : stop * 8]
+        group[: len(part)] = part
+        # Half-byte h of a byte selects rows 4h to 4h + 3.
+        halves = group.reshape(stop - start, 2, 4, width)
+        nibbles = np.zeros((stop - start, 2, 16, width), dtype=np.uint64)
+        for bit in range(4):
+            np.bitwise_xor(nibbles[:, :, : 1 << bit], halves[:, :, bit, None],
+                           out=nibbles[:, :, 1 << bit : 2 << bit])
+        tables = (nibbles[:, 1, :, None] ^ nibbles[:, 0, None, :]).reshape(-1, width)
+        offsets = np.arange(0, (stop - start) << 8, 256)[:, None]
+        for row in range(0, len(a), rows_step):
+            # Byte-major, so the reduction XORs whole (rows x width) blocks.
+            idx = np.add(a_bytes[row : row + rows_step, start:stop].T, offsets, order="C")
+            gathered = tables.take(idx.ravel(), axis=0).reshape(*idx.shape, width)
+            out[row : row + rows_step] ^= np.bitwise_xor.reduce(gathered, axis=0)
+            del idx, gathered  # before the next ones are built
+        del tables
+    return out
 
 
 class GF2System:

@@ -5,10 +5,13 @@ mixtures: one shared random hash determines all amplitude strings in
 parallel, a second (reversed-direction) hash determines the phase string.
 ``simulate_hashing`` runs the protocol at finite block size with explicit
 safety rounds, records every measured subset parity, and decodes the hidden
-labels with a maximum-posterior completion of each solution coset.  The
-amplitude cosets are read off the phase lineage, which keeps one bit per
-amplitude round, and checked against the recorded parities; the phase
-coset comes from GF(2) elimination.  ``gf2.pivot_cosets`` lays out both.
+labels with a maximum-posterior completion of each solution coset.  Each
+phase is drawn straight into packed membership rows; the record passes and
+the back-action read them as one byte per state, a chunk of rounds at a
+time.  The amplitude cosets are read off the phase lineage, which keeps one
+bit per amplitude round, and checked against the recorded parities; the
+phase coset comes from GF(2) elimination.  ``gf2.pivot_cosets`` lays out
+both.
 """
 
 from __future__ import annotations
@@ -210,156 +213,213 @@ def _round_count(m: int, entropy_per_bit: float, safety_bits: int) -> int:
 # Largest bulk read of subset selectors, in doubles.
 SELECTOR_CHUNK = 1 << 15
 
+# Largest gather of the round bookkeeping, in bytes.  The draw, the record
+# passes and the back-action take rounds in batches whose temporaries fit
+# within it.
+ROUND_CHUNK_BYTES = 1 << 20
 
-def _draw_subsets(
+
+def _draw_phases(
     rng: np.random.Generator, m: int, round_counts: tuple[int, ...]
-) -> Iterator[list[np.ndarray]]:
-    """Each phase's subsets for a block of m states, yielded as drawn.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each phase's subsets for a block of m states, yielded as drawn: the
+    packed membership rows (over the m states, as ``gf2`` packs them) and
+    the measured states, or targets, of its rounds.
 
     Each live state joins with probability 1/2, redrawn until the subset
     has at least two members; its minimum is measured and leaves the live
     set.  A phase ends early once fewer than two states are live.  The
-    selectors come from ``rng.random`` in bulk and are used strictly in
-    order, exactly the values one ``rng.random(live)`` call per draw would
-    give.  A read runs past the selectors used, so the caller must read
-    nothing more from ``rng``, between phases or after them.
+    selectors come from ``rng.random`` in reads of ``SELECTOR_CHUNK`` and
+    are used strictly in order, exactly the values one ``rng.random(live)``
+    call per draw would give.  A read runs past the selectors used, so the
+    caller must read nothing more from ``rng``, between phases or after
+    them.
+
+    Rounds are drawn in batches, over the positions of the states live as
+    the batch begins.  A scalar pass finds each draw's first set selector,
+    the target's position, and tells a redraw (fewer than two set) by the
+    second; a redraw uses up its selectors and adds no row.  It keeps h,
+    the highest target position so far, and the live positions below it
+    (the head).  Every position above h is live, so a draw's selectors past
+    the head are one contiguous run: one sliding-window gather lays out
+    the batch's rows, positions up to h are cleared and the head bits set,
+    and the live positions are spread onto their states and packed.
     """
+    words = gf2.n_words(m)
     live = np.arange(m)
-    selectors = np.empty(0, dtype=bool)
+    data = b""  # selectors read and not yet used, one 0/1 byte each
     for n_rounds in round_counts:
-        subsets = []
-        while len(subsets) < n_rounds and live.size >= 2:
+        # Each round measures one live state, and rounds run while two are.
+        n = max(0, min(n_rounds, live.size - 1))
+        rows = np.empty((n, words), dtype=np.uint64)
+        targets = np.empty(n, dtype=np.int64)
+        done = 0
+        while done < n:
             k = live.size
-            if selectors.size < k:
-                fresh = rng.random(max(k, SELECTOR_CHUNK) - selectors.size)
-                selectors = np.concatenate([selectors, fresh < 0.5])
-            sel, selectors = selectors[:k], selectors[k:]
-            if np.count_nonzero(sel) >= 2:
-                subsets.append(live.compress(sel))
-                # The minimum is the first member.  Shifting the rest down
-                # over it costs less than a compare and compress per round.
-                first = int(sel.argmax())
-                live[first:-1] = live[first + 1:]
-                live = live[:-1]
-        yield subsets
+            # Per round, at most a byte per state each: its selectors, its
+            # gathered row, its row over the m states and that row packed.
+            batch = min(n - done, max(1, ROUND_CHUNK_BYTES // (5 * m)))
+            need = batch * k - batch * (batch - 1) // 2
+            if len(data) < need:
+                parts = [data]
+                for _ in range(-(-(need - len(data)) // SELECTOR_CHUNK)):
+                    parts.append((rng.random(SELECTOR_CHUNK) < 0.5).tobytes())
+                data = b"".join(parts)
+                del parts
+            at, size, high, head = 0, k, -1, []
+            picks, bases, highs, head_rows, head_cols = [], [], [], [], []
+            while len(picks) < batch and at + size <= len(data):
+                end = at + size
+                first = data.find(1, at, end)
+                if first >= 0 and data.find(1, first + 1, end) >= 0:
+                    for j, position in enumerate(head):
+                        if data[at + j]:
+                            head_rows.append(len(picks))
+                            head_cols.append(position)
+                    # Position q > high reads selector base + q.
+                    bases.append(at + len(head) - high - 1)
+                    highs.append(high)
+                    first -= at
+                    if first < len(head):
+                        picks.append(head.pop(first))
+                    else:
+                        pick = high + 1 + first - len(head)
+                        head.extend(range(high + 1, pick))
+                        picks.append(pick)
+                        high = pick
+                    size -= 1
+                at = end
+            if picks:
+                selectors = np.lib.stride_tricks.sliding_window_view(
+                    np.frombuffer(data, dtype=np.uint8), k)
+                drawn = selectors[bases]
+                # Positions up to ``high`` hold earlier draws' selectors.
+                drawn[:, : high + 1] *= np.arange(high + 1) > np.array(highs)[:, None]
+                drawn[head_rows, head_cols] = 1
+                bits = np.zeros((len(picks), m), dtype=np.uint8)
+                bits[:, live] = drawn
+                stop = done + len(picks)
+                rows[done:stop] = gf2.pack_bits(bits)
+                del selectors, drawn, bits  # before the next batch is read
+                targets[done:stop] = live[picks]
+                live = np.delete(live, picks)
+                done = stop
+            data = data[at:]
+        yield rows, targets
 
 
-# Largest gather of the round bookkeeping, in bytes.  Rounds are handled in
-# runs whose per-member temporaries and unpacked membership rows fit within
-# it.
-ROUND_CHUNK_BYTES = 1 << 20
-
-
-def _member_runs(
-    subsets: list[np.ndarray], member_bytes: int, round_bytes: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The rounds in consecutive runs: each run's round indices, its
-    members concatenated, and where each of its rounds starts in them.  A
-    run gathers ``member_bytes`` per member plus ``round_bytes`` per round,
-    at most ``ROUND_CHUNK_BYTES`` in all unless one round alone is larger."""
-    sizes = np.array([members.size for members in subsets], dtype=np.int64)
-    ends = np.cumsum(sizes * member_bytes + round_bytes)
-    start = 0
-    while start < sizes.size:
-        done = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + ROUND_CHUNK_BYTES, side="right")))
-        starts = np.cumsum(sizes[start:stop]) - sizes[start:stop]
-        yield np.arange(start, stop), np.concatenate(subsets[start:stop]), starts
-        start = stop
-
-
-def _targets(subsets: list[np.ndarray]) -> np.ndarray:
-    """Each round's measured state: members ascend, so its first member."""
-    return np.array([members[0] for members in subsets], dtype=np.int64)
+def _byte_chunks(
+    rows: np.ndarray, m: int, round_bytes: int, fixed_bytes: int = 0, group: int = 1
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Packed rows over m states in consecutive chunks, each unpacked to one
+    0/1 byte per state: the chunk's first and end round, and its byte
+    rows.  A chunk holds whole groups of ``group`` rounds, taking
+    ``round_bytes`` per round beside the ``fixed_bytes`` its pass holds
+    throughout, at most ``ROUND_CHUNK_BYTES`` in all unless one group
+    alone is larger."""
+    step = max(1, (ROUND_CHUNK_BYTES - fixed_bytes) // (round_bytes * group)) * group
+    for start in range(0, len(rows), step):
+        stop = min(start + step, len(rows))
+        yield start, stop, gf2.unpack_bits(rows[start:stop], m)
 
 
 def _records(
-    subsets: list[np.ndarray], targets: np.ndarray, values: np.ndarray,
+    member_rows: np.ndarray, targets: np.ndarray, values: np.ndarray,
     side_bits: np.ndarray, side_truth: np.ndarray,
     lineage: np.ndarray | None = None, targets_a: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Packed membership rows, system rows over the initial labels,
-    right-hand sides (one column per side) and measured values of one
-    phase's rounds.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """System rows over the initial labels, right-hand sides (one column per
+    side) and measured values of one phase's rounds, given their packed
+    membership rows and targets.
 
     Each value is the XOR of the members' ``values`` as the phase began:
     the target is consumed after its round, and the phase changes no live
-    state's value.  That premise is checked, and so is each right-hand side
-    against the row's dot product with each side's initial bits
-    ``side_truth``.  Without ``lineage`` the values are the initial labels
-    and the rows are the membership rows themselves (the amplitude phase).
-    With it (the phase string, one side), the members are states no
-    amplitude round measured, so a row is its membership row XOR the XOR
-    of its members' lineage rows, spread from the amplitude rounds onto
-    their targets ``targets_a``.
+    state's value.  That premise is checked: the rows' target columns are
+    unitriangular, each round holding its own target and no earlier
+    round's.  Each right-hand side is checked against the row's dot product
+    with each side's initial bits ``side_truth``; the values come from the
+    byte rows, the products from the packed rows.  Without ``lineage`` the
+    values are the initial labels and the rows are the membership rows
+    themselves (the amplitude phase).  With it (the phase string, one
+    side), the members are states no amplitude round measured, so a row is
+    its membership row XOR the XOR of its members' lineage rows, spread
+    from the amplitude rounds onto their targets ``targets_a``.
     """
-    n_rounds, m = len(subsets), values.size
+    n_rounds, m = len(member_rows), values.size
     words = gf2.n_words(m)
-    narrow = 0 if lineage is None else lineage.shape[1]
     label = "amplitude" if lineage is None else "phase"
     packed_truth = gf2.pack_bits(side_truth)
-    # The first round that measures each state, or n_rounds if none does.
-    measured_at = np.full(m, n_rounds, dtype=np.int64)
-    np.minimum.at(measured_at, targets, np.arange(n_rounds))
-    members = np.empty((n_rounds, words), dtype=np.uint64)
-    rows = members if lineage is None else np.empty_like(members)
-    rhs = np.empty((n_rounds, side_bits.size), dtype=np.uint8)
     parities = np.empty(n_rounds, dtype=values.dtype)
-    # Per member a run holds three int64 values (its index, its row in
-    # pack_indices and its measuring round), its value and its lineage row
-    # if any; per round it unpacks one byte per bit of a row and of a
-    # lineage row.
-    member_bytes = 24 + values.itemsize + narrow * 8
-    for rounds, indices, starts in _member_runs(subsets, member_bytes, (words + narrow) << 6):
-        run_rows = members[rounds] = gf2.pack_indices(indices, m, starts)
+    narrow = values.astype(np.min_scalar_type(int(values.max(initial=0))))
+    rows = member_rows
+    # Per round a chunk unpacks one byte per bit of its row, takes each
+    # member's value, reads its bytes at the targets so far and takes the
+    # row's products with the truth; a phase chunk also spreads the row's
+    # lineage XOR, computed for every round at once, onto the m states.
+    round_bytes = (words << 6) + m * narrow.itemsize + n_rounds + side_bits.size * words * 16
+    if lineage is not None:
+        spread = gf2.mat_mul(member_rows, lineage, ROUND_CHUNK_BYTES)
+        rows = np.empty_like(member_rows)
+        round_bytes += m + (lineage.shape[1] << 6) + words * 24
+    rhs = np.empty((n_rounds, side_bits.size), dtype=np.uint8)
+    for start, stop, members in _byte_chunks(member_rows, m, round_bytes):
         if lineage is not None:
-            spread = gf2.scatter_columns(gf2.xor_segments(lineage, indices, starts), targets_a, m)
-            run_rows = rows[rounds] = run_rows ^ spread
-        run_parities = parities[rounds] = np.bitwise_xor.reduceat(values[indices], starts)
-        run_rhs = rhs[rounds] = (run_parities[:, None] & side_bits) != 0
-        # A round measures its own first member, so the earliest measuring
-        # round among its members equals the round itself exactly when it
-        # reads no state an earlier round measured.
-        first_measured = np.minimum.reduceat(measured_at[indices], starts)
+            rows[start:stop] = member_rows[start:stop] ^ gf2.scatter_columns(
+                spread[start:stop], targets_a, m)
+        chunk_parities = parities[start:stop] = np.bitwise_xor.reduce(members * narrow, axis=1)
+        chunk_rhs = rhs[start:stop] = (chunk_parities[:, None] & side_bits) != 0
+        held = members[:, targets[:stop]]
+        own = np.arange(start, stop)
         if not (
-            np.array_equal(first_measured, rounds)
-            and np.array_equal(gf2.dot_bit(run_rows[:, None], packed_truth), run_rhs)
+            np.array_equal(held.argmax(axis=1), own)
+            and held[own - start, own].all()
+            and np.array_equal(gf2.dot_bit(rows[start:stop, None], packed_truth), chunk_rhs)
         ):
             raise InternalInvariantError(f"{label} parity bookkeeping drifted")
-    return members, rows, rhs, parities
+        del members, held  # before the next chunk is unpacked
+    return rows, rhs, parities
 
 
 def _amplitude_backaction(
-    subsets: list[np.ndarray], member_rows: np.ndarray, m: int, init_phases: np.ndarray
+    member_rows: np.ndarray, targets: np.ndarray, m: int, init_phases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lineage rows and true phases after the amplitude rounds, whose packed
-    membership rows are ``member_rows``: each round XORs its target's phase
-    into every source.  A state's phase is then the XOR of the initial
-    phases of some rounds' targets, and its own unless it is a target, so
-    the lineage keeps one bit per round, in round order: bit r of row i is
-    set when state i's phase holds that of round r's target (a target's
-    row holds its own round).  The true phases follow the same labels one
-    round at a time, as an independent route; the lineage moves in groups
-    of ``gf2.BLOCK_ROWS`` rounds."""
+    membership rows are ``member_rows`` and whose targets are ``targets``:
+    each round XORs its target's phase into every source.  A state's phase
+    is then the XOR of the initial phases of some rounds' targets, and its
+    own unless it is a target, so the lineage keeps one bit per round, in
+    round order: bit r of row i is set when state i's phase holds that of
+    round r's target (a target's row holds its own round).  The rows are
+    read as bytes a chunk at a time.  The true phases follow the same
+    labels one round at a time, as an independent route; the lineage moves
+    in groups of ``gf2.BLOCK_ROWS`` rounds."""
     true_phases = init_phases.copy()
-    for members in subsets:
-        true_phases[members[1:]] ^= true_phases[members[0]]
-    targets = _targets(subsets)
     lineage = np.zeros((m, gf2.n_words(targets.size)), dtype=np.uint64)
     lineage[targets] = gf2.identity_rows(targets.size)
-    for start in range(0, targets.size, gf2.BLOCK_ROWS):
-        group = targets[start : start + gf2.BLOCK_ROWS]
-        # Row b: the sources of the group's round b.
-        sources = gf2.unpack_bits(member_rows[start : start + gf2.BLOCK_ROWS], m)
-        sources[np.arange(group.size), group] = 0
-        # No round has yet moved a bit of a later round, so words past the
-        # group's last round are zero.
-        span = gf2.n_words(start + group.size)
-        # Each state takes the rows of the group's rounds it was a source
-        # of.  A target was a source only of rounds before its own, so its
-        # row is complete, as its round reads it, before the later rounds
-        # need it.
-        lineage[:, :span] ^= gf2.xor_selected(lineage[group, :span], sources, group)
+    measured = targets.tolist()
+    # Per round a chunk unpacks one byte per bit of its row; each group's
+    # table step takes a selector byte, a shifted copy and a lineage row
+    # per state, and one table of lineage rows.
+    fixed_bytes = m * (lineage.shape[1] * 8 + 9) + lineage.shape[1] * 2048
+    chunks = _byte_chunks(member_rows, m, gf2.n_words(m) << 6, fixed_bytes, gf2.BLOCK_ROWS)
+    for start, stop, sources in chunks:
+        # Row b: the sources of round start + b.
+        sources[np.arange(stop - start), targets[start:stop]] = 0
+        for r in range(start, stop):
+            if true_phases[measured[r]]:
+                true_phases ^= sources[r - start]
+        for first in range(start, stop, gf2.BLOCK_ROWS):
+            group = targets[first : first + gf2.BLOCK_ROWS]
+            # No round has yet moved a bit of a later round, so words past
+            # the group's last round are zero.
+            span = gf2.n_words(first + group.size)
+            # Each state takes the rows of the group's rounds it was a
+            # source of.  A target was a source only of rounds before its
+            # own, so its row is complete, as its round reads it, before
+            # the later rounds need it.
+            lineage[:, :span] ^= gf2.xor_selected(
+                lineage[group, :span], sources[first - start : first - start + group.size], group)
+        del sources  # before the next chunk is unpacked
     return lineage, true_phases
 
 
@@ -462,11 +522,11 @@ def simulate_hashing(
     planned_a = _round_count(m, h_amp, safety_bits)
     planned_b = _round_count(m, h_phase, safety_bits)
 
-    # Subsets depend only on rng and the live set.  A phase's member lists
-    # grow as m^2, so each phase's are dropped once its records are taken.
-    phases = _draw_subsets(rng, m, (planned_a, planned_b))
-    subsets_a = next(phases)
-    amp_feasible = len(subsets_a) == planned_a
+    # Subsets depend only on rng and the live set, so each phase is drawn
+    # whole, as packed rows, just before its records are taken.
+    phases = _draw_phases(rng, m, (planned_a, planned_b))
+    amp_rows, targets_a = next(phases)
+    amp_feasible = targets_a.size == planned_a
 
     # Both phases' records, before either is decoded.  Phase rounds: the
     # measured state acts as the XOR source, so the subset's phase bits
@@ -474,20 +534,15 @@ def simulate_hashing(
     # untracked: success checks the decoded amplitudes of every state live
     # there against the initial ones.  The phase string is the one-side case
     # of the amplitude strings, read through the lineage.
-    targets_a = _targets(subsets_a)
-    amp_rows, _, amp_rhs, amp_parities = _records(
-        subsets_a, targets_a, init_amps, side_bits, side_truth
-    )
-    lineage, true_phases = _amplitude_backaction(subsets_a, amp_rows, m, init_phases)
-    del subsets_a
-    subsets_b = next(phases)
-    feasible = amp_feasible and len(subsets_b) == planned_b
-    targets_b = _targets(subsets_b)
-    phase_members, phase_rows, phase_rhs, phase_parities = _records(
-        subsets_b, targets_b, true_phases, np.ones(1, dtype=np.int64), init_phases[None],
+    _, amp_rhs, amp_parities = _records(amp_rows, targets_a, init_amps, side_bits, side_truth)
+    lineage, true_phases = _amplitude_backaction(amp_rows, targets_a, m, init_phases)
+    phase_members, targets_b = next(phases)
+    del phases
+    feasible = amp_feasible and targets_b.size == planned_b
+    phase_rows, phase_rhs, phase_parities = _records(
+        phase_members, targets_b, true_phases, np.ones(1, dtype=np.int64), init_phases[None],
         lineage, targets_a,
     )
-    del subsets_b, phases
     run = HashingRun(
         n_parties=n_parties, block_size=m, seed=seed, safety_bits=safety_bits,
         initial_codes=codes, amp_rows=amp_rows, amp_measured=amp_parities,

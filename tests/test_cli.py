@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catpurify import cli, gf2
+from catpurify import cli, gf2, hashing
 from catpurify.cli import CELL, _DELIMITERS, _fmt, build_parser, main
 from catpurify.hashing import werner_hashing_yield_limit
 from catpurify.strategy import METHODS, MethodSpec, yield_curve
@@ -647,16 +647,22 @@ def test_pooled_capacity_error_matches_one_trial(monkeypatch, capsys, argv):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("broken", [{31}, {31, 32}])
+@pytest.mark.parametrize("broken", [{31}, {31, 32}, {32}])
 def test_pooled_invariant_failure_names_the_first_failing_trial(monkeypatch, capsys, broken):
-    # Seed 31 (the second trial) drifts its phase lineage and seed 32 its
-    # amplitude rows; seed 30 runs clean.  The first failure in seed
-    # order is reported, once, and nothing is written.
-    real_simulate, real_identity, real_pack = cli.simulate_hashing, gf2.identity_rows, gf2.pack_indices
+    # Seed 31 (the second trial) drifts its phase lineage and seed 32 the
+    # byte rows its amplitude parities are taken from; seed 30 runs clean.
+    # The first failure in seed order is reported, once, and nothing is
+    # written.
+    real_simulate, real_identity, real_chunks = (
+        cli.simulate_hashing, gf2.identity_rows, hashing._byte_chunks)
+
+    def neighbour_chunks(*args):
+        for start, stop, members in real_chunks(*args):
+            yield start, stop, np.roll(members, 1, axis=1)
+
     drifts = {
         31: (gf2, "identity_rows", lambda n_bits: np.roll(real_identity(n_bits), 1, axis=0)),
-        32: (gf2, "pack_indices", lambda indices, n_bits, starts=None: real_pack(
-            np.minimum(np.asarray(indices) + 1, n_bits - 1), n_bits, starts)),
+        32: (hashing, "_byte_chunks", neighbour_chunks),
     }
 
     def simulate(n_parties, m, single, seed, safety_bits=None):
@@ -670,5 +676,6 @@ def test_pooled_invariant_failure_names_the_first_failing_trial(monkeypatch, cap
     assert run_cli(sim_argv("--trials", "3")) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal invariant violated: phase parity bookkeeping drifted\n"
+    label = "phase" if 31 in broken else "amplitude"
+    assert captured.err == f"internal invariant violated: {label} parity bookkeeping drifted\n"
     assert multiprocessing.active_children() == []

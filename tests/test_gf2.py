@@ -12,6 +12,7 @@ from catpurify.gf2 import (
     _enumerate_coset,
     decode_map,
     from_ints,
+    mat_mul,
     n_words,
     pack_bits,
     pack_indices,
@@ -414,3 +415,35 @@ def test_pack_round_trip_property(n, data):
         with pytest.raises(ValueError, match=f"bit at or past {n}"):
             from_ints([values[1], bad], n)
 
+
+def test_rows_over_zero_unknowns_round_trip():
+    # Rows over no unknowns are zero words wide, as pack_bits and
+    # identity_rows make them; each value must be 0.
+    for values in ([], [0, 0]):
+        rows = from_ints(values, 0)
+        assert rows.dtype == np.uint64 and rows.shape == (len(values), 0)
+        assert to_ints(rows) == values
+        assert pack_bits(np.zeros((len(values), 0), dtype=np.uint8)).shape == rows.shape
+    with pytest.raises(ValueError, match="bit at or past 0"):
+        from_ints([0, 1], 0)
+
+
+@pytest.mark.parametrize("n_a,n_b,width", [
+    (0, 5, 2), (4, 0, 3), (3, 5, 0), (1, 1, 1), (9, 8, 1), (7, 9, 2), (40, 130, 3), (30, 700, 11),
+])
+def test_mat_mul_matches_row_by_row_xor(n_a, n_b, width):
+    # Row r of the product is the XOR of the rows of b that row r of a
+    # selects.  A budget of 1 byte builds one table and gathers one row at
+    # a time; the large one builds and gathers all at once.
+    rng = np.random.default_rng([n_a, n_b, width])
+    selectors = rng.integers(0, 2, size=(n_a, n_b), dtype=np.uint8)
+    a = pack_bits(selectors)
+    b = rng.integers(0, 1 << 63, size=(n_b, width), dtype=np.uint64)
+    expected = np.zeros((n_a, width), dtype=np.uint64)
+    for r, row in enumerate(selectors):
+        for i in np.flatnonzero(row):
+            expected[r] ^= b[i]
+    for max_bytes in (1, 1 << 12, 1 << 30):
+        got = mat_mul(a, b, max_bytes)
+        assert got.dtype == np.uint64 and got.shape == (n_a, width)
+        np.testing.assert_array_equal(got, expected)

@@ -33,9 +33,8 @@ from catpurify.hashing import (
     HashingRun,
     _amplitude_backaction,
     _amplitude_cosets,
-    _draw_subsets,
+    _draw_phases,
     _records,
-    _targets,
     binary_entropy,
     multiparty_hashing_yield,
     simulate_hashing,
@@ -630,8 +629,9 @@ def test_golden_transcripts(n, m, f, safety_bits, seeds, expected):
     assert run_digest(n, m, f, safety_bits, seeds) == expected
 
 
-def reference_subsets(rng, live_count, n_rounds):
-    """The per-round sampler: one rng.random(live) call per draw."""
+def reference_subsets(rng, live_count, n_rounds, redraws=None):
+    """The per-round sampler: one rng.random(live) call per draw.  Each
+    redraw is counted in ``redraws[0]``, if given."""
     subsets = []
     live = np.arange(live_count)
     for _ in range(n_rounds):
@@ -641,9 +641,44 @@ def reference_subsets(rng, live_count, n_rounds):
             sel = rng.random(live.size) < 0.5
             if int(sel.sum()) >= 2:
                 break
+            if redraws is not None:
+                redraws[0] += 1
         subsets.append(live[sel])
         live = live[live != live[sel].min()]
     return subsets
+
+
+def packed_phase(subsets, m):
+    """Packed membership rows and targets (each round's minimum) of member
+    lists, as ``_draw_phases`` yields them."""
+    rows = np.array([pack_indices(members, m) for members in subsets], dtype=np.uint64)
+    targets = np.array([min(members) for members in subsets], dtype=np.int64)
+    return rows.reshape(len(subsets), gf2.n_words(m)), targets
+
+
+def member_lists(rows, m):
+    """Each packed membership row's members, ascending."""
+    return [np.flatnonzero(bits) for bits in unpack_bits(rows, m)]
+
+
+def assert_draws_match_reference(seed, live_count, round_counts):
+    """The bulk draw's phases against the per-round sampler's subsets when
+    each phase reads on from where the last stopped; returns the
+    reference's redraw count."""
+    redraws = [0]
+    expected = reference_subsets(
+        np.random.default_rng(seed), live_count, sum(round_counts), redraws)
+    drawn = list(_draw_phases(np.random.default_rng(seed), live_count, round_counts))
+    assert len(drawn) == len(round_counts)
+    first = 0
+    for (rows, targets), planned in zip(drawn, round_counts):
+        want_rows, want_targets = packed_phase(expected[first : first + planned], live_count)
+        assert rows.dtype == np.uint64 and targets.dtype == np.int64
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(targets, want_targets)
+        first += len(targets)
+    assert first == len(expected)
+    return redraws[0]
 
 
 @pytest.mark.parametrize("live_count,n_rounds", [
@@ -655,14 +690,31 @@ def test_subset_sampler_matches_per_round_draws(live_count, n_rounds):
     # stopped.  Rounds stop once fewer than two states are live, as in
     # simulate_hashing, and a phase that runs short leaves none for the next.
     for seed in range(20):
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         split = seed % (n_rounds + 1)
-        expected = reference_subsets(ref_rng, live_count, n_rounds)
-        phase_a, phase_b = _draw_subsets(rng, live_count, (split, n_rounds - split))
-        assert len(phase_a) == min(split, len(expected))
-        assert len(phase_a) + len(phase_b) == len(expected)
-        for got, want in zip(phase_a + phase_b, expected):
-            np.testing.assert_array_equal(got, want)
+        assert_draws_match_reference(seed, live_count, (split, n_rounds - split))
+
+
+@pytest.mark.parametrize("selector_chunk,batch_rounds", [
+    (1, 1), (1, 3), (7, 1), (7, 2), (100, 3), (1 << 15, 1), (1 << 15, None),
+])
+def test_bulk_draw_matches_per_round_draws_in_any_batches(
+        monkeypatch, selector_chunk, batch_rounds):
+    # Batches of one or a few rounds (the draw charges 5 bytes per state
+    # and round), reads of a few selectors, so that draws straddle reads,
+    # and redraw-heavy blocks of 2 to 6 states whose phases run short.
+    # One-selector reads hold only what a batch needs without redraws, so
+    # a redraw cuts its batch short, and ends a one-round batch with no
+    # round drawn.
+    monkeypatch.setattr(hashing, "SELECTOR_CHUNK", selector_chunk)
+    redraws, short = 0, 0
+    for m in (2, 3, 4, 5, 6, 9, 40, 130):
+        if batch_rounds is not None:
+            monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", 5 * m * batch_rounds)
+        for seed in range(12):
+            counts = (seed % 4, 2 + seed % 3, seed % 2) if m < 9 else (m // 3, m // 2, m)
+            redraws += assert_draws_match_reference(seed, m, counts)
+            short += sum(counts) >= m
+    assert redraws > 20 and short > 20
 
 
 def test_subset_sampler_reads_in_bounded_chunks():
@@ -675,12 +727,41 @@ def test_subset_sampler_reads_in_bounded_chunks():
             return self.rng.random(size)
 
     counting = CountingRng()
-    phase_a, phase_b = _draw_subsets(counting, 2000, (150, 250))
-    assert len(phase_a) + len(phase_b) == 400
+    (rows_a, targets_a), (rows_b, targets_b) = _draw_phases(counting, 2000, (150, 250))
+    assert len(targets_a) + len(targets_b) == 400
+    assert len(rows_a) + len(rows_b) == 400
     assert max(counting.sizes) <= SELECTOR_CHUNK
     # 2000 + 1999 + ... + 1601 doubles at least; chunks keep the calls few.
     assert sum(counting.sizes) >= sum(range(1601, 2001))
     assert len(counting.sizes) < 40
+
+
+def traced_peak_over_outputs(run):
+    """Traced peak of ``run()`` less the bytes of the arrays it returns,
+    each counted once."""
+    tracemalloc.start()
+    try:
+        outputs = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(out.nbytes for out in {id(out): out for out in outputs}.values())
+
+
+def test_draw_peaks_within_the_chunk_cap(monkeypatch):
+    # Traced allocations of drawing each phase at m=2000, over the rows and
+    # targets it yields: the selectors read, the gathered rows and the rows
+    # over the states, one batch at a time.  With no cap one batch holds
+    # every round's.
+    for cap, within in ((ROUND_CHUNK_BYTES, True), (1 << 40, False)):
+        monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", cap)
+        phases = _draw_phases(np.random.default_rng(1000), 2000, (700, 700))
+        for _ in range(2):
+            peak = traced_peak_over_outputs(lambda: next(phases))
+            if within:
+                assert peak <= ROUND_CHUNK_BYTES + (64 << 10)
+            else:
+                assert peak > 2 * ROUND_CHUNK_BYTES
 
 
 def reference_bookkeeping(subsets_a, subsets_b, m, codes, n):
@@ -724,14 +805,14 @@ def packed_as_ints(rows):
     return [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in rows]
 
 
-def amplitude_records(subsets, init_amps, n):
+def amplitude_records(rows, targets, init_amps, n):
     side_bits = np.array([amp_bit(j, n) for j in range(n - 1)], dtype=np.int64)
     side_truth = ((init_amps & side_bits[:, None]) != 0).astype(np.uint8)
-    return _records(subsets, _targets(subsets), init_amps, side_bits, side_truth)
+    return _records(rows, targets, init_amps, side_bits, side_truth)
 
 
-def phase_records(subsets, lineage, targets_a, phases, init_phases):
-    return _records(subsets, _targets(subsets), phases, np.ones(1, dtype=np.int64),
+def phase_records(rows, targets, lineage, targets_a, phases, init_phases):
+    return _records(rows, targets, phases, np.ones(1, dtype=np.int64),
                     init_phases[None], lineage, targets_a)
 
 
@@ -746,21 +827,22 @@ def full_lineage(lineage, targets_a, m):
     return rows
 
 
-def bulk_bookkeeping(subsets_a, subsets_b, m, codes, n):
-    """The simulator's bulk passes on the same subsets and labels."""
+def bulk_bookkeeping(phase_a, phase_b, m, codes, n):
+    """The simulator's bulk passes on the same phases and labels."""
+    (amp_members, targets_a), (phase_members, targets_b) = phase_a, phase_b
     init_phases = (codes >> (n - 1)).astype(np.uint8)
     init_amps = codes & ((1 << (n - 1)) - 1)
     side_bits = np.array([amp_bit(j, n) for j in range(n - 1)], dtype=np.int64)
-    amp_members, amp_rows, rhs, amp_parities = amplitude_records(subsets_a, init_amps, n)
+    amp_rows, rhs, amp_parities = amplitude_records(amp_members, targets_a, init_amps, n)
     # The amplitude system's rows are its membership rows, held once.
     assert amp_rows is amp_members
+    assert amp_parities.dtype == init_amps.dtype
     np.testing.assert_array_equal(rhs, (amp_parities[:, None] & side_bits) != 0)
-    lineage, phases = _amplitude_backaction(subsets_a, amp_members, m, init_phases)
+    lineage, phases = _amplitude_backaction(amp_members, targets_a, m, init_phases)
     # The lineage keeps one bit per amplitude round.
-    targets_a = _targets(subsets_a)
-    assert lineage.shape[1] == gf2.n_words(len(subsets_a))
-    phase_members, phase_rows, phase_rhs, phase_parities = phase_records(
-        subsets_b, lineage, targets_a, phases, init_phases)
+    assert lineage.shape[1] == gf2.n_words(len(targets_a))
+    phase_rows, phase_rhs, phase_parities = phase_records(
+        phase_members, targets_b, lineage, targets_a, phases, init_phases)
     np.testing.assert_array_equal(phase_rhs[:, 0], phase_parities)
     return (packed_as_ints(amp_rows), amp_parities.tolist(),
             packed_as_ints(full_lineage(lineage, targets_a, m)),
@@ -780,10 +862,11 @@ def test_bulk_bookkeeping_matches_per_round_reference(n):
     shapes, rounds_a = set(), set()
     for seed, (m, planned_a, planned_b) in enumerate(cases):
         draw = np.random.default_rng([n, seed])
-        subsets_a, subsets_b = _draw_subsets(draw, m, (planned_a, planned_b))
+        phase_a, phase_b = _draw_phases(draw, m, (planned_a, planned_b))
         codes = draw.integers(0, 1 << n, size=m)
+        subsets_a, subsets_b = (member_lists(rows, m) for rows, _ in (phase_a, phase_b))
         expected = reference_bookkeeping(subsets_a, subsets_b, m, codes, n)
-        assert bulk_bookkeeping(subsets_a, subsets_b, m, codes, n) == expected
+        assert bulk_bookkeeping(phase_a, phase_b, m, codes, n) == expected
         shapes.add((len(subsets_a) == 0, len(subsets_b) == 0))
         rounds_a.add(len(subsets_a))
     # Both phases run empty, and each runs empty while the other does not.
@@ -801,7 +884,8 @@ def test_bulk_bookkeeping_chains_targets_within_a_group(n):
     subsets_b = [np.array([10, 11, 22, 23])]
     codes = np.random.default_rng(n).integers(0, 1 << n, size=m)
     expected = reference_bookkeeping(subsets_a, subsets_b, m, codes, n)
-    assert bulk_bookkeeping(subsets_a, subsets_b, m, codes, n) == expected
+    phases = [packed_phase(subsets, m) for subsets in (subsets_a, subsets_b)]
+    assert bulk_bookkeeping(*phases, m, codes, n) == expected
     # State 9's phase gathers those of states 0-9.
     assert expected[2][9] == (1 << 10) - 1
 
@@ -824,14 +908,14 @@ def test_amplitude_cosets_equal_the_eliminated_ones(n):
     short = set()
     for seed, (m, planned_a) in enumerate(LINEAGE_COSET_CASES):
         draw = np.random.default_rng([n, seed, 0xC0])
-        (subsets_a,) = _draw_subsets(draw, m, (planned_a,))
+        ((rows, targets),) = _draw_phases(draw, m, (planned_a,))
         codes = draw.integers(0, 1 << n, size=m)
         init_amps = codes & ((1 << (n - 1)) - 1)
-        rows, _, rhs, _ = amplitude_records(subsets_a, init_amps, n)
+        _, rhs, _ = amplitude_records(rows, targets, init_amps, n)
         lineage, _ = _amplitude_backaction(
-            subsets_a, rows, m, (codes >> (n - 1)).astype(np.uint8))
-        assert lineage.shape == (m, gf2.n_words(len(subsets_a)))
-        cosets = _amplitude_cosets(lineage, _targets(subsets_a), rhs, m)
+            rows, targets, m, (codes >> (n - 1)).astype(np.uint8))
+        assert lineage.shape == (m, gf2.n_words(len(targets)))
+        cosets = _amplitude_cosets(lineage, targets, rhs, m)
         hashing._check_amplitude_cosets(cosets, rows, rhs, np.random.default_rng(seed))
         assert len(cosets) == n - 1
         for got, side in zip(cosets, rhs.T):
@@ -850,7 +934,7 @@ def test_amplitude_cosets_equal_the_eliminated_ones(n):
             assert packed_as_ints(got.particular[None]) == [particular]
             assert packed_as_ints(got.basis) == basis
             assert got.free_cols.tolist() == free_cols
-        if len(subsets_a) < planned_a:
+        if len(targets) < planned_a:
             short.add(m)
     assert short == {1, 2, 3, 40, 65}
 
@@ -876,16 +960,19 @@ def test_one_constructor_lays_out_every_coset(monkeypatch):
 
 
 def test_each_phase_is_drawn_after_the_last_one_is_dropped(monkeypatch):
-    # Member lists grow as m^2, so the trial holds one phase's at a time:
-    # phase A's back-action runs before phase B's first draw, no selector
-    # read of phase B finds a phase-A member array alive, and neither
-    # phase's arrays outlive its records into the coset builds.
-    real_draw, real_backaction, real_cosets = (
-        hashing._draw_subsets, hashing._amplitude_backaction, gf2.pivot_cosets)
-    events, drawn = [], []
+    # Byte rows (one byte per state and round) grow as m^2, so the trial
+    # holds one chunk of them at a time: each is made from packed rows and
+    # dropped before the next stage.  Phase A's back-action runs before
+    # phase B's first draw and reads every phase-A round, no selector read
+    # of phase B finds a byte row alive, and none outlives its pass into
+    # the coset builds.
+    real_draw, real_backaction, real_chunks, real_cosets = (
+        hashing._draw_phases, hashing._amplitude_backaction, hashing._byte_chunks,
+        gf2.pivot_cosets)
+    events, unpacked, backaction_rounds = [], [], []
 
     def alive():
-        return sum(ref() is not None for ref in drawn)
+        return sum(ref() is not None for ref in unpacked)
 
     class WatchedRng:
         def __init__(self, rng):
@@ -899,125 +986,125 @@ def test_each_phase_is_drawn_after_the_last_one_is_dropped(monkeypatch):
         phases = real_draw(WatchedRng(rng), m, round_counts)
         for _ in round_counts:
             events.append(("draw", alive()))
-            subsets = next(phases)
-            drawn.extend(weakref.ref(members) for members in subsets)
-            yield subsets
-            del subsets
+            yield next(phases)
+
+    def chunks(*args):
+        for start, stop, members in real_chunks(*args):
+            unpacked.append(weakref.ref(members))
+            backaction_rounds.append(stop - start)
+            yield start, stop, members
 
     def backaction(*args):
         events.append(("backaction", alive()))
-        return real_backaction(*args)
+        backaction_rounds.clear()
+        outputs = real_backaction(*args)
+        events.append(("backaction done", sum(backaction_rounds)))
+        return outputs
 
     def cosets(*args):
         events.append(("cosets", alive()))
         return real_cosets(*args)
 
-    monkeypatch.setattr(hashing, "_draw_subsets", draw)
+    monkeypatch.setattr(hashing, "_draw_phases", draw)
     monkeypatch.setattr(hashing, "_amplitude_backaction", backaction)
+    monkeypatch.setattr(hashing, "_byte_chunks", chunks)
     monkeypatch.setattr(gf2, "pivot_cosets", cosets)
     _, _, run = simulate_hashing(2, 2000, werner_single(2, 0.9), seed=3)
     assert run.phase_decode_status != "skipped"
     stages = [name for name, _ in events if name != "read"]
-    assert stages == ["draw", "backaction", "draw", "cosets", "cosets"]
-    # The back-action still reads every phase-A member array.
-    assert ("backaction", run.rounds_a) in events
+    assert stages == ["draw", "backaction", "backaction done", "draw", "cosets", "cosets"]
+    # The back-action reads every phase-A round, a chunk at a time.
+    assert ("backaction done", run.rounds_a) in events
+    assert len(unpacked) > 4
     draw_b = max(i for i, (name, _) in enumerate(events) if name == "draw")
     reads_b = [count for name, count in events[draw_b:] if name == "read"]
     assert reads_b and not any(reads_b)
-    assert all(count == 0 for name, count in events if name == "cosets")
+    assert all(count == 0 for name, count in events if name in ("backaction", "cosets"))
 
 
 def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
-    gathers = []
-    pack_indices_real, xor_segments_real = gf2.pack_indices, gf2.xor_segments
+    # Each pass reads its phase's byte rows in chunks of rounds whose
+    # temporaries fit the cap: a round unpacks its row, takes each state's
+    # value (one byte at N=3), reads its bytes at the targets so far and
+    # takes its products with the truth; a phase-B round also spreads its
+    # lineage XOR onto the states.
+    passes, in_records = [], []
+    real_chunks, real_records = hashing._byte_chunks, hashing._records
 
-    def counting_pack(indices, n_bits, starts=None):
-        rows = pack_indices_real(indices, n_bits, starts)
-        if starts is not None:
-            # Each round unpacks one byte per bit; a phase-A member holds
-            # four int64 values.
-            gathers.append([len(starts), indices.size * 32 + rows.size * 64])
-        return rows
+    def records(member_rows, targets, values, side_bits, *rest):
+        m, words = values.size, gf2.n_words(values.size)
+        per_round = (words << 6) + m + len(targets) + side_bits.size * words * 16
+        if len(rest) > 1:
+            per_round += m + (rest[1].shape[1] << 6) + words * 24
+        passes.append((per_round, []))
+        in_records.append(True)
+        try:
+            return real_records(member_rows, targets, values, side_bits, *rest)
+        finally:
+            in_records.pop()
 
-    def counting_xor(rows, indices, starts):
-        # Phase B packs each run first.  Its members hold a lineage row, one
-        # bit per amplitude round, a phase and three int64 values instead,
-        # and each round also unpacks one byte per lineage bit.
-        gathers[-1][1] += indices.size * (rows.shape[1] * 8 + 25 - 32)
-        gathers[-1][1] += len(starts) * rows.shape[1] * 64
-        return xor_segments_real(rows, indices, starts)
+    def counting_chunks(*args):
+        for start, stop, members in real_chunks(*args):
+            if in_records:
+                passes[-1][1].append(stop - start)
+            yield start, stop, members
 
-    monkeypatch.setattr(gf2, "pack_indices", counting_pack)
-    monkeypatch.setattr(gf2, "xor_segments", counting_xor)
+    monkeypatch.setattr(hashing, "_records", records)
+    monkeypatch.setattr(hashing, "_byte_chunks", counting_chunks)
     single = werner_single(3, 0.9)
-    # At m=2000 a phase round gathers about 80 KB of lineage rows.  At
-    # m=300 the early phase rounds gather more than 4,000 bytes each, so
-    # they run alone, over the cap.
-    for m, cap in ((2000, ROUND_CHUNK_BYTES), (300, 4000)):
-        gathers.clear()
+    # At m=2000 a phase round takes about 8 KB.  At m=300 each round takes
+    # more than 600 bytes, so a cap of 600 runs each alone, over it.
+    for m, cap in ((2000, ROUND_CHUNK_BYTES), (300, 600)):
+        passes.clear()
         monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", cap)
         _, _, run = simulate_hashing(3, m, single, seed=1000, safety_bits=20)
-        assert sum(rounds for rounds, _ in gathers) == run.rounds_a + run.rounds_b
-        assert all(size <= cap or rounds == 1 for rounds, size in gathers)
-        assert any(rounds > 1 for rounds, _ in gathers)
-        assert len(gathers) > 2
-    assert any(size > cap and rounds == 1 for rounds, size in gathers)
+        assert [sum(rounds) for _, rounds in passes] == [run.rounds_a, run.rounds_b]
+        for per_round, rounds in passes:
+            assert len(rounds) > 1
+            assert all(n * per_round <= cap or n == 1 for n in rounds)
+            if cap == ROUND_CHUNK_BYTES:
+                assert max(rounds) > 1
+            else:
+                assert max(rounds) == 1 and per_round > cap
 
 
 def test_bulk_bookkeeping_peaks_within_the_chunk_cap(monkeypatch):
-    # Traced numpy allocations of each pass: one run of rounds at a time,
+    # Traced numpy allocations of each pass: one chunk of rounds at a time,
     # plus the records it returns, each allocated once (the amplitude pass
     # returns its membership rows as its system rows).  With no cap a pass
     # holds every round's temporaries.
     m, n = 2000, 3
     draw = np.random.default_rng(1000)
-    subsets_a, subsets_b = _draw_subsets(draw, m, (700, 700))
+    (rows_a, targets_a), (rows_b, targets_b) = _draw_phases(draw, m, (700, 700))
     codes = draw.integers(0, 1 << n, size=m)
     init_phases = (codes >> (n - 1)).astype(np.uint8)
     init_amps = codes & ((1 << (n - 1)) - 1)
-    amp_members = amplitude_records(subsets_a, init_amps, n)[0]
-    lineage, phases = _amplitude_backaction(subsets_a, amp_members, m, init_phases)
-    targets_a = _targets(subsets_a)
+    lineage, phases = _amplitude_backaction(rows_a, targets_a, m, init_phases)
     passes = (
-        lambda: amplitude_records(subsets_a, init_amps, n),
-        lambda: phase_records(subsets_b, lineage, targets_a, phases, init_phases),
+        lambda: amplitude_records(rows_a, targets_a, init_amps, n),
+        lambda: phase_records(rows_b, targets_b, lineage, targets_a, phases, init_phases),
     )
-
-    def peak_over_outputs(run_pass):
-        tracemalloc.start()
-        try:
-            outputs = run_pass()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak - sum(out.nbytes for out in {id(out): out for out in outputs}.values())
-
     for run_pass in passes:
-        assert peak_over_outputs(run_pass) <= ROUND_CHUNK_BYTES + (64 << 10)
+        assert traced_peak_over_outputs(run_pass) <= ROUND_CHUNK_BYTES + (64 << 10)
     monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", 1 << 40)
     for run_pass in passes:
-        assert peak_over_outputs(run_pass) > 4 * ROUND_CHUNK_BYTES
+        assert traced_peak_over_outputs(run_pass) > 2 * ROUND_CHUNK_BYTES
 
 
 def test_backaction_peaks_within_the_chunk_cap():
     # Traced numpy allocations of the amplitude back-action over its
-    # outputs.  The lineage moves a group of 8 rounds at a time, through one
-    # byte per state and group: an (m x rounds) selector array would be
-    # 1.4 MB here.
+    # outputs.  It reads the rounds' byte rows a chunk at a time, and the
+    # lineage moves a group of 8 rounds at a time, through one byte per
+    # state and group: an (m x rounds) selector array would be 1.4 MB here.
     m, n = 2000, 3
     draw = np.random.default_rng(1000)
-    subsets_a, _ = _draw_subsets(draw, m, (700, 0))
-    assert len(subsets_a) == 700
+    ((rows_a, targets_a),) = _draw_phases(draw, m, (700,))
+    assert len(targets_a) == 700
     codes = draw.integers(0, 1 << n, size=m)
-    amp_members = amplitude_records(subsets_a, codes & ((1 << (n - 1)) - 1), n)[0]
     init_phases = (codes >> (n - 1)).astype(np.uint8)
-    tracemalloc.start()
-    try:
-        outputs = _amplitude_backaction(subsets_a, amp_members, m, init_phases)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - sum(out.nbytes for out in outputs) <= ROUND_CHUNK_BYTES + (64 << 10)
+    peak = traced_peak_over_outputs(
+        lambda: _amplitude_backaction(rows_a, targets_a, m, init_phases))
+    assert peak <= ROUND_CHUNK_BYTES + (64 << 10)
 
 
 def test_bulk_passes_reject_a_state_read_after_it_was_measured():
@@ -1034,10 +1121,10 @@ def test_bulk_passes_reject_a_state_read_after_it_was_measured():
     reread = [[[0, 2], [0, 3, 4]], [[1, 2], [0, 1, 5]], [[2, 3], [0, 4], [1, 2, 5]]]
     fresh = [[[0, 2], [1, 3, 4]], [[1, 2], [0, 3, 5]], [[2, 3], [0, 4], [1, 3, 5]]]
     for rounds in reread + fresh:
-        subsets = [np.array(members) for members in rounds]
+        rows, targets = packed_phase(rounds, m)
         for label, build in (
-            ("amplitude", lambda: amplitude_records(subsets, amps, 2)),
-            ("phase", lambda: phase_records(subsets, lineage, targets_a, phases, phases)),
+            ("amplitude", lambda: amplitude_records(rows, targets, amps, 2)),
+            ("phase", lambda: phase_records(rows, targets, lineage, targets_a, phases, phases)),
         ):
             if rounds in fresh:
                 build()
@@ -1045,6 +1132,12 @@ def test_bulk_passes_reject_a_state_read_after_it_was_measured():
             with pytest.raises(InternalInvariantError) as raised:
                 build()
             assert str(raised.value) == f"{label} parity bookkeeping drifted"
+    # A round that does not hold its own target, with one that does not
+    # read an earlier target: the rows no longer pivot on the targets.
+    rows, _ = packed_phase([[0, 2], [1, 3, 4]], m)
+    for targets in ([1, 1], [0, 2], [3, 1]):
+        with pytest.raises(InternalInvariantError, match="^amplitude parity bookkeeping drifted$"):
+            amplitude_records(rows, np.array(targets), amps, 2)
 
 
 def simulate_until_invariant_fails(capsys):
@@ -1056,11 +1149,19 @@ def simulate_until_invariant_fails(capsys):
     return code, captured.err
 
 
+def neighbour_bytes(real_chunks):
+    """``_byte_chunks`` whose byte rows name each member's neighbour (the
+    next state up), while the packed rows stay as drawn."""
+    def chunks(*args):
+        for start, stop, members in real_chunks(*args):
+            yield start, stop, np.roll(members, 1, axis=1)
+    return chunks
+
+
 def test_amplitude_check_fires_on_drifted_rows(monkeypatch, capsys):
-    # Rows that name each member's neighbour no longer match the parities.
-    real = gf2.pack_indices
-    monkeypatch.setattr(gf2, "pack_indices", lambda indices, n_bits, starts=None: real(
-        np.minimum(np.asarray(indices) + 1, n_bits - 1), n_bits, starts))
+    # Byte rows that name each member's neighbour give parities the packed
+    # rows no longer match.
+    monkeypatch.setattr(hashing, "_byte_chunks", neighbour_bytes(hashing._byte_chunks))
     code, err = simulate_until_invariant_fails(capsys)
     assert code == 4
     assert err == "internal invariant violated: amplitude parity bookkeeping drifted\n"
