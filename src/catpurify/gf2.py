@@ -11,10 +11,11 @@ through one table per byte).  ``pivot_cosets`` lays out every coset
 from packed rows over the pivots, which ``scatter_columns``, the one
 widening, spreads onto the unknowns: ``GF2System.solve`` feeds it the
 reduced rows, and ``hashing``, which eliminates only its phase system,
-the lineage, whose rows have one bit per amplitude round.  The decoders
-pick a maximum-posterior element under an i.i.d. Bernoulli prior on the
-unknowns, exhaustively for small cosets and certified against a known
-truth for large ones.
+the lineage, whose rows have one bit per amplitude round.  Every large
+step goes a piece at a time within one byte budget, ``CHUNK_BYTES``,
+which ``hashing`` reads too.  The decoders pick a maximum-posterior
+element under an i.i.d. Bernoulli prior on the unknowns, exhaustively for
+small cosets and certified against a known truth for large ones.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .errors import CapacityError, InternalInvariantError
 GF2_SOLVER_CAP = 1 << 14
 EXACT_COSET_DIM_CAP = 16
 PROBE_PAIRS = 512
+
+# The one byte budget: each step taken a piece at a time, here and in
+# ``hashing``, reads it at call time and sizes its pieces to fit within it.
+CHUNK_BYTES = 1 << 20
 
 
 def n_words(n_bits: int) -> int:
@@ -60,22 +65,29 @@ def pack_indices(
 
 def scatter_columns(rows: np.ndarray, cols: np.ndarray, n_bits: int) -> np.ndarray:
     """Stack of packed rows over ``cols.size`` bits -> the same rows packed
-    over ``n_bits`` unknowns, bit k moved to column ``cols[k]``."""
-    bits = np.zeros((len(rows), n_bits), dtype=np.uint8)
-    bits[:, cols] = unpack_bits(rows, cols.size)
-    return pack_bits(bits)
-
-
-def _set_bit_per_row(rows: np.ndarray, cols: np.ndarray) -> None:
-    """Set bit ``cols[k]`` of packed row k, in place."""
-    rows[np.arange(cols.size), cols >> 6] |= np.uint64(1) << (cols & 63).astype(np.uint64)
+    over ``n_bits`` unknowns, bit k moved to column ``cols[k]``.  The rows
+    are widened through one byte per unknown, within ``CHUNK_BYTES``."""
+    out = np.empty((len(rows), n_words(n_bits)), dtype=np.uint64)
+    # Per row: its bits unpacked and their copy onto ``cols``, its byte row
+    # over the unknowns, and that row packed to bytes and then to words.
+    row_bytes = (rows.shape[1] << 6) + cols.size + n_bits + out.shape[1] * 16
+    step = max(1, CHUNK_BYTES // row_bytes)
+    for start in range(0, len(rows), step):
+        bits = np.zeros((min(step, len(rows) - start), n_bits), dtype=np.uint8)
+        bits[:, cols] = unpack_bits(rows[start : start + step], cols.size)
+        out[start : start + step] = pack_bits(bits)
+        del bits  # before the next piece is built
+    return out
 
 
 def identity_rows(n_bits: int) -> np.ndarray:
-    """(n_bits, n_words) packed identity: row i has bit i set."""
-    rows = np.zeros((n_bits, n_words(n_bits)), dtype=np.uint64)
-    _set_bit_per_row(rows, np.arange(n_bits))
-    return rows
+    """(n_bits, n_words) packed identity: row i has bit i set.  Rows
+    8k + j hold bit j of their byte k, one diagonal of bytes each, so no
+    index array is built."""
+    rows = np.zeros((n_bits, n_words(n_bits) * 8), dtype=np.uint8)
+    for bit in range(8):
+        np.fill_diagonal(rows[bit::8], 1 << bit)
+    return rows.view("<u8").astype(np.uint64, copy=False)
 
 
 def unpack_bits(rows: np.ndarray, n_bits: int) -> np.ndarray:
@@ -151,29 +163,34 @@ class AffineCoset:
 BLOCK_ROWS = 8
 
 
-def xor_selected(rows: np.ndarray, selectors: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """For each column i of the 0/1 ``selectors`` (k, n), the XOR of the
-    packed rows b whose ``selectors[b, i]`` is set; k <= ``BLOCK_ROWS``.
-    Row b is itself column ``own[b]``, which may select only rows before
-    b: the row first takes their XOR, a unitriangular solve on the way
-    (lineage update or back-substitution).  The 2^k combinations are built
-    by doubling, each column reading its own as one byte (Four Russians)."""
+def xor_selected(
+    out: np.ndarray, rows: np.ndarray, selectors: np.ndarray, own: np.ndarray
+) -> None:
+    """XOR into row i of ``out`` the packed rows b whose ``selectors[b, i]``
+    is set, for each column i of the 0/1 ``selectors`` (k, n); k <=
+    ``BLOCK_ROWS``.  Row b is itself column ``own[b]``, which may select
+    only rows before b: the row first takes their XOR, a unitriangular
+    solve on the way (lineage update or back-substitution).  The 2^k
+    combinations are built by doubling, each column reading its own as one
+    byte (Four Russians), and gathered a quarter of ``CHUNK_BYTES`` at a time."""
     places = np.arange(len(rows), dtype=selectors.dtype)[:, None]
     idx = np.bitwise_or.reduce(selectors << places, axis=0)
     table = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
     for b, row in enumerate(rows):
         np.bitwise_xor(table[: 1 << b], row ^ table[idx[own[b]]], out=table[1 << b : 2 << b])
-    return table.take(idx, axis=0)
+    step = max(1, CHUNK_BYTES // (32 * rows.shape[1]))
+    for start in range(0, len(out), step):
+        out[start : start + step] ^= table.take(idx[start : start + step], axis=0)
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray, max_bytes: int) -> np.ndarray:
+def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """GF(2) product of two stacks of packed rows: row r is the XOR of the
     rows ``b[i]`` whose bit i is set in ``a[r]``, which is packed over
     ``len(b)`` bits.  Each byte of a row of ``a`` indexes a table of the
     2^8 XOR combinations of eight rows of ``b`` (Four Russians), the XOR of
     two tables of 2^4 built by doubling.  The tables are built a few bytes
     at a time and gathered a few rows of ``a`` at a time, their
-    temporaries within about ``max_bytes`` unless one byte's table alone
+    temporaries within about ``CHUNK_BYTES`` unless one byte's table alone
     is larger."""
     width = b.shape[1]
     out = np.zeros((len(a), width), dtype=np.uint64)
@@ -185,8 +202,8 @@ def mat_mul(a: np.ndarray, b: np.ndarray, max_bytes: int) -> np.ndarray:
     # half-byte tables and the eight rows they are built from.  The other
     # half goes to the gathers: per byte and row of ``a``, the gathered row
     # and its index, built in two steps.
-    step = max(1, max_bytes // (2 * 8 * (256 + 40) * width))
-    rows_step = max(1, max_bytes // (2 * 8 * step * (width + 3)))
+    step = max(1, CHUNK_BYTES // (2 * 8 * (256 + 40) * width))
+    rows_step = max(1, CHUNK_BYTES // (2 * 8 * step * (width + 3)))
     for start in range(0, n_bytes, step):
         stop = min(start + step, n_bytes)
         group = np.zeros(((stop - start) * 8, width), dtype=np.uint64)
@@ -282,21 +299,23 @@ class GF2System:
             first = int(cols.min()) >> 6
             carried = _column_bits(rows, cols).T
             carried[np.arange(len(at)), at] = 0
-            rows[:, first:] ^= xor_selected(rows[at, first:], carried, at)
+            xor_selected(rows[:, first:], rows[at, first:], carried, at)
         rhs = unpack_bits(rows[:, words:], 1)[:, 0]
         if rhs[pivot_of_row < 0].any():
             return None
         pivot_rows = np.flatnonzero(pivot_of_row >= 0)
         pivot_cols = pivot_of_row[pivot_rows]
         free_cols = np.delete(np.arange(n), pivot_cols)
-        carried = pack_bits(unpack_bits(rows[pivot_rows, :words], n)[:, free_cols].T)
+        # Bit i of carried row k is set when pivot row i holds free column
+        # k.  A piece reads 64 pivot rows per word of those rows: per word,
+        # 64 rows of words and of bytes, their free bytes, and those packed.
+        carried = np.empty((free_cols.size, n_words(pivot_rows.size)), dtype=np.uint64)
+        step = max(1, CHUNK_BYTES // (64 * (words * 72 + free_cols.size) + free_cols.size * 16))
+        for word in range(0, carried.shape[1], step):
+            piece = rows[pivot_rows[word << 6 : (word + step) << 6], :words]
+            carried[:, word : word + step] = pack_bits(unpack_bits(piece, n)[:, free_cols].T)
+            del piece  # before the next piece is read
         return pivot_cosets(pack_bits(rhs[None, pivot_rows]), carried, pivot_cols, free_cols, n)[0]
-
-
-# Free columns per chunk of the basis build.  Its temporaries are then that
-# chunk's carried bits and a (256 x n) byte matrix; a dense (free x n) build
-# costs several MB at m = 2000.
-_BASIS_CHUNK = 256
 
 
 def pivot_cosets(
@@ -313,11 +332,9 @@ def pivot_cosets(
     ``free_cols[k]``, which basis row k sets along with their columns.
     The basis and ``free_cols`` are made read-only."""
     particulars = scatter_columns(sides, pivot_cols, n)
-    basis = np.empty((free_cols.size, n_words(n)), dtype=np.uint64)
-    for start in range(0, free_cols.size, _BASIS_CHUNK):
-        stop = start + _BASIS_CHUNK
-        basis[start:stop] = scatter_columns(carried[start:stop], pivot_cols, n)
-    _set_bit_per_row(basis, free_cols)
+    basis = scatter_columns(carried, pivot_cols, n)
+    basis[np.arange(free_cols.size), free_cols >> 6] |= (
+        np.uint64(1) << (free_cols & 63).astype(np.uint64))
     basis.flags.writeable = False
     free_cols.flags.writeable = False
     return [AffineCoset(n, particular, basis, free_cols) for particular in particulars]

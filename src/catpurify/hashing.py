@@ -6,12 +6,13 @@ parallel, a second (reversed-direction) hash determines the phase string.
 ``simulate_hashing`` runs the protocol at finite block size with explicit
 safety rounds, records every measured subset parity, and decodes the hidden
 labels with a maximum-posterior completion of each solution coset.  Each
-phase is drawn straight into packed membership rows; the record passes and
+phase is drawn straight into packed membership rows; the record pass and
 the back-action read them as one byte per state, a chunk of rounds at a
-time.  The amplitude cosets are read off the phase lineage, which keeps one
-bit per amplitude round, and checked against the recorded parities; the
-phase coset comes from GF(2) elimination.  ``gf2.pivot_cosets`` lays out
-both.
+time, all within ``gf2.CHUNK_BYTES``.  Phase B's system rows are built
+from the lineage before its record pass, so both phases take one pass.
+The amplitude cosets are read off the phase lineage, which keeps one bit
+per amplitude round, and checked against the recorded parities; the phase
+coset comes from GF(2) elimination.  ``gf2.pivot_cosets`` lays out both.
 """
 
 from __future__ import annotations
@@ -213,11 +214,6 @@ def _round_count(m: int, entropy_per_bit: float, safety_bits: int) -> int:
 # Largest bulk read of subset selectors, in doubles.
 SELECTOR_CHUNK = 1 << 15
 
-# Largest gather of the round bookkeeping, in bytes.  The draw, the record
-# passes and the back-action take rounds in batches whose temporaries fit
-# within it.
-ROUND_CHUNK_BYTES = 1 << 20
-
 
 def _draw_phases(
     rng: np.random.Generator, m: int, round_counts: tuple[int, ...]
@@ -258,7 +254,7 @@ def _draw_phases(
             k = live.size
             # Per round, at most a byte per state each: its selectors, its
             # gathered row, its row over the m states and that row packed.
-            batch = min(n - done, max(1, ROUND_CHUNK_BYTES // (5 * m)))
+            batch = min(n - done, max(1, gf2.CHUNK_BYTES // (5 * m)))
             need = batch * k - batch * (batch - 1) // 2
             if len(data) < need:
                 parts = [data]
@@ -315,57 +311,41 @@ def _byte_chunks(
     0/1 byte per state: the chunk's first and end round, and its byte
     rows.  A chunk holds whole groups of ``group`` rounds, taking
     ``round_bytes`` per round beside the ``fixed_bytes`` its pass holds
-    throughout, at most ``ROUND_CHUNK_BYTES`` in all unless one group
-    alone is larger."""
-    step = max(1, (ROUND_CHUNK_BYTES - fixed_bytes) // (round_bytes * group)) * group
+    throughout, at most ``gf2.CHUNK_BYTES`` in all unless one group alone
+    is larger."""
+    step = max(1, (gf2.CHUNK_BYTES - fixed_bytes) // (round_bytes * group)) * group
     for start in range(0, len(rows), step):
         stop = min(start + step, len(rows))
         yield start, stop, gf2.unpack_bits(rows[start:stop], m)
 
 
 def _records(
-    member_rows: np.ndarray, targets: np.ndarray, values: np.ndarray,
-    side_bits: np.ndarray, side_truth: np.ndarray,
-    lineage: np.ndarray | None = None, targets_a: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """System rows over the initial labels, right-hand sides (one column per
-    side) and measured values of one phase's rounds, given their packed
-    membership rows and targets.
+    member_rows: np.ndarray, rows: np.ndarray, targets: np.ndarray, values: np.ndarray,
+    side_bits: np.ndarray, side_truth: np.ndarray, label: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand sides (one column per side) and measured values of the
+    rounds of ``label``'s phase, given their packed membership rows,
+    system rows over the initial labels and targets.
 
     Each value is the XOR of the members' ``values`` as the phase began:
     the target is consumed after its round, and the phase changes no live
-    state's value.  That premise is checked: the rows' target columns are
-    unitriangular, each round holding its own target and no earlier
-    round's.  Each right-hand side is checked against the row's dot product
-    with each side's initial bits ``side_truth``; the values come from the
-    byte rows, the products from the packed rows.  Without ``lineage`` the
-    values are the initial labels and the rows are the membership rows
-    themselves (the amplitude phase).  With it (the phase string, one
-    side), the members are states no amplitude round measured, so a row is
-    its membership row XOR the XOR of its members' lineage rows, spread
-    from the amplitude rounds onto their targets ``targets_a``.
+    state's value.  That premise is checked: the membership rows' target
+    columns are unitriangular, each round holding its own target and no
+    earlier round's.  Each right-hand side is checked against the system
+    row's dot product with each side's initial bits ``side_truth``; the
+    values come from the byte rows, the products from the packed rows.
     """
     n_rounds, m = len(member_rows), values.size
     words = gf2.n_words(m)
-    label = "amplitude" if lineage is None else "phase"
     packed_truth = gf2.pack_bits(side_truth)
     parities = np.empty(n_rounds, dtype=values.dtype)
     narrow = values.astype(np.min_scalar_type(int(values.max(initial=0))))
-    rows = member_rows
     # Per round a chunk unpacks one byte per bit of its row, takes each
     # member's value, reads its bytes at the targets so far and takes the
-    # row's products with the truth; a phase chunk also spreads the row's
-    # lineage XOR, computed for every round at once, onto the m states.
+    # row's products with the truth.
     round_bytes = (words << 6) + m * narrow.itemsize + n_rounds + side_bits.size * words * 16
-    if lineage is not None:
-        spread = gf2.mat_mul(member_rows, lineage, ROUND_CHUNK_BYTES)
-        rows = np.empty_like(member_rows)
-        round_bytes += m + (lineage.shape[1] << 6) + words * 24
     rhs = np.empty((n_rounds, side_bits.size), dtype=np.uint8)
     for start, stop, members in _byte_chunks(member_rows, m, round_bytes):
-        if lineage is not None:
-            rows[start:stop] = member_rows[start:stop] ^ gf2.scatter_columns(
-                spread[start:stop], targets_a, m)
         chunk_parities = parities[start:stop] = np.bitwise_xor.reduce(members * narrow, axis=1)
         chunk_rhs = rhs[start:stop] = (chunk_parities[:, None] & side_bits) != 0
         held = members[:, targets[:stop]]
@@ -377,7 +357,7 @@ def _records(
         ):
             raise InternalInvariantError(f"{label} parity bookkeeping drifted")
         del members, held  # before the next chunk is unpacked
-    return rows, rhs, parities
+    return rhs, parities
 
 
 def _amplitude_backaction(
@@ -396,18 +376,17 @@ def _amplitude_backaction(
     true_phases = init_phases.copy()
     lineage = np.zeros((m, gf2.n_words(targets.size)), dtype=np.uint64)
     lineage[targets] = gf2.identity_rows(targets.size)
-    measured = targets.tolist()
     # Per round a chunk unpacks one byte per bit of its row; each group's
-    # table step takes a selector byte, a shifted copy and a lineage row
-    # per state, and one table of lineage rows.
-    fixed_bytes = m * (lineage.shape[1] * 8 + 9) + lineage.shape[1] * 2048
+    # table step takes a selector byte and a shifted copy per state, one
+    # table of lineage rows and one gather piece of them.
+    fixed_bytes = m * 9 + lineage.shape[1] * 2048 + min(lineage.nbytes, gf2.CHUNK_BYTES // 4)
     chunks = _byte_chunks(member_rows, m, gf2.n_words(m) << 6, fixed_bytes, gf2.BLOCK_ROWS)
     for start, stop, sources in chunks:
         # Row b: the sources of round start + b.
         sources[np.arange(stop - start), targets[start:stop]] = 0
-        for r in range(start, stop):
-            if true_phases[measured[r]]:
-                true_phases ^= sources[r - start]
+        for b, target in enumerate(targets[start:stop].tolist()):
+            if true_phases[target]:
+                true_phases ^= sources[b]
         for first in range(start, stop, gf2.BLOCK_ROWS):
             group = targets[first : first + gf2.BLOCK_ROWS]
             # No round has yet moved a bit of a later round, so words past
@@ -417,8 +396,8 @@ def _amplitude_backaction(
             # source of.  A target was a source only of rounds before its
             # own, so its row is complete, as its round reads it, before
             # the later rounds need it.
-            lineage[:, :span] ^= gf2.xor_selected(
-                lineage[group, :span], sources[first - start : first - start + group.size], group)
+            gf2.xor_selected(lineage[:, :span], lineage[group, :span],
+                             sources[first - start : first - start + group.size], group)
         del sources  # before the next chunk is unpacked
     return lineage, true_phases
 
@@ -534,15 +513,19 @@ def simulate_hashing(
     # untracked: success checks the decoded amplitudes of every state live
     # there against the initial ones.  The phase string is the one-side case
     # of the amplitude strings, read through the lineage.
-    _, amp_rhs, amp_parities = _records(amp_rows, targets_a, init_amps, side_bits, side_truth)
+    amp_rhs, amp_parities = _records(
+        amp_rows, amp_rows, targets_a, init_amps, side_bits, side_truth, "amplitude")
     lineage, true_phases = _amplitude_backaction(amp_rows, targets_a, m, init_phases)
     phase_members, targets_b = next(phases)
     del phases
     feasible = amp_feasible and targets_b.size == planned_b
-    phase_rows, phase_rhs, phase_parities = _records(
-        phase_members, targets_b, true_phases, np.ones(1, dtype=np.int64), init_phases[None],
-        lineage, targets_a,
-    )
+    # No phase member is an amplitude target, so a phase row is its
+    # membership row XOR its members' lineage rows, spread onto the targets.
+    phase_rows = gf2.scatter_columns(gf2.mat_mul(phase_members, lineage), targets_a, m)
+    phase_rows ^= phase_members
+    phase_rhs, phase_parities = _records(
+        phase_members, phase_rows, targets_b, true_phases, np.ones(1, dtype=np.int64),
+        init_phases[None], "phase")
     run = HashingRun(
         n_parties=n_parties, block_size=m, seed=seed, safety_bits=safety_bits,
         initial_codes=codes, amp_rows=amp_rows, amp_measured=amp_parities,

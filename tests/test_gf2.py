@@ -1,13 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catpurify import gf2
 from catpurify.errors import CapacityError
 from catpurify.gf2 import (
-    _BASIS_CHUNK,
+    CHUNK_BYTES,
     GF2System,
     _enumerate_coset,
     decode_map,
@@ -253,7 +255,15 @@ def assert_solve_matches_row_by_row(n, rows, rhs):
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-def test_blocked_solve_matches_row_by_row_reference(n):
+def test_blocked_solve_matches_row_by_row_reference(monkeypatch, n):
+    # A one-byte budget reads the carried bits one word, 64 pivot rows, at
+    # a time and widens the basis one row at a time.
+    for budget in (CHUNK_BYTES, 1):
+        monkeypatch.setattr(gf2, "CHUNK_BYTES", budget)
+        assert_blocked_solve_matches_row_by_row_reference(n)
+
+
+def assert_blocked_solve_matches_row_by_row_reference(n):
     rng = np.random.default_rng(n)
 
     def random_mask(density):
@@ -295,33 +305,48 @@ def test_blocked_solve_clears_both_ways_inside_a_block():
 
 
 @pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 2000])
-def test_scatter_columns_moves_bit_k_to_column_k(n_bits):
+def test_scatter_columns_moves_bit_k_to_column_k(monkeypatch, n_bits):
     # Against a per-bit reference built through from_ints.  The columns are
     # unsorted, as solve's pivot columns arrive in row order; the cases
-    # include no columns, every column and no rows.
+    # include no columns, every column and no rows.  A one-byte budget
+    # widens one row per piece.
     rng = np.random.default_rng(n_bits)
-    for n_cols, n_rows in [(0, 3), (n_bits, 0), (n_bits, 5), ((n_bits + 1) // 2, 7)]:
-        cols = rng.permutation(n_bits)[:n_cols]
-        bits = rng.integers(0, 2, size=(n_rows, n_cols))
-        rows = pack_bits(bits)
-        expected = from_ints(
-            [sum(int(bit) << int(col) for bit, col in zip(row, cols)) for row in bits], n_bits)
-        got = scatter_columns(rows, cols, n_bits)
-        assert got.dtype == np.uint64 and got.shape == (n_rows, n_words(n_bits))
-        np.testing.assert_array_equal(got, expected)
-        assert not any(value >> n_bits for value in to_ints(got))
+    for budget in (CHUNK_BYTES, 1):
+        monkeypatch.setattr(gf2, "CHUNK_BYTES", budget)
+        for n_cols, n_rows in [(0, 3), (n_bits, 0), (n_bits, 5), ((n_bits + 1) // 2, 7)]:
+            cols = rng.permutation(n_bits)[:n_cols]
+            bits = rng.integers(0, 2, size=(n_rows, n_cols))
+            rows = pack_bits(bits)
+            expected = from_ints(
+                [sum(int(bit) << int(col) for bit, col in zip(row, cols)) for row in bits],
+                n_bits)
+            got = scatter_columns(rows, cols, n_bits)
+            assert got.dtype == np.uint64 and got.shape == (n_rows, n_words(n_bits))
+            np.testing.assert_array_equal(got, expected)
+            assert not any(value >> n_bits for value in to_ints(got))
 
 
 @pytest.mark.parametrize(
     "n,n_pivots", [(70, 70), (70, 25), (65, 0), (1, 0), (600, 100), (2000, 652)])
-def test_coset_basis_rows_follow_the_reduced_rows(n, n_pivots):
+def test_coset_basis_rows_follow_the_reduced_rows(monkeypatch, n, n_pivots):
     # Reduced rows in any pivot order: row i sets its pivot column, no
     # other pivot column, and random free columns.  Basis row k must set
     # free column k and exactly the pivots of the rows that carry it, and
     # each of three sides' particulars exactly the pivots its packed bits
     # name.  The cases cover dimension 0, n not a multiple of 64, no
-    # pivots, a dimension (500) spanning more than one chunk of the build,
-    # and the README trial's shape: 1348 free columns in six chunks.
+    # pivots, and, under a quarter of the budget, a dimension (500)
+    # spanning more than one piece of the widening and the README trial's
+    # shape, 1348 free columns, in several; a piece's byte rows stay within
+    # the budget.
+    budget = CHUNK_BYTES >> 2
+    monkeypatch.setattr(gf2, "CHUNK_BYTES", budget)
+    real_pack, pieces = gf2.pack_bits, []
+
+    def pack(bits):
+        pieces.append(bits.shape)
+        return real_pack(bits)
+
+    monkeypatch.setattr(gf2, "pack_bits", pack)
     rng = np.random.default_rng(n + n_pivots)
     pivot_cols = rng.permutation(n)[:n_pivots]
     is_free = np.ones(n, dtype=bool)
@@ -330,16 +355,20 @@ def test_coset_basis_rows_follow_the_reduced_rows(n, n_pivots):
     bits = (rng.random((n_pivots, n)) < 0.5).astype(np.uint8)
     bits[:, pivot_cols] = np.eye(n_pivots, dtype=np.uint8)
     pivot_bits = rng.integers(0, 2, size=(3, n_pivots), dtype=np.uint8)
-    cosets = pivot_cosets(
-        pack_bits(pivot_bits), pack_bits(bits[:, free_cols].T), pivot_cols, free_cols, n)
+    sides, carried = pack_bits(pivot_bits), pack_bits(bits[:, free_cols].T)
+    pieces.clear()
+    cosets = pivot_cosets(sides, carried, pivot_cols, free_cols, n)
     assert len(cosets) == 3
     basis = cosets[0].basis
     assert basis.shape == (free_cols.size, n_words(n)) and not basis.flags.writeable
     assert not free_cols.flags.writeable
+    # The particulars take one piece, the basis the rest.
+    assert pieces[0] == (3, n) and sum(rows for rows, _ in pieces[1:]) == free_cols.size
+    assert all(rows * n <= budget for rows, _ in pieces)
     if n == 600:
-        assert free_cols.size > _BASIS_CHUNK
+        assert len(pieces) - 1 > 1
     if n == 2000:
-        assert -(-free_cols.size // _BASIS_CHUNK) == 6
+        assert len(pieces) - 1 >= 6
     for k, col in enumerate(free_cols.tolist()):
         expected = {col} | set(pivot_cols[bits[:, col] == 1].tolist())
         assert set(np.flatnonzero(unpack_bits(basis[k], n)).tolist()) == expected
@@ -431,7 +460,7 @@ def test_rows_over_zero_unknowns_round_trip():
 @pytest.mark.parametrize("n_a,n_b,width", [
     (0, 5, 2), (4, 0, 3), (3, 5, 0), (1, 1, 1), (9, 8, 1), (7, 9, 2), (40, 130, 3), (30, 700, 11),
 ])
-def test_mat_mul_matches_row_by_row_xor(n_a, n_b, width):
+def test_mat_mul_matches_row_by_row_xor(monkeypatch, n_a, n_b, width):
     # Row r of the product is the XOR of the rows of b that row r of a
     # selects.  A budget of 1 byte builds one table and gathers one row at
     # a time; the large one builds and gathers all at once.
@@ -443,7 +472,34 @@ def test_mat_mul_matches_row_by_row_xor(n_a, n_b, width):
     for r, row in enumerate(selectors):
         for i in np.flatnonzero(row):
             expected[r] ^= b[i]
-    for max_bytes in (1, 1 << 12, 1 << 30):
-        got = mat_mul(a, b, max_bytes)
+    for budget in (1, 1 << 12, 1 << 30):
+        monkeypatch.setattr(gf2, "CHUNK_BYTES", budget)
+        got = mat_mul(a, b)
         assert got.dtype == np.uint64 and got.shape == (n_a, width)
         np.testing.assert_array_equal(got, expected)
+
+
+def test_solve_peaks_within_its_rows_and_the_chunk_budget():
+    # Traced allocations of one solve of 1000 random rows over 3000
+    # unknowns, over the coset it returns: two copies of the working rows
+    # (the solve concatenates them, right-hand sides as one more word), the
+    # carried bits, and pieces within the budget for the rest: the carried
+    # read, the widening and the table gathers.  Reading the carried bits
+    # through dense byte matrices, (pivots x unknowns) and then (pivots x
+    # free), would take 5 MB here.
+    n, n_rows = 3000, 1000
+    rng = np.random.default_rng(n)
+    system = GF2System(n)
+    system.add_row(pack_bits(rng.integers(0, 2, size=(n_rows, n), dtype=np.uint8)),
+                   rng.integers(0, 2, size=n_rows))
+    tracemalloc.start()
+    try:
+        coset = system.solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coset is not None and coset.dim == n - n_rows
+    outputs = coset.particular.nbytes + coset.basis.nbytes + coset.free_cols.nbytes
+    working = n_rows * (n_words(n) + 1) * 8
+    carried = coset.dim * n_words(n_rows) * 8
+    assert peak - outputs <= 2 * working + carried + CHUNK_BYTES

@@ -14,6 +14,7 @@ from catpurify.ensemble import SingleDistribution, bit_marginals, werner_single
 from catpurify.errors import CapacityError, DimensionError, InternalInvariantError
 from catpurify import gf2, hashing
 from catpurify.gf2 import (
+    CHUNK_BYTES,
     PROBE_PAIRS,
     GF2System,
     _enumerate_coset,
@@ -28,7 +29,6 @@ from catpurify.labels import CatLabel, amp_bit
 from catpurify.strategy import METHODS, MethodSpec
 from oracles import row_by_row_cosets
 from catpurify.hashing import (
-    ROUND_CHUNK_BYTES,
     SELECTOR_CHUNK,
     HashingRun,
     _amplitude_backaction,
@@ -709,7 +709,7 @@ def test_bulk_draw_matches_per_round_draws_in_any_batches(
     redraws, short = 0, 0
     for m in (2, 3, 4, 5, 6, 9, 40, 130):
         if batch_rounds is not None:
-            monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", 5 * m * batch_rounds)
+            monkeypatch.setattr(gf2, "CHUNK_BYTES", 5 * m * batch_rounds)
         for seed in range(12):
             counts = (seed % 4, 2 + seed % 3, seed % 2) if m < 9 else (m // 3, m // 2, m)
             redraws += assert_draws_match_reference(seed, m, counts)
@@ -753,15 +753,15 @@ def test_draw_peaks_within_the_chunk_cap(monkeypatch):
     # targets it yields: the selectors read, the gathered rows and the rows
     # over the states, one batch at a time.  With no cap one batch holds
     # every round's.
-    for cap, within in ((ROUND_CHUNK_BYTES, True), (1 << 40, False)):
-        monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", cap)
+    for cap, within in ((CHUNK_BYTES, True), (1 << 40, False)):
+        monkeypatch.setattr(gf2, "CHUNK_BYTES", cap)
         phases = _draw_phases(np.random.default_rng(1000), 2000, (700, 700))
         for _ in range(2):
             peak = traced_peak_over_outputs(lambda: next(phases))
             if within:
-                assert peak <= ROUND_CHUNK_BYTES + (64 << 10)
+                assert peak <= CHUNK_BYTES + (64 << 10)
             else:
-                assert peak > 2 * ROUND_CHUNK_BYTES
+                assert peak > 2 * CHUNK_BYTES
 
 
 def reference_bookkeeping(subsets_a, subsets_b, m, codes, n):
@@ -806,14 +806,21 @@ def packed_as_ints(rows):
 
 
 def amplitude_records(rows, targets, init_amps, n):
+    """The amplitude pass, whose system rows are its membership rows:
+    (rows, rhs, parities)."""
     side_bits = np.array([amp_bit(j, n) for j in range(n - 1)], dtype=np.int64)
     side_truth = ((init_amps & side_bits[:, None]) != 0).astype(np.uint8)
-    return _records(rows, targets, init_amps, side_bits, side_truth)
+    return (rows, *_records(rows, rows, targets, init_amps, side_bits, side_truth, "amplitude"))
 
 
 def phase_records(rows, targets, lineage, targets_a, phases, init_phases):
-    return _records(rows, targets, phases, np.ones(1, dtype=np.int64),
-                    init_phases[None], lineage, targets_a)
+    """The phase rows, built as ``simulate_hashing`` builds them, and the
+    phase pass: (rows, rhs, parities)."""
+    m = phases.size
+    phase_rows = gf2.scatter_columns(gf2.mat_mul(rows, lineage), targets_a, m)
+    phase_rows ^= rows
+    return (phase_rows, *_records(rows, phase_rows, targets, phases, np.ones(1, dtype=np.int64),
+                                  init_phases[None], "phase"))
 
 
 def full_lineage(lineage, targets_a, m):
@@ -834,8 +841,6 @@ def bulk_bookkeeping(phase_a, phase_b, m, codes, n):
     init_amps = codes & ((1 << (n - 1)) - 1)
     side_bits = np.array([amp_bit(j, n) for j in range(n - 1)], dtype=np.int64)
     amp_rows, rhs, amp_parities = amplitude_records(amp_members, targets_a, init_amps, n)
-    # The amplitude system's rows are its membership rows, held once.
-    assert amp_rows is amp_members
     assert amp_parities.dtype == init_amps.dtype
     np.testing.assert_array_equal(rhs, (amp_parities[:, None] & side_bits) != 0)
     lineage, phases = _amplitude_backaction(amp_members, targets_a, m, init_phases)
@@ -1026,20 +1031,17 @@ def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
     # Each pass reads its phase's byte rows in chunks of rounds whose
     # temporaries fit the cap: a round unpacks its row, takes each state's
     # value (one byte at N=3), reads its bytes at the targets so far and
-    # takes its products with the truth; a phase-B round also spreads its
-    # lineage XOR onto the states.
+    # takes its products with the truth.
     passes, in_records = [], []
     real_chunks, real_records = hashing._byte_chunks, hashing._records
 
-    def records(member_rows, targets, values, side_bits, *rest):
+    def records(member_rows, rows, targets, values, side_bits, *rest):
         m, words = values.size, gf2.n_words(values.size)
         per_round = (words << 6) + m + len(targets) + side_bits.size * words * 16
-        if len(rest) > 1:
-            per_round += m + (rest[1].shape[1] << 6) + words * 24
         passes.append((per_round, []))
         in_records.append(True)
         try:
-            return real_records(member_rows, targets, values, side_bits, *rest)
+            return real_records(member_rows, rows, targets, values, side_bits, *rest)
         finally:
             in_records.pop()
 
@@ -1054,15 +1056,15 @@ def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
     single = werner_single(3, 0.9)
     # At m=2000 a phase round takes about 8 KB.  At m=300 each round takes
     # more than 600 bytes, so a cap of 600 runs each alone, over it.
-    for m, cap in ((2000, ROUND_CHUNK_BYTES), (300, 600)):
+    for m, cap in ((2000, CHUNK_BYTES), (300, 600)):
         passes.clear()
-        monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", cap)
+        monkeypatch.setattr(gf2, "CHUNK_BYTES", cap)
         _, _, run = simulate_hashing(3, m, single, seed=1000, safety_bits=20)
         assert [sum(rounds) for _, rounds in passes] == [run.rounds_a, run.rounds_b]
         for per_round, rounds in passes:
             assert len(rounds) > 1
             assert all(n * per_round <= cap or n == 1 for n in rounds)
-            if cap == ROUND_CHUNK_BYTES:
+            if cap == CHUNK_BYTES:
                 assert max(rounds) > 1
             else:
                 assert max(rounds) == 1 and per_round > cap
@@ -1070,9 +1072,11 @@ def test_bulk_bookkeeping_runs_in_bounded_chunks(monkeypatch):
 
 def test_bulk_bookkeeping_peaks_within_the_chunk_cap(monkeypatch):
     # Traced numpy allocations of each pass: one chunk of rounds at a time,
-    # plus the records it returns, each allocated once (the amplitude pass
-    # returns its membership rows as its system rows).  With no cap a pass
-    # holds every round's temporaries.
+    # plus the records it returns, each allocated once.  The amplitude
+    # system rows are its membership rows, allocated before; the phase
+    # pass first builds its system rows from the lineage, one piece of the
+    # widening at a time.  With no cap a pass holds every round's
+    # temporaries.
     m, n = 2000, 3
     draw = np.random.default_rng(1000)
     (rows_a, targets_a), (rows_b, targets_b) = _draw_phases(draw, m, (700, 700))
@@ -1081,30 +1085,41 @@ def test_bulk_bookkeeping_peaks_within_the_chunk_cap(monkeypatch):
     init_amps = codes & ((1 << (n - 1)) - 1)
     lineage, phases = _amplitude_backaction(rows_a, targets_a, m, init_phases)
     passes = (
-        lambda: amplitude_records(rows_a, targets_a, init_amps, n),
+        lambda: amplitude_records(rows_a, targets_a, init_amps, n)[1:],
         lambda: phase_records(rows_b, targets_b, lineage, targets_a, phases, init_phases),
     )
     for run_pass in passes:
-        assert traced_peak_over_outputs(run_pass) <= ROUND_CHUNK_BYTES + (64 << 10)
-    monkeypatch.setattr(hashing, "ROUND_CHUNK_BYTES", 1 << 40)
+        assert traced_peak_over_outputs(run_pass) <= CHUNK_BYTES + (64 << 10)
+    monkeypatch.setattr(gf2, "CHUNK_BYTES", 1 << 40)
     for run_pass in passes:
-        assert traced_peak_over_outputs(run_pass) > 2 * ROUND_CHUNK_BYTES
+        assert traced_peak_over_outputs(run_pass) > 2 * CHUNK_BYTES
 
 
-def test_backaction_peaks_within_the_chunk_cap():
-    # Traced numpy allocations of the amplitude back-action over its
-    # outputs.  It reads the rounds' byte rows a chunk at a time, and the
-    # lineage moves a group of 8 rounds at a time, through one byte per
-    # state and group: an (m x rounds) selector array would be 1.4 MB here.
-    m, n = 2000, 3
+def assert_backaction_peaks_within_the_chunk_cap(m, n, n_rounds):
+    """Traced numpy allocations of the amplitude back-action over its
+    outputs stay within ``CHUNK_BYTES``."""
     draw = np.random.default_rng(1000)
-    ((rows_a, targets_a),) = _draw_phases(draw, m, (700,))
-    assert len(targets_a) == 700
+    ((rows_a, targets_a),) = _draw_phases(draw, m, (n_rounds,))
+    assert len(targets_a) == n_rounds
     codes = draw.integers(0, 1 << n, size=m)
     init_phases = (codes >> (n - 1)).astype(np.uint8)
     peak = traced_peak_over_outputs(
         lambda: _amplitude_backaction(rows_a, targets_a, m, init_phases))
-    assert peak <= ROUND_CHUNK_BYTES + (64 << 10)
+    assert peak <= CHUNK_BYTES + (64 << 10)
+
+
+def test_backaction_peaks_within_the_chunk_cap():
+    # The back-action reads the rounds' byte rows a chunk at a time, and the
+    # lineage moves a group of 8 rounds at a time, through one byte per
+    # state and group: an (m x rounds) selector array would be 1.4 MB here.
+    assert_backaction_peaks_within_the_chunk_cap(2000, 3, 700)
+
+
+def test_backaction_gathers_a_wide_lineage_within_the_chunk_cap():
+    # Each group's table is gathered into the lineage a piece at a time:
+    # one (m x lineage words) gather would be 2.9 MB here, the round count
+    # of an N=2, f=0.9 trial at m=8000.
+    assert_backaction_peaks_within_the_chunk_cap(8000, 2, 2853)
 
 
 def test_bulk_passes_reject_a_state_read_after_it_was_measured():
