@@ -1,6 +1,6 @@
 """Simulator and yield calculator for cat-state purification protocols."""
 
-from .labels import CatLabel, LocalCorrection, all_labels, correction_for, measure_amplitudes, measure_phase, mxor
+from .labels import CatLabel, all_labels, mxor
 from .ensemble import (
     DiagonalEnsemble,
     SingleDistribution,

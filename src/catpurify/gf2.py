@@ -80,16 +80,6 @@ def scatter_columns(rows: np.ndarray, cols: np.ndarray, n_bits: int) -> np.ndarr
     return out
 
 
-def identity_rows(n_bits: int) -> np.ndarray:
-    """(n_bits, n_words) packed identity: row i has bit i set.  Rows
-    8k + j hold bit j of their byte k, one diagonal of bytes each, so no
-    index array is built."""
-    rows = np.zeros((n_bits, n_words(n_bits) * 8), dtype=np.uint8)
-    for bit in range(8):
-        np.fill_diagonal(rows[bit::8], 1 << bit)
-    return rows.view("<u8").astype(np.uint64, copy=False)
-
-
 def unpack_bits(rows: np.ndarray, n_bits: int) -> np.ndarray:
     """Packed row or stack of rows -> first ``n_bits`` bits as 0/1 ``uint8``."""
     as_bytes = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)

@@ -375,7 +375,8 @@ def _amplitude_backaction(
     in groups of ``gf2.BLOCK_ROWS`` rounds."""
     true_phases = init_phases.copy()
     lineage = np.zeros((m, gf2.n_words(targets.size)), dtype=np.uint64)
-    lineage[targets] = gf2.identity_rows(targets.size)
+    rounds = np.arange(targets.size)
+    lineage[targets, rounds >> 6] = np.uint64(1) << (rounds & 63).astype(np.uint64)
     # Per round a chunk unpacks one byte per bit of its row; each group's
     # table step takes a selector byte and a shifted copy per state, one
     # table of lineage rows and one gather piece of them.

@@ -2,9 +2,12 @@
 
 Every cat-basis state of N qubits (one per party) is identified by a phase
 bit ``p`` and N-1 amplitude bits ``i_1 .. i_{N-1}``.  The multilateral XOR
-gate, the two allowed local measurements, and the local Pauli corrections
-all act classically on these labels, so purification protocols on
-cat-diagonal mixtures can be simulated without touching state vectors.
+gate acts classically on these labels, so purification protocols on
+cat-diagonal mixtures can be simulated without touching state vectors.  The
+two allowed local measurements read a label's fields: the joint Z
+measurement its amplitude bits, the X-basis one its phase bit.  A known
+label is its own correction: Z on party 1 iff ``p`` and X on party j+1 iff
+``i_j`` map the state to the all-zero label.
 """
 
 from __future__ import annotations
@@ -92,25 +95,6 @@ class CatLabel:
         return CatLabel(n_parties, int((value & phase_bit(n_parties)) != 0), tuple(amps))
 
 
-@dataclass(frozen=True)
-class LocalCorrection:
-    """Local Pauli frame that maps a known cat label to the all-zero label:
-    Z on party 1 iff ``phase_flip_party1``, X on party j+1 iff
-    ``bit_flips[j-1]``."""
-
-    phase_flip_party1: int
-    bit_flips: tuple[int, ...]
-
-    def apply(self, label: CatLabel) -> CatLabel:
-        if len(self.bit_flips) != label.n_parties - 1:
-            raise DimensionError("correction and label disagree on party count")
-        return CatLabel(
-            label.n_parties,
-            label.phase ^ self.phase_flip_party1,
-            tuple(b ^ f for b, f in zip(label.amplitudes, self.bit_flips)),
-        )
-
-
 def mxor(source: CatLabel, target: CatLabel) -> tuple[CatLabel, CatLabel]:
     """Multilateral XOR on a pair of cat labels.
 
@@ -132,29 +116,6 @@ def mxor(source: CatLabel, target: CatLabel) -> tuple[CatLabel, CatLabel]:
         tuple(a ^ b for a, b in zip(source.amplitudes, target.amplitudes)),
     )
     return new_source, new_target
-
-
-def measure_amplitudes(label: CatLabel) -> tuple[int, ...]:
-    """Joint local Z measurement: reveals all amplitude bits.
-
-    The phase information of the measured state is physically destroyed;
-    callers must treat the label as consumed.
-    """
-    return label.amplitudes
-
-
-def measure_phase(label: CatLabel) -> int:
-    """Local X-basis measurement: reveals the phase bit.
-
-    Destroys the amplitude information; callers must treat the label as
-    consumed.
-    """
-    return label.phase
-
-
-def correction_for(label: CatLabel) -> LocalCorrection:
-    """Correction that converts a known label to the all-zero label."""
-    return LocalCorrection(label.phase, label.amplitudes)
 
 
 def all_labels(n_parties: int):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catpurify import cli, gf2, hashing
+from catpurify import cli, hashing
 from catpurify.cli import CELL, _DELIMITERS, _fmt, build_parser, main
 from catpurify.hashing import werner_hashing_yield_limit
 from catpurify.strategy import METHODS, MethodSpec, yield_curve
@@ -653,15 +653,19 @@ def test_pooled_invariant_failure_names_the_first_failing_trial(monkeypatch, cap
     # byte rows its amplitude parities are taken from; seed 30 runs clean.
     # The first failure in seed order is reported, once, and nothing is
     # written.
-    real_simulate, real_identity, real_chunks = (
-        cli.simulate_hashing, gf2.identity_rows, hashing._byte_chunks)
+    real_simulate, real_backaction, real_chunks = (
+        cli.simulate_hashing, hashing._amplitude_backaction, hashing._byte_chunks)
+
+    def rolled_backaction(*args):
+        lineage, true_phases = real_backaction(*args)
+        return np.roll(lineage, 1, axis=0), true_phases
 
     def neighbour_chunks(*args):
         for start, stop, members in real_chunks(*args):
             yield start, stop, np.roll(members, 1, axis=1)
 
     drifts = {
-        31: (gf2, "identity_rows", lambda n_bits: np.roll(real_identity(n_bits), 1, axis=0)),
+        31: (hashing, "_amplitude_backaction", rolled_backaction),
         32: (hashing, "_byte_chunks", neighbour_chunks),
     }
 

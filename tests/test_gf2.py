@@ -446,8 +446,8 @@ def test_pack_round_trip_property(n, data):
 
 
 def test_rows_over_zero_unknowns_round_trip():
-    # Rows over no unknowns are zero words wide, as pack_bits and
-    # identity_rows make them; each value must be 0.
+    # Rows over no unknowns are zero words wide, as pack_bits makes them;
+    # each value must be 0.
     for values in ([], [0, 0]):
         rows = from_ints(values, 0)
         assert rows.dtype == np.uint64 and rows.shape == (len(values), 0)

@@ -27,7 +27,7 @@ from catpurify.gf2 import (
 from catpurify.cli import main
 from catpurify.labels import CatLabel, amp_bit
 from catpurify.strategy import METHODS, MethodSpec
-from oracles import row_by_row_cosets
+from oracles import replay_hashing, row_by_row_cosets
 from catpurify.hashing import (
     SELECTOR_CHUNK,
     HashingRun,
@@ -608,11 +608,17 @@ def v1_text(run):
 
 
 def run_digest(n, m, f, safety_bits, seeds):
+    """The digest of each seed's transcript and outcome.  Each transcript
+    read back up to m = 256 is also replayed through ``labels.mxor``, which
+    raises unless every measured value matches; the m = 2000 run, which
+    would add about 0.3 s, is left out."""
     h = hashlib.sha256()
     single = werner_single(n, f)
     for seed in seeds:
         ok, empirical_yield, run = simulate_hashing(n, m, single, seed=seed, safety_bits=safety_bits)
-        assert_round_trip(run)
+        parsed = assert_round_trip(run)
+        if m <= 256:
+            replay_hashing(parsed)
         h.update(v1_text(run).encode())
         # The digests were recorded when an exhausted block shared the
         # reason of a tied decode.
@@ -627,6 +633,44 @@ def run_digest(n, m, f, safety_bits, seeds):
 @pytest.mark.parametrize("n,m,f,safety_bits,seeds,expected", GOLDEN_RUNS)
 def test_golden_transcripts(n, m, f, safety_bits, seeds, expected):
     assert run_digest(n, m, f, safety_bits, seeds) == expected
+
+
+@pytest.mark.parametrize("tag", ["A", "B"])
+def test_replay_catches_a_flipped_measurement(tag):
+    # Negative control: a golden transcript with one measured value flipped
+    # still reads back, but its labels no longer give that value.
+    _, _, run = simulate_hashing(2, 40, werner_single(2, 0.85), seed=0, safety_bits=0)
+    lines = run.to_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith(f"{tag} 3 "))
+    *fields, value = lines[k].split(" ")
+    lines[k] = " ".join([*fields, format(int(value, 16) ^ 1, "x")])
+    corrupted = HashingRun.from_text("\n".join(lines) + "\n")
+    replay_hashing(HashingRun.from_text(run.to_text()))
+    with pytest.raises(ValueError, match=f"^phase {tag} round 3 measured "):
+        replay_hashing(corrupted)
+
+
+def test_replay_corrects_every_survivor_of_a_success():
+    # Read as its Pauli frame, a survivor's belief label corrects it to the
+    # all-zero label exactly when it equals the survivor's true label.
+    # Every success must correct every survivor and every wrong decode
+    # leave one mis-corrected; a tie leaves no belief to apply.
+    reasons = set()
+    for n, m, f, safety_bits, seeds in ((2, 32, 0.9, 2, range(300)), (3, 40, 0.9, 4, range(60)),
+                                        (4, 24, 0.95, 2, range(40))):
+        single = werner_single(n, f)
+        for seed in seeds:
+            ok, _, run = simulate_hashing(n, m, single, seed=seed, safety_bits=safety_bits)
+            truth, belief = replay_hashing(run)
+            assert len(truth) == len(run.survivors)
+            if ok:
+                assert belief == truth
+            elif run.failure_reason == "wrong-decode":
+                assert belief is not None and belief != truth
+            else:
+                assert belief is None
+            reasons.add(run.failure_reason)
+    assert reasons == {None, "ambiguous", "wrong-decode"}
 
 
 def reference_subsets(rng, live_count, n_rounds, redraws=None):
@@ -830,7 +874,7 @@ def full_lineage(lineage, targets_a, m):
     assert lineage.shape == (m, gf2.n_words(targets_a.size))
     rows = gf2.scatter_columns(lineage, targets_a, m)
     live = np.delete(np.arange(m), targets_a)
-    rows[live] ^= gf2.identity_rows(m)[live]
+    rows[live] ^= pack_bits(np.eye(m, dtype=np.uint8))[live]
     return rows
 
 
@@ -1122,6 +1166,13 @@ def test_backaction_gathers_a_wide_lineage_within_the_chunk_cap():
     assert_backaction_peaks_within_the_chunk_cap(8000, 2, 2853)
 
 
+def test_backaction_seeds_a_long_lineage_within_the_chunk_cap():
+    # The lineage is seeded one bit per round in place: a packed identity
+    # over the rounds would be 2.3 MB here, the round count of an N=2,
+    # f=0.9 trial at m=12000.
+    assert_backaction_peaks_within_the_chunk_cap(12000, 2, 4290)
+
+
 def test_bulk_passes_reject_a_state_read_after_it_was_measured():
     # Each pass reads every label as the phase began, which holds only if
     # no round reads a state an earlier round of its phase measured.  Such
@@ -1182,10 +1233,19 @@ def test_amplitude_check_fires_on_drifted_rows(monkeypatch, capsys):
     assert err == "internal invariant violated: amplitude parity bookkeeping drifted\n"
 
 
+def rolled_lineage(real_backaction):
+    """``_amplitude_backaction`` whose lineage rows are shifted by one
+    state, while the true phases stay as tracked."""
+    def backaction(*args):
+        lineage, true_phases = real_backaction(*args)
+        return np.roll(lineage, 1, axis=0), true_phases
+    return backaction
+
+
 def test_phase_check_fires_on_drifted_lineage(monkeypatch, capsys):
-    # A lineage that starts shifted by one state misnames every phase row.
-    real = gf2.identity_rows
-    monkeypatch.setattr(gf2, "identity_rows", lambda n_bits: np.roll(real(n_bits), 1, axis=0))
+    # A lineage shifted by one state misnames every phase row.
+    monkeypatch.setattr(
+        hashing, "_amplitude_backaction", rolled_lineage(hashing._amplitude_backaction))
     code, err = simulate_until_invariant_fails(capsys)
     assert code == 4
     assert err == "internal invariant violated: phase parity bookkeeping drifted\n"

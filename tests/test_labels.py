@@ -4,13 +4,9 @@ import pytest
 from catpurify.errors import DimensionError
 from catpurify.labels import (
     CatLabel,
-    LocalCorrection,
     all_labels,
     amp_bit,
     amp_mask,
-    correction_for,
-    measure_amplitudes,
-    measure_phase,
     mxor,
     phase_bit,
 )
@@ -93,26 +89,21 @@ def test_layout_helpers_match_decode(n):
         )
 
 
-def test_measurements_project():
-    label = CatLabel(3, 1, (1, 0))
-    assert measure_amplitudes(label) == (1, 0)
-    assert measure_phase(label) == 1
-    assert measure_amplitudes(CatLabel(3, 0, (0, 0))) == (0, 0)
-    assert measure_phase(CatLabel(3, 0, (1, 1))) == 0
-
-
-def test_correction_examples():
-    assert correction_for(CatLabel(3, 0, (0, 0))) == LocalCorrection(0, (0, 0))
-    corr = correction_for(CatLabel(3, 1, (0, 1)))
-    assert corr.phase_flip_party1 == 1
-    assert corr.bit_flips == (0, 1)
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_correction_maps_every_label_to_zero(n):
+    # A label read as a Pauli frame flips the phase bit iff its phase is
+    # set (Z on party 1) and amplitude bit j iff its own is (X on party
+    # j+1), so its own frame maps it to the all-zero label and no other
+    # frame does.
     zero = CatLabel.decode(0, n)
-    for label in all_labels(n):
-        assert correction_for(label).apply(label) == zero
+    labels = all_labels(n)
+    for label in labels:
+        corrected = [
+            CatLabel(n, label.phase ^ frame.phase,
+                     tuple(a ^ f for a, f in zip(label.amplitudes, frame.amplitudes)))
+            for frame in labels
+        ]
+        assert [frame for frame, out in zip(labels, corrected) if out == zero] == [label]
 
 
 def test_label_validation():

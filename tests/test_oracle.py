@@ -3,7 +3,7 @@ import pytest
 
 from catpurify import oracle
 from catpurify.errors import CapacityError
-from catpurify.labels import CatLabel, all_labels, correction_for, mxor
+from catpurify.labels import CatLabel, all_labels, mxor
 from catpurify.oracle import (
     CNOT,
     PAULI_MATRICES,
@@ -137,7 +137,7 @@ def test_multilateral_cnot_slot_errors():
         layout.qubit(2, 0)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_verify_mxor_exhaustive(n):
     report = verify_mxor(n)
     assert report.ok
@@ -166,24 +166,16 @@ def test_mxor_rule_oracle_spot_check():
     assert states_equal_up_to_phase(evolved, expected, 1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_corrections_against_oracle(n):
-    # Z on party 1 flips the phase bit, X on party j+1 flips amplitude j;
-    # the recorded correction must map each cat state to the target state.
+    # A label is its own correction: Z on party 1 iff its phase bit and X on
+    # party j+1 iff its amplitude bit j must map its cat state to the target
+    # state.
     target = build_cat_state(CatLabel.decode(0, n))
     for label in all_labels(n):
-        corr = correction_for(label)
-        ops = ["I"] * n
-        state = build_cat_state(label)
-        if corr.phase_flip_party1:
-            z_ops = ops.copy()
-            z_ops[0] = "Z"
-            state = PauliString(1, tuple(z_ops)).apply(state)
-        for j, flip in enumerate(corr.bit_flips, start=1):
-            if flip:
-                x_ops = ops.copy()
-                x_ops[j] = "X"
-                state = PauliString(1, tuple(x_ops)).apply(state)
+        ops = ["Z" if label.phase else "I"]
+        ops += ["X" if flip else "I" for flip in label.amplitudes]
+        state = PauliString(1, tuple(ops)).apply(build_cat_state(label))
         assert states_equal_up_to_phase(state, target, 1e-10)
 
 
