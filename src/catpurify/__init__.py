@@ -32,8 +32,6 @@ from .oracle import (
 from .strategy import (
     MethodSpec,
     YieldCurve,
-    best_method,
-    block_then_hashing,
     find_knee,
     recurrence_then_hashing,
     yield_curve,

@@ -109,6 +109,12 @@ def _column_bits(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return (rows[..., cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
 
 
+def set_bits(rows: np.ndarray, row_index: np.ndarray, cols: np.ndarray) -> None:
+    """Set bit ``cols[k]`` of packed row ``row_index[k]`` in place, the rows
+    being distinct."""
+    rows[row_index, cols >> 6] |= np.uint64(1) << (cols & 63).astype(np.uint64)
+
+
 def row_weight(rows: np.ndarray) -> np.ndarray:
     """Set bits of a packed row, or of each row of a stack, as unsigned counts."""
     return np.bitwise_count(rows).sum(axis=-1)
@@ -323,8 +329,7 @@ def pivot_cosets(
     The basis and ``free_cols`` are made read-only."""
     particulars = scatter_columns(sides, pivot_cols, n)
     basis = scatter_columns(carried, pivot_cols, n)
-    basis[np.arange(free_cols.size), free_cols >> 6] |= (
-        np.uint64(1) << (free_cols & 63).astype(np.uint64))
+    set_bits(basis, np.arange(free_cols.size), free_cols)
     basis.flags.writeable = False
     free_cols.flags.writeable = False
     return [AffineCoset(n, particular, basis, free_cols) for particular in particulars]

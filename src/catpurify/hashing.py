@@ -211,10 +211,6 @@ def _round_count(m: int, entropy_per_bit: float, safety_bits: int) -> int:
     return max(0, math.ceil(m * entropy_per_bit - 1e-9)) + safety_bits
 
 
-# Largest bulk read of subset selectors, in doubles.
-SELECTOR_CHUNK = 1 << 15
-
-
 def _draw_phases(
     rng: np.random.Generator, m: int, round_counts: tuple[int, ...]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -225,11 +221,12 @@ def _draw_phases(
     Each live state joins with probability 1/2, redrawn until the subset
     has at least two members; its minimum is measured and leaves the live
     set.  A phase ends early once fewer than two states are live.  The
-    selectors come from ``rng.random`` in reads of ``SELECTOR_CHUNK`` and
-    are used strictly in order, exactly the values one ``rng.random(live)``
-    call per draw would give.  A read runs past the selectors used, so the
-    caller must read nothing more from ``rng``, between phases or after
-    them.
+    selectors come from ``rng.random`` in reads of a 32nd of
+    ``gf2.CHUNK_BYTES`` doubles, or of what the batch still needs if that
+    is fewer, and are used strictly in order, exactly the values one
+    ``rng.random(live)`` call per draw would give.  A read runs past the
+    selectors used, so the caller must read nothing more from ``rng``,
+    between phases or after them.
 
     Rounds are drawn in batches, over the positions of the states live as
     the batch begins.  A scalar pass finds each draw's first set selector,
@@ -256,10 +253,12 @@ def _draw_phases(
             # gathered row, its row over the m states and that row packed.
             batch = min(n - done, max(1, gf2.CHUNK_BYTES // (5 * m)))
             need = batch * k - batch * (batch - 1) // 2
-            if len(data) < need:
+            short = need - len(data)
+            if short > 0:
+                read = max(1, min(gf2.CHUNK_BYTES >> 5, short))
                 parts = [data]
-                for _ in range(-(-(need - len(data)) // SELECTOR_CHUNK)):
-                    parts.append((rng.random(SELECTOR_CHUNK) < 0.5).tobytes())
+                for _ in range(-(-short // read)):
+                    parts.append((rng.random(read) < 0.5).tobytes())
                 data = b"".join(parts)
                 del parts
             at, size, high, head = 0, k, -1, []
@@ -375,8 +374,7 @@ def _amplitude_backaction(
     in groups of ``gf2.BLOCK_ROWS`` rounds."""
     true_phases = init_phases.copy()
     lineage = np.zeros((m, gf2.n_words(targets.size)), dtype=np.uint64)
-    rounds = np.arange(targets.size)
-    lineage[targets, rounds >> 6] = np.uint64(1) << (rounds & 63).astype(np.uint64)
+    gf2.set_bits(lineage, targets, np.arange(targets.size))
     # Per round a chunk unpacks one byte per bit of its row; each group's
     # table step takes a selector byte and a shifted copy per state, one
     # table of lineage rows and one gather piece of them.

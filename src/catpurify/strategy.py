@@ -2,10 +2,10 @@
 
 Ties together the block yields and the hashing yields: recurrence rounds
 continued by hashing, single block steps of size m continued by hashing,
-best-method selection on a fidelity grid, and the knee fidelity above which
-recurrence stops paying.  Each method is one ``METHODS`` entry with an array
-kernel over a stretch of fidelities; single-point functions are its one-point
-calls, and ``yield_curve`` calls it once per ``GRID_CHUNK`` points.
+and the knee fidelity above which recurrence stops paying.  Each method is
+one ``METHODS`` entry with an array kernel over a stretch of fidelities;
+single-point functions are its one-point calls, and ``yield_curve`` calls
+it once per ``GRID_CHUNK`` points.
 """
 
 from __future__ import annotations
@@ -165,15 +165,6 @@ def recurrence_then_hashing(fidelity: float) -> tuple[float, int]:
     return max(0.0, raw), rounds
 
 
-def block_then_hashing(fidelity: float, m: int) -> float:
-    """Two-party block step of size m continued by hashing, floored at 0."""
-    return max(0.0, _raw_yield(MethodSpec("block", m=m), 2, fidelity))
-
-
-def _raw_yield(spec: MethodSpec, n_parties: int, fidelity: float) -> float:
-    return float(METHODS[spec.kind].kernel(spec, n_parties, np.array([fidelity]))[0])
-
-
 def _check_methods(n_parties: int, methods: list[MethodSpec]) -> None:
     """Refuse a method named twice, or a two-party method at N != 2."""
     ids = [spec.method_id for spec in methods]
@@ -182,21 +173,6 @@ def _check_methods(n_parties: int, methods: list[MethodSpec]) -> None:
             raise ValueError(f"method {spec.method_id} requested more than once")
         if METHODS[spec.kind].two_party and n_parties != 2:
             raise ValueError(f"method {spec.method_id} only applies to N=2")
-
-
-def best_method(
-    fidelity: float, methods: list[MethodSpec], n_parties: int = 2
-) -> tuple[MethodSpec, float]:
-    """Argmax of the raw yield, not floored at 0; ties go to list order."""
-    if not methods:
-        raise ValueError("need at least one method")
-    _check_methods(n_parties, methods)
-    winner, best = methods[0], _raw_yield(methods[0], n_parties, fidelity)
-    for spec in methods[1:]:
-        y = _raw_yield(spec, n_parties, fidelity)
-        if y > best:
-            winner, best = spec, y
-    return winner, best
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import itertools
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,6 +434,12 @@ def test_pack_round_trip_property(n, data):
     np.testing.assert_array_equal(unpack_bits(packed, n), bits)
     np.testing.assert_array_equal(pack_indices(np.flatnonzero(bits), n), packed)
     assert row_weight(packed) == int(bits.sum())
+    # set_bits ORs bit cols[k] into row k, so setting a bit twice keeps it.
+    cols = np.flatnonzero(bits)
+    one_hot = np.zeros((cols.size, n_words(n)), dtype=np.uint64)
+    for _ in range(2):
+        gf2.set_bits(one_hot, np.arange(cols.size), cols)
+        np.testing.assert_array_equal(one_hot, pack_indices(cols, n, np.arange(cols.size)))
     # The int pair round-trips a stack, in row_to_int's bit order.
     stack = np.stack([packed, ~packed & pack_bits(np.ones(n, dtype=np.uint8))])
     values = to_ints(stack)
@@ -503,3 +511,23 @@ def test_solve_peaks_within_its_rows_and_the_chunk_budget():
     working = n_rows * (n_words(n) + 1) * 8
     carried = coset.dim * n_words(n_rows) * 8
     assert peak - outputs <= 2 * working + carried + CHUNK_BYTES
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "catpurify"
+# A word index or a bit offset within a word; ``<< 6`` (words to bits, in
+# byte accounting) is not one.
+WORD_INDEXING = re.compile(r">>\s*6\b|&\s*63\b")
+
+
+def test_only_gf2_indexes_packed_words():
+    # Unknown i lives in word i >> 6, bit i & 63, an order only gf2 knows;
+    # every other module reaches packed rows through its functions.
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "gf2.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if WORD_INDEXING.search(line)
+    ]
+    assert list(SRC.glob("*.py"))
+    assert not offenders, f"packed words indexed outside gf2: {offenders}"

@@ -29,7 +29,6 @@ from catpurify.labels import CatLabel, amp_bit
 from catpurify.strategy import METHODS, MethodSpec
 from oracles import replay_hashing, row_by_row_cosets
 from catpurify.hashing import (
-    SELECTOR_CHUNK,
     HashingRun,
     _amplitude_backaction,
     _amplitude_cosets,
@@ -594,7 +593,7 @@ GOLDEN_RUNS = [
     (2, 256, 0.92, None, range(0, 10), "6a8a6174da61af52da1c1dc716d8aabea9d6fac8d50120f51682dd179a3101e8"),
     # three certified decodes share probe_rng
     (3, 200, 0.9, 4, range(0, 10), "a2e38f3afd9df574ad653ea458d872fc20bf17c24710ca84df44ace659d03cfc"),
-    # phases draw more than SELECTOR_CHUNK selectors
+    # phases draw more selectors than one read holds
     (3, 2000, 0.9, 20, range(1000, 1001), "b10089a0daa4ebebd331af746d975ba9e3c01ba29d3d6dfb89fb9041ba1a5912"),
 ]
 
@@ -738,18 +737,14 @@ def test_subset_sampler_matches_per_round_draws(live_count, n_rounds):
         assert_draws_match_reference(seed, live_count, (split, n_rounds - split))
 
 
-@pytest.mark.parametrize("selector_chunk,batch_rounds", [
-    (1, 1), (1, 3), (7, 1), (7, 2), (100, 3), (1 << 15, 1), (1 << 15, None),
-])
-def test_bulk_draw_matches_per_round_draws_in_any_batches(
-        monkeypatch, selector_chunk, batch_rounds):
+@pytest.mark.parametrize("batch_rounds", [1, 2, 3, None])
+def test_bulk_draw_matches_per_round_draws_in_any_batches(monkeypatch, batch_rounds):
     # Batches of one or a few rounds (the draw charges 5 bytes per state
-    # and round), reads of a few selectors, so that draws straddle reads,
-    # and redraw-heavy blocks of 2 to 6 states whose phases run short.
-    # One-selector reads hold only what a batch needs without redraws, so
-    # a redraw cuts its batch short, and ends a one-round batch with no
-    # round drawn.
-    monkeypatch.setattr(hashing, "SELECTOR_CHUNK", selector_chunk)
+    # and round), and reads of a 32nd of that budget: one selector at m=2,
+    # 60 at m=130 and three rounds, so that draws straddle reads.  Blocks
+    # of 2 to 6 states are redraw-heavy and their phases run short.  A read
+    # of no more than a batch needs without redraws leaves a redraw to cut
+    # its batch short, and to end a one-round batch with no round drawn.
     redraws, short = 0, 0
     for m in (2, 3, 4, 5, 6, 9, 40, 130):
         if batch_rounds is not None:
@@ -774,7 +769,7 @@ def test_subset_sampler_reads_in_bounded_chunks():
     (rows_a, targets_a), (rows_b, targets_b) = _draw_phases(counting, 2000, (150, 250))
     assert len(targets_a) + len(targets_b) == 400
     assert len(rows_a) + len(rows_b) == 400
-    assert max(counting.sizes) <= SELECTOR_CHUNK
+    assert max(counting.sizes) <= gf2.CHUNK_BYTES >> 5
     # 2000 + 1999 + ... + 1601 doubles at least; chunks keep the calls few.
     assert sum(counting.sizes) >= sum(range(1601, 2001))
     assert len(counting.sizes) < 40

@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 
 from catpurify.errors import CapacityError
 from catpurify.hashing import two_party_hashing_yield, werner_hashing_yield
-from catpurify.ensemble import SingleDistribution, block_step, werner_single
+from catpurify.ensemble import SingleDistribution, block_step, block_yield, werner_single
 from catpurify.strategy import (
     GRID_CHUNK,
     METHODS,
     MethodSpec,
-    _raw_yield,
     _recurrence_raw,
-    best_method,
-    block_then_hashing,
     fidelity_grid,
     find_knee,
     recurrence_round,
@@ -53,53 +50,35 @@ def test_recurrence_exact_variant_stalls_at_low_fidelity():
 
 
 def test_block_then_hashing_examples():
-    assert block_then_hashing(1.0, 4) == 0.75
-    assert block_then_hashing(0.55, 4) == 0.0
+    # A block step of size m continued by hashing, the block method's kernel.
+    assert block_yield(werner_single(2, 1.0), 4) == 0.75
+    assert block_yield(werner_single(2, 0.55), 4) <= 0.0  # clamped to 0 when shown
     rec, _ = recurrence_then_hashing(0.85)
-    assert max(block_then_hashing(0.85, 3), block_then_hashing(0.85, 4)) > rec
+    assert max(block_yield(werner_single(2, 0.85), m) for m in (3, 4)) > rec
     with pytest.raises(ValueError):
-        block_then_hashing(0.9, 9)
+        MethodSpec("block", m=9)
     with pytest.raises(ValueError):
-        block_then_hashing(0.9, 1)
+        MethodSpec("block", m=1)
 
 
-def method_list():
-    return [
-        MethodSpec.from_id("rec-hash"),
-        MethodSpec.from_id("block3"),
-        MethodSpec.from_id("block4"),
-        MethodSpec.from_id("block5"),
-    ]
+def raw_yields_at(fidelity, method_ids):
+    """Each method's raw yield at one N=2 fidelity, read off ``yield_curve``."""
+    specs = [MethodSpec.from_id(mid) for mid in method_ids]
+    curve = yield_curve(2, fidelity, fidelity, 1.0, specs)
+    return {mid: float(row[0]) for mid, row in curve.raw.items()}
 
 
 def test_best_method_near_one():
-    winner, y = best_method(0.99, method_list())
-    assert winner.method_id == "rec-hash"
-    winner, y = best_method(1.0, method_list())
-    assert winner.method_id == "rec-hash"
-    assert y == 1.0
+    for f in (0.99, 1.0):
+        raw = raw_yields_at(f, ["rec-hash", "block3", "block4", "block5"])
+        assert raw["rec-hash"] == max(raw.values())
+    assert raw["rec-hash"] == 1.0
 
 
 def test_best_method_picks_a_later_method():
-    methods = [MethodSpec.from_id("2p-hash"), MethodSpec.from_id("rec-hash")]
-    winner, y = best_method(0.7, methods)
-    assert winner is methods[1]
-    assert y == recurrence_then_hashing(0.7)[0] > 0.0
-
-
-def test_best_method_single_entry():
-    only = [MethodSpec.from_id("block3")]
-    winner, _ = best_method(0.9, only)
-    assert winner is only[0]
-
-
-def test_best_method_applies_the_method_list_rules():
-    two_party = [MethodSpec.from_id("rec-hash"), MethodSpec.from_id("mp-hash")]
-    with pytest.raises(ValueError, match=r"^method rec-hash only applies to N=2$"):
-        best_method(0.9, two_party, n_parties=3)
-    twice = [MethodSpec.from_id("mp-hash"), MethodSpec.from_id("mp-hash")]
-    with pytest.raises(ValueError, match=r"^method mp-hash requested more than once$"):
-        best_method(0.9, twice)
+    raw = raw_yields_at(0.7, ["2p-hash", "rec-hash"])
+    assert raw["rec-hash"] > raw["2p-hash"]
+    assert raw["rec-hash"] == recurrence_then_hashing(0.7)[0] > 0.0
 
 
 def test_method_spec_ids_round_trip():
@@ -293,7 +272,8 @@ def test_yield_curve_equals_one_point_calls(n_parties, methods):
     curve = yield_curve(n_parties, 0.25, 1.0, 0.0025, specs)
     assert curve.grid.size > 2 * GRID_CHUNK
     for spec in specs:
-        expected = [_raw_yield(spec, n_parties, float(f)) for f in curve.grid]
+        kernel = METHODS[spec.kind].kernel
+        expected = [float(kernel(spec, n_parties, np.array([f]))[0]) for f in curve.grid]
         assert curve.raw[spec.method_id].tolist() == expected
 
 
