@@ -737,23 +737,34 @@ def test_subset_sampler_matches_per_round_draws(live_count, n_rounds):
         assert_draws_match_reference(seed, live_count, (split, n_rounds - split))
 
 
-@pytest.mark.parametrize("batch_rounds", [1, 2, 3, None])
-def test_bulk_draw_matches_per_round_draws_in_any_batches(monkeypatch, batch_rounds):
-    # Batches of one or a few rounds (the draw charges 5 bytes per state
-    # and round), and reads of a 32nd of that budget: one selector at m=2,
-    # 60 at m=130 and three rounds, so that draws straddle reads.  Blocks
-    # of 2 to 6 states are redraw-heavy and their phases run short.  A read
-    # of no more than a batch needs without redraws leaves a redraw to cut
-    # its batch short, and to end a one-round batch with no round drawn.
-    redraws, short = 0, 0
-    for m in (2, 3, 4, 5, 6, 9, 40, 130):
+@pytest.mark.parametrize("selector_read,batch_rounds", [
+    (1, 1), (1, 3), (7, 1), (7, 2), (100, 3), (1 << 15, 1), (1 << 15, None),
+])
+def test_bulk_draw_matches_per_round_draws_in_any_batches(
+        monkeypatch, selector_read, batch_rounds):
+    # The budget sets both the batch (the draw charges 5 bytes per state
+    # and round) and the read, a 32nd of it.  Each block gets the budget
+    # nearest 32 * selector_read that still gives batches of batch_rounds
+    # rounds, so reads run from one selector to a third of a round's, and
+    # draws straddle them.  Blocks of 2 to 6 states are redraw-heavy and
+    # their phases run short.  A read of no more than a batch needs without
+    # redraws leaves a redraw to cut its batch short, and to end a
+    # one-round batch with no round drawn.  No batch size keeps the
+    # default budget and its 1 << 15 reads.
+    redraws, short, reads = 0, 0, set()
+    for m in (2, 3, 4, 5, 6, 9, 20, 40, 130, 200):
         if batch_rounds is not None:
-            monkeypatch.setattr(gf2, "CHUNK_BYTES", 5 * m * batch_rounds)
+            low = 5 * m * batch_rounds
+            budget = min(max(32 * selector_read, low), low + 5 * m - 1)
+            monkeypatch.setattr(gf2, "CHUNK_BYTES", budget)
+        reads.add(max(1, gf2.CHUNK_BYTES >> 5))
         for seed in range(12):
             counts = (seed % 4, 2 + seed % 3, seed % 2) if m < 9 else (m // 3, m // 2, m)
             redraws += assert_draws_match_reference(seed, m, counts)
             short += sum(counts) >= m
     assert redraws > 20 and short > 20
+    # Each aimed read is met, but 1 << 15 is past every one-round batch here.
+    assert selector_read in reads or selector_read > max(reads)
 
 
 def test_subset_sampler_reads_in_bounded_chunks():
